@@ -3,9 +3,9 @@
 //! Every parallel variant shares the conventions of [`parents`]: a parent
 //! array of [`mcbfs_graph::csr::VertexId`] where the root is its own parent
 //! and [`mcbfs_graph::csr::UNVISITED`] marks unreached vertices, claimed
-//! with atomics so that each vertex gets exactly one parent.
+//! with atomics so that each vertex gets exactly one parent. The
+//! distributed-memory variant (§V) lives in the `mcbfs-shard` crate.
 
-pub mod distributed;
 pub mod hybrid;
 pub mod multi_socket;
 pub mod parents;

@@ -32,6 +32,8 @@
 //! [`runner::BfsRunner`] is the front door; [`throughput`] adds the
 //! multi-instance SSCA#2-style mode of Fig. 10, and [`components`] the
 //! connected-components application the paper's introduction motivates.
+//! The paper's §V distributed-memory extension is the `mcbfs-shard`
+//! crate.
 
 pub mod algo;
 pub mod components;

@@ -177,20 +177,29 @@ pub struct QueryReply {
     pub parents: Option<Vec<u32>>,
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
+/// A frame object whose first field is the protocol version `"v"`,
+/// followed by `fields` in order. Shared with the shard protocol, which
+/// stamps its own version.
+pub fn versioned(version: u64, fields: Vec<(&str, Value)>) -> Value {
     Value::Object(
-        std::iter::once(("v".to_string(), Value::U64(WIRE_VERSION)))
+        std::iter::once(("v".to_string(), Value::U64(version)))
             .chain(fields.into_iter().map(|(k, v)| (k.to_string(), v)))
             .collect(),
     )
 }
 
-fn field<T: Deserialize>(v: &Value, key: &str) -> Result<T, SerdeError> {
+fn obj(fields: Vec<(&str, Value)>) -> Value {
+    versioned(WIRE_VERSION, fields)
+}
+
+/// A required field of a frame object.
+pub fn field<T: Deserialize>(v: &Value, key: &str) -> Result<T, SerdeError> {
     T::from_value(v.get(key).ok_or_else(|| SerdeError::missing(key))?)
 }
 
-/// Missing and `null` are both "absent" for optional fields.
-fn opt_field<T: Deserialize>(v: &Value, key: &str) -> Result<Option<T>, SerdeError> {
+/// An optional field of a frame object: missing and `null` are both
+/// absent.
+pub fn opt_field<T: Deserialize>(v: &Value, key: &str) -> Result<Option<T>, SerdeError> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(None),
         Some(x) => T::from_value(x).map(Some),
@@ -360,9 +369,10 @@ impl Deserialize for Response {
     }
 }
 
-/// Encodes one frame as a JSON line (newline included).
+/// Encodes one frame as a JSON line (newline included). The shard
+/// protocol encodes through it too.
 pub fn encode<T: Serialize>(frame: &T) -> String {
-    let mut line = serde_json::to_string(frame).expect("wire frames always serialize");
+    let mut line = serde_json::to_string(frame).expect("frames always serialize");
     line.push('\n');
     line
 }

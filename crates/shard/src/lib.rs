@@ -1,26 +1,32 @@
 //! `mcbfs-shard`: sharded multi-worker serving.
 //!
 //! Scales the BFS service past one process with the 1D vertex-range
-//! decomposition of distributed BFS (Buluç & Madduri), arranged as a
-//! star: per-shard **workers** ([`worker`]) each load one contiguous
-//! slice of the CSR (`mcbfs_graph::shard::CsrShard`) and run
-//! level-synchronous bit-parallel MS-BFS waves over their owned range
-//! ([`wave`]), while a **router** ([`router`]) speaks `mcbfs-wire-v1` to
-//! clients unchanged and `mcbfs-swire-v1` ([`swire`]) to its workers —
-//! scattering each sealed wave, relaying the per-level shard-exchange
-//! frames (level-stamped, destination-bucketed frontier discoveries),
-//! and gathering per-shard results into global answers. The
-//! [`engine::ShardedEngine`] runs the identical protocol in-process,
-//! which gives model mode a prediction of the live cluster's exchange
-//! volume that is byte-exact by construction.
+//! decomposition of distributed BFS (Buluç & Madduri) — the paper's §V
+//! distributed-memory extension — arranged as a star: per-shard
+//! **workers** ([`worker`]) each load one contiguous slice of the CSR
+//! (`mcbfs_graph::shard::CsrShard`) and run level-synchronous
+//! bit-parallel MS-BFS waves over their owned range ([`wave`]), while a
+//! **router** ([`router`]) speaks `mcbfs-wire-v1` to clients unchanged and
+//! `mcbfs-swire-v1` ([`swire`]) to its workers.
+//!
+//! One level loop ([`exchange`]) implements the exchange: it scatters
+//! each sealed wave, relays the per-level shard-exchange frames
+//! (level-stamped, destination-bucketed frontier discoveries), and
+//! gathers per-shard results into global answers. The router runs it
+//! over TCP links; the in-process [`engine::ShardedEngine`] runs it over
+//! local links into the worker's own frame handler, which gives model
+//! mode a prediction of the live cluster's exchange volume that is
+//! byte-exact by construction.
 
 pub mod engine;
+pub mod exchange;
 pub mod router;
 pub mod swire;
 pub mod wave;
 pub mod worker;
 
-pub use engine::{ExchangeLog, LevelExchange, ShardedEngine};
+pub use engine::ShardedEngine;
+pub use exchange::{ExchangeLog, LevelExchange};
 pub use router::Router;
 pub use swire::{Bucket, ExchangeItem, ShardFrame, ShardMeta, SwireError, SWIRE_VERSION};
 pub use wave::{ScanOutput, ShardWave, WaveOutput};

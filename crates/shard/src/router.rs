@@ -4,43 +4,34 @@
 //! `mcbfs_serve::serve_with` as the [`WaveExecutor`], it leaves the whole
 //! client-facing front (wire protocol, admission, continuous batching,
 //! deadlines, drain) untouched and replaces only the kernel: each sealed
-//! wave is scattered to every worker (`wave_start`), the per-level
-//! frontier exchange is coordinated star-wise — workers never talk to
-//! each other; the router gathers every worker's destination-bucketed
+//! wave runs through the sharded level loop ([`crate::exchange`]) over
+//! the worker connections. The exchange is star-wise — workers never talk
+//! to each other; the router gathers every worker's destination-bucketed
 //! `exchange` frame, merges buckets per destination in shard order, and
 //! delivers one `merged` frame per worker per level — and the per-shard
 //! `wave_result` ranges are stitched into the global answers clients
-//! expect.
-//!
-//! Instrumentation: each blocking read of a worker's next frame is a
-//! [`EventKind::ShardWait`] span (arg = level), each completed level's
-//! communication a [`EventKind::ShardExchange`] span (arg = bytes moved),
-//! and the per-level frame/byte/item counts accumulate in an
-//! [`ExchangeLog`] whose live byte counts are directly comparable to the
-//! in-process engine's model-mode prediction.
+//! expect. The per-level frame/byte/item counts accumulate in an
+//! [`ExchangeLog`] whose live byte counts equal the in-process engine's
+//! model-mode prediction, because both run the same loop.
 
-use crate::engine::{assemble_outcomes, merge_for, ExchangeLog, LevelExchange, ShardedWaveRun};
-use crate::swire::{self, ExchangeItem, ShardFrame, ShardMeta};
-use crate::wave::ScanOutput;
-use mcbfs_query::{Admitted, BatchReport, Query};
+use crate::exchange::{bad_data, Cluster, ExchangeLog, ShardLink};
+use crate::swire::{self, ShardFrame, ShardMeta};
+use mcbfs_query::{Admitted, BatchReport};
 use mcbfs_serve::{ServerStats, WaveExecutor};
-use mcbfs_trace::{EventKind, SpanTimer};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// One connected shard worker.
-struct WorkerLink {
+struct TcpLink {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     meta: ShardMeta,
 }
 
-impl WorkerLink {
-    fn send(&mut self, frame: &ShardFrame) -> std::io::Result<u64> {
-        let line = swire::encode(frame);
+impl ShardLink for TcpLink {
+    fn send(&mut self, frame: ShardFrame) -> io::Result<u64> {
+        let line = swire::encode(&frame);
         self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
         Ok(line.len() as u64)
@@ -48,14 +39,14 @@ impl WorkerLink {
 
     /// Blocks until the worker's next frame arrives; returns it with its
     /// encoded length (the exchange byte count of the upward link).
-    fn recv(&mut self) -> std::io::Result<(ShardFrame, u64)> {
+    fn recv(&mut self) -> io::Result<(ShardFrame, u64)> {
         let mut line = String::new();
         loop {
             line.clear();
             let read = self.reader.read_line(&mut line)?;
             if read == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
                     format!("shard {} closed its connection", self.meta.index),
                 ));
             }
@@ -63,50 +54,35 @@ impl WorkerLink {
                 break;
             }
         }
-        let frame = swire::decode(&line).map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("shard {}: {e}", self.meta.index),
-            )
-        })?;
+        let frame = swire::decode(&line)
+            .map_err(|e| bad_data(format!("shard {}: {e}", self.meta.index)))?;
         Ok((frame, line.len() as u64))
     }
 }
 
 /// A scatter/gather wave executor over shard-worker connections.
 pub struct Router {
-    links: Mutex<Vec<WorkerLink>>,
-    n: u64,
-    m: u64,
-    waves: AtomicU64,
-    exchange: Mutex<ExchangeLog>,
+    links: Mutex<Vec<TcpLink>>,
+    cluster: Cluster,
 }
 
 impl Router {
     /// Connects to one worker per address, handshakes (`hello` → `meta`),
     /// and validates that the workers form exactly one partition: dense
     /// shard indices, one graph, contiguous owned ranges covering `0..n`.
-    pub fn connect(addrs: &[String]) -> std::io::Result<Router> {
+    pub fn connect(addrs: &[String]) -> io::Result<Router> {
         assert!(!addrs.is_empty(), "router needs at least one worker");
         let mut links = Vec::with_capacity(addrs.len());
         for addr in addrs {
             let stream = TcpStream::connect(addr)?;
             stream.set_nodelay(true).ok();
             let reader = BufReader::new(stream.try_clone()?);
-            let mut link = WorkerLink {
+            let mut link = TcpLink {
                 reader,
                 writer: stream,
-                meta: ShardMeta {
-                    n: 0,
-                    shards: 0,
-                    index: 0,
-                    owned_start: 0,
-                    owned_end: 0,
-                    local_edges: 0,
-                    cut_edges: 0,
-                },
+                meta: ShardMeta::default(),
             };
-            link.send(&ShardFrame::Hello)?;
+            link.send(ShardFrame::Hello)?;
             match link.recv()? {
                 (ShardFrame::Meta(meta), _) => link.meta = meta,
                 (other, _) => {
@@ -135,7 +111,7 @@ impl Router {
                     m.index, m.n
                 )));
             }
-            if m.owned_start != expect_start {
+            if m.owned_start != expect_start || m.owned_end < m.owned_start {
                 return Err(bad_data(format!(
                     "shard {} owns {}..{} but the previous range ended at {expect_start}",
                     m.index, m.owned_start, m.owned_end
@@ -149,23 +125,24 @@ impl Router {
             )));
         }
         let m = links.iter().map(|l| l.meta.local_edges).sum();
+        let owned = links
+            .iter()
+            .map(|l| l.meta.owned_start as usize..l.meta.owned_end as usize)
+            .collect();
         Ok(Router {
             links: Mutex::new(links),
-            n,
-            m,
-            waves: AtomicU64::new(0),
-            exchange: Mutex::new(ExchangeLog::default()),
+            cluster: Cluster::new(n, m, owned),
         })
     }
 
     /// Global vertex count (from the workers' metadata).
     pub fn num_vertices(&self) -> u64 {
-        self.n
+        self.cluster.n
     }
 
     /// Global directed edge count.
     pub fn num_edges(&self) -> u64 {
-        self.m
+        self.cluster.m
     }
 
     /// Connected shard workers.
@@ -176,184 +153,19 @@ impl Router {
     /// The cumulative per-level exchange log (native byte counts of the
     /// live links).
     pub fn exchange_log(&self) -> ExchangeLog {
-        self.exchange.lock().expect("exchange log lock").clone()
+        self.cluster.exchange_log()
     }
-
-    /// Drives one wave through the cluster. Any worker failure mid-wave is
-    /// unrecoverable for that wave and panics (taking the serving process
-    /// down rather than answering queries wrong).
-    fn run_wave(
-        &self,
-        links: &mut [WorkerLink],
-        sources: &[u32],
-        record_parents: bool,
-        wave_id: u64,
-    ) -> std::io::Result<ShardedWaveRun> {
-        let start = Instant::now();
-        for link in links.iter_mut() {
-            link.send(&ShardFrame::WaveStart {
-                wave: wave_id,
-                sources: sources.to_vec(),
-                record_parents,
-            })?;
-        }
-        let shards = links.len();
-        let mut log_entries = Vec::new();
-        let mut level = 0u64;
-        loop {
-            let mut frames = 0u64;
-            let mut bytes = 0u64;
-            let mut items = 0u64;
-            let mut outs: Vec<ScanOutput> = Vec::with_capacity(shards);
-            for link in links.iter_mut() {
-                let wait = SpanTimer::start();
-                let (frame, len) = link.recv()?;
-                wait.finish(EventKind::ShardWait, level);
-                let ShardFrame::Exchange {
-                    wave,
-                    level: got_level,
-                    buckets,
-                    local_next,
-                    edges_scanned,
-                } = frame
-                else {
-                    return Err(bad_data(format!(
-                        "shard {}: expected exchange, got another frame",
-                        link.meta.index
-                    )));
-                };
-                if wave != wave_id || got_level != level {
-                    return Err(bad_data(format!(
-                        "shard {}: exchange for wave {wave} level {got_level}, expected wave {wave_id} level {level}",
-                        link.meta.index
-                    )));
-                }
-                frames += 1;
-                bytes += len;
-                let mut dense: Vec<Vec<ExchangeItem>> = vec![Vec::new(); shards];
-                for bucket in buckets {
-                    items += bucket.items.len() as u64;
-                    dense[bucket.dst as usize] = bucket.items;
-                }
-                outs.push(ScanOutput {
-                    buckets: dense,
-                    local_next,
-                    edges_scanned,
-                });
-            }
-            let timer = SpanTimer::start();
-            let done = outs
-                .iter()
-                .all(|o| !o.local_next && o.buckets.iter().all(|b| b.is_empty()));
-            if !done {
-                for (dst, link) in links.iter_mut().enumerate() {
-                    let merged = merge_for(&outs, dst);
-                    frames += 1;
-                    bytes += link.send(&ShardFrame::Merged {
-                        wave: wave_id,
-                        level,
-                        items: merged,
-                    })?;
-                }
-            }
-            timer.finish(EventKind::ShardExchange, bytes);
-            log_entries.push(LevelExchange {
-                wave: wave_id,
-                level,
-                frames,
-                bytes,
-                items,
-            });
-            if done {
-                break;
-            }
-            level += 1;
-        }
-        // Gather and stitch the owned ranges.
-        let n = self.n as usize;
-        let slots = sources.len();
-        let mut depths = vec![vec![u32::MAX; n]; slots];
-        let mut parents = record_parents.then(|| vec![vec![u32::MAX; n]; slots]);
-        let mut slot_edges = vec![0u64; slots];
-        let mut levels = 0u64;
-        for link in links.iter_mut() {
-            link.send(&ShardFrame::WaveFinish { wave: wave_id })?;
-        }
-        for link in links.iter_mut() {
-            let (frame, _) = link.recv()?;
-            let ShardFrame::WaveResult {
-                wave,
-                depths: own_depths,
-                parents: own_parents,
-                slot_edges: own_edges,
-                levels: own_levels,
-            } = frame
-            else {
-                return Err(bad_data(format!(
-                    "shard {}: expected wave_result",
-                    link.meta.index
-                )));
-            };
-            if wave != wave_id {
-                return Err(bad_data(format!(
-                    "shard {}: wave_result for wave {wave}, expected {wave_id}",
-                    link.meta.index
-                )));
-            }
-            let range = link.meta.owned_start as usize..link.meta.owned_end as usize;
-            levels = levels.max(own_levels);
-            for slot in 0..slots {
-                depths[slot][range.clone()].copy_from_slice(&own_depths[slot]);
-                slot_edges[slot] += own_edges[slot];
-                if let (Some(all), Some(own)) = (&mut parents, &own_parents) {
-                    all[slot][range.clone()].copy_from_slice(&own[slot]);
-                }
-            }
-        }
-        self.exchange
-            .lock()
-            .expect("exchange log lock")
-            .levels
-            .extend(log_entries);
-        Ok(ShardedWaveRun {
-            depths,
-            parents,
-            slot_edges,
-            levels,
-            seconds: start.elapsed().as_secs_f64(),
-        })
-    }
-}
-
-fn bad_data(msg: String) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
 impl WaveExecutor for Router {
+    /// Drives one wave through the cluster. Any worker failure mid-wave is
+    /// unrecoverable for that wave and panics (taking the serving process
+    /// down rather than answering queries wrong).
     fn execute_wave(&self, wave: &[Admitted]) -> BatchReport {
-        if wave.is_empty() {
-            return BatchReport::default();
-        }
-        let wave_id = self.waves.fetch_add(1, Ordering::Relaxed);
-        let sources: Vec<u32> = wave.iter().map(|a| a.query.source()).collect();
-        let record_parents = wave
-            .iter()
-            .any(|a| matches!(a.query, Query::Parents { .. }));
         let mut links = self.links.lock().expect("router links lock");
-        let run = self
-            .run_wave(&mut links, &sources, record_parents, wave_id)
-            .expect("worker connection failed mid-wave");
-        drop(links);
-        let seconds = run.seconds;
-        let (outcomes, stats) = assemble_outcomes(wave, run, wave_id as usize, true);
-        let mut report = BatchReport {
-            outcomes,
-            waves: vec![stats],
-            seconds,
-            ..BatchReport::default()
-        };
-        report.outcomes.sort_by_key(|o| o.id);
-        report
+        self.cluster
+            .execute_wave(&mut links[..], wave, None)
+            .expect("worker connection failed mid-wave")
     }
 
     /// Merges the workers' stats parts into the router's snapshot: the
@@ -371,7 +183,7 @@ impl WaveExecutor for Router {
         let mut windows = vec![window.to_vec()];
         for link in links.iter_mut() {
             let reply = link
-                .send(&ShardFrame::Stats)
+                .send(ShardFrame::Stats)
                 .and_then(|_| link.recv())
                 .map(|(frame, _)| frame);
             match reply {

@@ -3,9 +3,9 @@
 //! Same transport conventions as the client-facing `mcbfs-wire-v1`
 //! (newline-delimited JSON frames, an explicit `"v"` field on every
 //! frame, hand-written [`Serialize`]/[`Deserialize`] over the [`Value`]
-//! tree), but a different vocabulary: instead of queries and answers it
-//! carries the per-level frontier exchange of a wave running across 1D
-//! vertex-range shards.
+//! tree, built and encoded with wire-v1's own helpers), but a different
+//! vocabulary: instead of queries and answers it carries the per-level
+//! frontier exchange of a wave running across 1D vertex-range shards.
 //!
 //! The central frame kind is **shard-exchange**: a level-stamped,
 //! destination-bucketed list of frontier discoveries. Workers send one
@@ -22,6 +22,7 @@
 //! mode predict the live cluster's per-level exchange bytes by counting
 //! the bytes of the very frames the cluster would put on the wire.
 
+use mcbfs_serve::wire::{self, field, opt_field};
 use mcbfs_serve::ServerStats;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
@@ -121,7 +122,7 @@ impl Deserialize for Bucket {
 }
 
 /// A shard worker's identity and shape, announced in reply to `hello`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardMeta {
     /// Global vertex count of the sharded graph.
     pub n: u64,
@@ -216,27 +217,9 @@ pub enum ShardFrame {
     },
 }
 
-fn obj(cmd: &str, fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        [
-            ("v".to_string(), Value::U64(SWIRE_VERSION)),
-            ("cmd".to_string(), Value::Str(cmd.to_string())),
-        ]
-        .into_iter()
-        .chain(fields.into_iter().map(|(k, v)| (k.to_string(), v)))
-        .collect(),
-    )
-}
-
-fn field<T: Deserialize>(v: &Value, key: &str) -> Result<T, SerdeError> {
-    T::from_value(v.get(key).ok_or_else(|| SerdeError::missing(key))?)
-}
-
-fn opt_field<T: Deserialize>(v: &Value, key: &str) -> Result<Option<T>, SerdeError> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(x) => T::from_value(x).map(Some),
-    }
+fn obj(cmd: &str, mut fields: Vec<(&str, Value)>) -> Value {
+    fields.insert(0, ("cmd", Value::Str(cmd.to_string())));
+    wire::versioned(SWIRE_VERSION, fields)
 }
 
 impl Serialize for ShardFrame {
@@ -372,9 +355,7 @@ impl Deserialize for ShardFrame {
 /// the frame's *exchange byte count* — model mode and the live router both
 /// account exchange volume as the sum of these lengths.
 pub fn encode(frame: &ShardFrame) -> String {
-    let mut line = serde_json::to_string(frame).expect("swire frames always serialize");
-    line.push('\n');
-    line
+    wire::encode(frame)
 }
 
 /// Decodes one inbound line into a frame; version mismatches are reported

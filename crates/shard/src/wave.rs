@@ -221,118 +221,10 @@ mod tests {
     use super::*;
     use mcbfs_graph::csr::CsrGraph;
 
-    /// Drives a set of waves through the full level loop with the same
-    /// merge rule the router uses (senders in shard order).
-    fn run_sharded(graph: &CsrGraph, shards: usize, sources: &[u32]) -> (Vec<Vec<u32>>, Vec<u64>) {
-        let cut: Vec<CsrShard> = (0..shards)
-            .map(|i| CsrShard::cut(graph, shards, i))
-            .collect();
-        let mut waves: Vec<ShardWave> = cut
-            .iter()
-            .map(|s| ShardWave::new(s, sources, true))
-            .collect();
-        loop {
-            let outs: Vec<ScanOutput> = waves.iter_mut().map(|w| w.scan()).collect();
-            let empty = outs
-                .iter()
-                .all(|o| !o.local_next && o.buckets.iter().all(|b| b.is_empty()));
-            if empty {
-                break;
-            }
-            for (dst, wave) in waves.iter_mut().enumerate() {
-                let merged: Vec<ExchangeItem> = outs
-                    .iter()
-                    .flat_map(|o| o.buckets[dst].iter().copied())
-                    .collect();
-                wave.apply(&merged);
-                wave.advance();
-            }
-        }
-        let mut depths = vec![vec![u32::MAX; graph.num_vertices()]; sources.len()];
-        let mut slot_edges = vec![0u64; sources.len()];
-        for (shard, wave) in cut.iter().zip(waves) {
-            let out = wave.finish();
-            let range = shard.owned_range();
-            for slot in 0..sources.len() {
-                depths[slot][range.clone()].copy_from_slice(&out.depths[slot]);
-                slot_edges[slot] += out.slot_edges[slot];
-            }
-        }
-        (depths, slot_edges)
-    }
-
-    fn ring(n: usize) -> CsrGraph {
-        let edges: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
-        CsrGraph::from_edges_symmetric(n, &edges)
-    }
-
-    #[test]
-    fn sharded_depths_match_single_shard_on_a_ring() {
-        let g = ring(23);
-        let sources = [0u32, 5, 11];
-        let (one, edges_one) = run_sharded(&g, 1, &sources);
-        for shards in [2, 4, 7] {
-            let (many, edges_many) = run_sharded(&g, shards, &sources);
-            assert_eq!(one, many, "{shards} shards");
-            assert_eq!(edges_one, edges_many, "{shards} shards");
-        }
-        // Ring distances are min(|v - s|, n - |v - s|).
-        for (slot, &s) in sources.iter().enumerate() {
-            for v in 0..23u32 {
-                let d = (v as i64 - s as i64)
-                    .unsigned_abs()
-                    .min(23 - (v as i64 - s as i64).unsigned_abs());
-                assert_eq!(one[slot][v as usize] as u64, d, "slot {slot} vertex {v}");
-            }
-        }
-    }
-
-    #[test]
-    fn parents_form_a_tree_across_shards() {
-        let g = ring(16);
-        let cut: Vec<CsrShard> = (0..3).map(|i| CsrShard::cut(&g, 3, i)).collect();
-        let mut waves: Vec<ShardWave> = cut.iter().map(|s| ShardWave::new(s, &[4], true)).collect();
-        loop {
-            let outs: Vec<ScanOutput> = waves.iter_mut().map(|w| w.scan()).collect();
-            if outs
-                .iter()
-                .all(|o| !o.local_next && o.buckets.iter().all(|b| b.is_empty()))
-            {
-                break;
-            }
-            for (dst, wave) in waves.iter_mut().enumerate() {
-                let merged: Vec<ExchangeItem> = outs
-                    .iter()
-                    .flat_map(|o| o.buckets[dst].iter().copied())
-                    .collect();
-                wave.apply(&merged);
-                wave.advance();
-            }
-        }
-        let mut parents = [UNVISITED; 16];
-        let mut depths = [u32::MAX; 16];
-        for (shard, wave) in cut.iter().zip(waves) {
-            let out = wave.finish();
-            let range = shard.owned_range();
-            parents[range.clone()].copy_from_slice(&out.parents.unwrap()[0]);
-            depths[range.clone()].copy_from_slice(&out.depths[0]);
-        }
-        assert_eq!(parents[4], 4);
-        for v in 0..16 {
-            if v == 4 {
-                continue;
-            }
-            let p = parents[v] as usize;
-            assert!(p < 16, "vertex {v} reached");
-            // A BFS tree edge climbs exactly one level.
-            assert_eq!(depths[v], depths[p] + 1, "vertex {v} parent {p}");
-            assert!(g.neighbors(p as u32).contains(&(v as u32)));
-        }
-    }
-
     #[test]
     fn foreign_sources_do_not_seed_and_empty_waves_terminate() {
-        let g = ring(10);
+        let edges: Vec<(u32, u32)> = (0..10).map(|i| (i, (i + 1) % 10)).collect();
+        let g = CsrGraph::from_edges_symmetric(10, &edges);
         let s1 = CsrShard::cut(&g, 2, 1); // owns 5..10
         let mut wave = ShardWave::new(&s1, &[0], false);
         // Source 0 is shard 0's; shard 1 starts with an empty frontier.

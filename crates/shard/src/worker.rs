@@ -13,7 +13,7 @@
 //! via `mcbfs_serve::arm_sigint`) is polled between frames; the worker
 //! finishes the frame in hand, closes, and returns its final stats part.
 
-use crate::swire::{self, ShardFrame, ShardMeta};
+use crate::swire::{self, Bucket, ShardFrame, ShardMeta};
 use crate::wave::ShardWave;
 use mcbfs_graph::shard::CsrShard;
 use mcbfs_serve::{ServerStats, ShutdownHandle};
@@ -103,20 +103,23 @@ fn serve_router(
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut wave: Option<ShardWave> = None;
     while !shutdown.requested() {
-        line.clear();
-        match reader.read_line(&mut line) {
+        // A timeout can land mid-frame: the bytes read so far stay in
+        // `line` and the next read appends the rest.
+        match reader.read_until(b'\n', &mut line) {
             Ok(0) => return,
             Ok(_) => {}
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
             Err(_) => return,
         }
-        if line.trim().is_empty() {
+        let text = String::from_utf8_lossy(&line).into_owned();
+        line.clear();
+        if text.trim().is_empty() {
             continue;
         }
-        let frame = match swire::decode(&line) {
+        let frame = match swire::decode(&text) {
             Ok(f) => f,
             Err(e) => {
                 eprintln!("shard {}: bad router frame: {e}", shard.index());
@@ -124,84 +127,209 @@ fn serve_router(
             }
         };
         let reply = match frame {
-            ShardFrame::Hello => Some(ShardFrame::Meta(ShardMeta {
-                n: shard.num_vertices() as u64,
-                shards: shard.shards() as u64,
-                index: shard.index() as u64,
-                owned_start: shard.owned_range().start as u64,
-                owned_end: shard.owned_range().end as u64,
-                local_edges: shard.local_edges() as u64,
-                cut_edges: shard.cut_edges() as u64,
-            })),
-            ShardFrame::WaveStart {
-                wave: id,
-                sources,
-                record_parents,
-            } => {
-                let mut w = ShardWave::new(shard, &sources, record_parents);
-                let out = w.scan();
-                let reply = exchange_frame(id, w.level() as u64, &out);
-                wave = Some(w);
-                Some(reply)
-            }
-            ShardFrame::Merged {
-                wave: id, items, ..
-            } => match &mut wave {
-                Some(w) => {
-                    w.apply(&items);
-                    w.advance();
-                    let out = w.scan();
-                    Some(exchange_frame(id, w.level() as u64, &out))
-                }
-                None => {
-                    eprintln!("shard {}: merged frame outside a wave", shard.index());
-                    return;
-                }
-            },
-            ShardFrame::WaveFinish { wave: id } => match wave.take() {
-                Some(w) => {
-                    let out = w.finish();
-                    Some(ShardFrame::WaveResult {
-                        wave: id,
-                        depths: out.depths,
-                        parents: out.parents,
-                        slot_edges: out.slot_edges,
-                        levels: out.levels,
-                    })
-                }
-                None => {
-                    eprintln!("shard {}: wave_finish outside a wave", shard.index());
-                    return;
-                }
-            },
             ShardFrame::Stats => Some(ShardFrame::StatsReply {
                 stats: stats_part(shard, started, connections),
             }),
-            other => {
-                eprintln!(
-                    "shard {}: unexpected frame from router: {other:?}",
-                    shard.index()
-                );
-                return;
-            }
+            frame => handle_frame(shard, &mut wave, frame),
         };
-        if let Some(reply) = reply {
-            if send(&mut writer, &reply).is_err() {
-                return;
-            }
+        let Some(reply) = reply else { return };
+        if send(&mut writer, &reply).is_err() {
+            return;
         }
     }
 }
 
-/// Builds the upward shard-exchange frame for one scan — through the same
-/// bucket shaping as the in-process engine, so live and simulated frames
-/// are byte-identical.
-fn exchange_frame(wave: u64, level: u64, out: &crate::wave::ScanOutput) -> ShardFrame {
+/// The worker's answer to one router frame (`stats` aside, which the
+/// connection loop answers from its own counters), shared by the live
+/// worker and the in-process engine's links. `None` means the frame
+/// breaks the protocol or names vertices this shard cannot hold: it is
+/// logged, and the live worker drops the connection.
+pub(crate) fn handle_frame<'s>(
+    shard: &'s CsrShard,
+    wave: &mut Option<ShardWave<'s>>,
+    frame: ShardFrame,
+) -> Option<ShardFrame> {
+    let reject = |why: String| {
+        eprintln!("shard {}: {why}", shard.index());
+        None
+    };
+    match frame {
+        ShardFrame::Hello => Some(ShardFrame::Meta(ShardMeta {
+            n: shard.num_vertices() as u64,
+            shards: shard.shards() as u64,
+            index: shard.index() as u64,
+            owned_start: shard.owned_range().start as u64,
+            owned_end: shard.owned_range().end as u64,
+            local_edges: shard.local_edges() as u64,
+            cut_edges: shard.cut_edges() as u64,
+        })),
+        ShardFrame::WaveStart {
+            wave: id,
+            sources,
+            record_parents,
+        } => {
+            let n = shard.num_vertices();
+            if !(1..=64).contains(&sources.len()) || sources.iter().any(|&s| s as usize >= n) {
+                return reject(format!(
+                    "wave_start needs 1..=64 sources in 0..{n}, got {} sources",
+                    sources.len()
+                ));
+            }
+            let w = wave.insert(ShardWave::new(shard, &sources, record_parents));
+            Some(exchange_frame(id, w))
+        }
+        ShardFrame::Merged {
+            wave: id, items, ..
+        } => {
+            let Some(w) = wave else {
+                return reject("merged frame outside a wave".to_string());
+            };
+            let owned = shard.owned_range();
+            if let Some(item) = items.iter().find(|i| !owned.contains(&(i.v as usize))) {
+                return reject(format!(
+                    "merged item for vertex {} outside the owned range {owned:?}",
+                    item.v
+                ));
+            }
+            w.apply(&items);
+            w.advance();
+            Some(exchange_frame(id, w))
+        }
+        ShardFrame::WaveFinish { wave: id } => match wave.take() {
+            Some(w) => {
+                let out = w.finish();
+                Some(ShardFrame::WaveResult {
+                    wave: id,
+                    depths: out.depths,
+                    parents: out.parents,
+                    slot_edges: out.slot_edges,
+                    levels: out.levels,
+                })
+            }
+            None => reject("wave_finish outside a wave".to_string()),
+        },
+        other => reject(format!("unexpected frame from router: {other:?}")),
+    }
+}
+
+/// Scans the wave's current level and builds the upward shard-exchange
+/// frame: non-empty buckets only, in destination order.
+fn exchange_frame(wave: u64, w: &mut ShardWave) -> ShardFrame {
+    let out = w.scan();
     ShardFrame::Exchange {
         wave,
-        level,
-        buckets: crate::engine::wire_buckets(&out.buckets),
+        level: w.level() as u64,
+        buckets: out
+            .buckets
+            .into_iter()
+            .enumerate()
+            .filter(|(_, items)| !items.is_empty())
+            .map(|(dst, items)| Bucket {
+                dst: dst as u64,
+                items,
+            })
+            .collect(),
         local_next: out.local_next,
         edges_scanned: out.edges_scanned,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::swire::ExchangeItem;
+    use mcbfs_graph::csr::CsrGraph;
+    use std::sync::mpsc;
+
+    /// Writes `frames` on a fresh connection and collects the worker's
+    /// replies until it closes the connection (or goes quiet for 10 s).
+    fn replies_until_closed(addr: SocketAddr, frames: &[ShardFrame]) -> Vec<ShardFrame> {
+        let mut stream = TcpStream::connect(addr).expect("connect to worker");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        for frame in frames {
+            send(&mut stream, frame).expect("send frame");
+        }
+        BufReader::new(stream)
+            .lines()
+            .map_while(Result::ok)
+            .map(|line| swire::decode(&line).expect("worker reply decodes"))
+            .collect()
+    }
+
+    fn wave_start(sources: Vec<u32>) -> ShardFrame {
+        ShardFrame::WaveStart {
+            wave: 0,
+            sources,
+            record_parents: true,
+        }
+    }
+
+    /// Stops the worker when the test body ends, a failed assertion
+    /// included, so the scope can join it.
+    struct StopOnDrop(ShutdownHandle);
+
+    impl Drop for StopOnDrop {
+        fn drop(&mut self) {
+            self.0.request();
+        }
+    }
+
+    #[test]
+    fn malformed_router_frames_drop_the_connection_not_the_worker() {
+        let g = CsrGraph::from_edges_symmetric(8, &[(0, 4), (4, 5), (5, 6)]);
+        let shard = CsrShard::cut(&g, 2, 1); // owns 4..8
+        let shutdown = ShutdownHandle::new();
+        std::thread::scope(|scope| {
+            let stop = StopOnDrop(shutdown.clone());
+            let (ready, bound) = mpsc::channel();
+            let worker = scope.spawn(|| {
+                run_worker(&shard, "127.0.0.1:0", &shutdown, move |addr| {
+                    ready.send(addr).expect("report bound address")
+                })
+            });
+            let addr = bound.recv().expect("worker bound");
+            for bad in [vec![], (0..65).map(|v| v % 8).collect(), vec![4, 8]] {
+                let replies = replies_until_closed(addr, &[wave_start(bad)]);
+                assert!(replies.is_empty(), "{replies:?}");
+            }
+            // A merged item for vertex 0, which shard 1 does not own.
+            let stray = ShardFrame::Merged {
+                wave: 0,
+                level: 0,
+                items: vec![ExchangeItem {
+                    v: 0,
+                    u: 4,
+                    mask: 1,
+                }],
+            };
+            let replies = replies_until_closed(addr, &[wave_start(vec![4]), stray]);
+            assert!(
+                matches!(replies[..], [ShardFrame::Exchange { .. }]),
+                "{replies:?}"
+            );
+            // The listener still serves a fresh connection, even when a
+            // frame arrives split across the worker's 50 ms read timeout.
+            let mut stream = TcpStream::connect(addr).expect("reconnect");
+            let hello = swire::encode(&ShardFrame::Hello);
+            let (head, tail) = hello.split_at(hello.len() / 2);
+            stream.write_all(head.as_bytes()).expect("send hello head");
+            std::thread::sleep(Duration::from_millis(150));
+            stream.write_all(tail.as_bytes()).expect("send hello tail");
+            let mut line = String::new();
+            BufReader::new(stream)
+                .read_line(&mut line)
+                .expect("read meta");
+            assert!(matches!(
+                swire::decode(&line),
+                Ok(ShardFrame::Meta(ShardMeta { index: 1, .. }))
+            ));
+            drop(stop);
+            worker
+                .join()
+                .expect("worker thread")
+                .expect("worker result");
+        });
     }
 }

@@ -1,9 +1,9 @@
 //! Integration tests of the application layer built on the BFS substrate:
 //! the Graph500-style kernel, st-connectivity, connected components, the
-//! distributed extension, and graph transformations — composed across
-//! crates the way a downstream user would.
+//! distributed-memory extension (the sharded engine), and graph
+//! transformations — composed across crates the way a downstream user
+//! would.
 
-use multicore_bfs::core::algo::distributed::{bfs_distributed, DistributedOpts};
 use multicore_bfs::core::components::connected_components;
 use multicore_bfs::core::kernel::{run_kernel, sample_roots};
 use multicore_bfs::core::runner::{Algorithm, ExecMode};
@@ -12,6 +12,8 @@ use multicore_bfs::gen::prelude::*;
 use multicore_bfs::graph::ops::{induced_subgraph, is_symmetric, transpose};
 use multicore_bfs::graph::validate::{sequential_levels, validate_bfs_tree};
 use multicore_bfs::machine::model::MachineModel;
+use multicore_bfs::query::{Query, QueryResult};
+use multicore_bfs::shard::ShardedEngine;
 
 #[test]
 fn kernel_runs_every_algorithm_mode_combination() {
@@ -77,17 +79,15 @@ fn stcon_agrees_with_component_labels() {
 fn distributed_extension_agrees_with_shared_memory_algorithms() {
     let g = RmatBuilder::new(10, 6).seed(52).permute(true).build();
     let seq = multicore_bfs::core::algo::sequential::bfs_sequential(&g, 4);
-    let dist = bfs_distributed(
-        &g,
-        4,
-        DistributedOpts {
-            ranks: 4,
-            ..Default::default()
-        },
-    );
-    validate_bfs_tree(&g, 4, &dist.parents).unwrap();
-    assert_eq!(dist.visited, seq.visited);
-    assert_eq!(dist.profile.edges_traversed, seq.profile.edges_traversed);
+    let report = ShardedEngine::new(&g, 4).execute(&[Query::Parents { root: 4 }]);
+    let outcome = &report.outcomes[0];
+    let QueryResult::Parents { parents, depths } = &outcome.result else {
+        panic!("expected a parents answer");
+    };
+    validate_bfs_tree(&g, 4, parents).unwrap();
+    let visited = depths.iter().filter(|&&d| d != u32::MAX).count() as u64;
+    assert_eq!(visited, seq.visited);
+    assert_eq!(outcome.edges, seq.profile.edges_traversed);
 }
 
 #[test]
