@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mcbfs_core::algo::hybrid::{bfs_hybrid, HybridOpts};
 use mcbfs_core::algo::multi_socket::{bfs_multi_socket, MultiSocketOpts};
-use mcbfs_core::algo::rayon_baseline::bfs_rayon;
 use mcbfs_core::algo::sequential::bfs_sequential;
 use mcbfs_core::algo::simple::bfs_simple;
 use mcbfs_core::algo::single_socket::{bfs_single_socket, SingleSocketOpts};
@@ -43,9 +42,6 @@ fn bench_algorithms(c: &mut Criterion) {
     });
     g.bench_function("hybrid_dirop_x2", |b| {
         b.iter(|| std::hint::black_box(bfs_hybrid(&graph, 0, 2, HybridOpts::default()).visited));
-    });
-    g.bench_function("rayon_baseline", |b| {
-        b.iter(|| std::hint::black_box(bfs_rayon(&graph, 0).visited));
     });
     g.finish();
 }

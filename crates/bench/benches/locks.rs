@@ -2,7 +2,6 @@
 //! endpoints' guard.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mcbfs_sync::mcs::{McsLock, McsNode};
 use mcbfs_sync::ticket::TicketLock;
 
 fn bench_uncontended(c: &mut Criterion) {
@@ -13,13 +12,6 @@ fn bench_uncontended(c: &mut Criterion) {
     g.bench_function("ticket_lock", |b| {
         b.iter(|| {
             *ticket.lock() += 1;
-        });
-    });
-    let mcs = McsLock::new(0u64);
-    g.bench_function("mcs_lock", |b| {
-        b.iter(|| {
-            let mut node = McsNode::new();
-            *mcs.lock(&mut node) += 1;
         });
     });
     let pl = parking_lot::Mutex::new(0u64);
@@ -56,23 +48,6 @@ fn bench_contended(c: &mut Criterion) {
                 }
             });
             assert_eq!(*lock.lock(), 4 * OPS);
-        });
-    });
-    g.bench_function("mcs_lock", |b| {
-        b.iter(|| {
-            let lock = McsLock::new(0u64);
-            std::thread::scope(|s| {
-                for _ in 0..4 {
-                    s.spawn(|| {
-                        for _ in 0..OPS {
-                            let mut node = McsNode::new();
-                            *lock.lock(&mut node) += 1;
-                        }
-                    });
-                }
-            });
-            let mut node = McsNode::new();
-            assert_eq!(*lock.lock(&mut node), 4 * OPS);
         });
     });
     g.bench_function("parking_lot_mutex", |b| {

@@ -9,7 +9,6 @@
 pub mod hybrid;
 pub mod multi_socket;
 pub mod parents;
-pub mod rayon_baseline;
 pub mod sequential;
 pub mod simple;
 pub mod single_socket;

@@ -25,7 +25,6 @@ pub mod grid;
 pub mod rmat;
 pub mod ssca2;
 pub mod stats;
-pub mod synthetic;
 pub mod uniform;
 
 use mcbfs_graph::csr::{CsrGraph, VertexId};
@@ -72,7 +71,6 @@ pub mod prelude {
     pub use crate::grid::GridBuilder;
     pub use crate::rmat::RmatBuilder;
     pub use crate::ssca2::Ssca2Builder;
-    pub use crate::synthetic::{Shape, SyntheticBuilder};
     pub use crate::uniform::UniformBuilder;
     pub use crate::GraphBuilder;
 }

@@ -1,10 +1,9 @@
-//! Graph (de)serialization: binary edge lists and CSR snapshots.
+//! Graph (de)serialization: CSR snapshots and shard slices.
 //!
 //! Large benchmark graphs are expensive to generate; the harness persists
 //! them between runs. The binary format is deliberately simple:
 //!
 //! ```text
-//! edge list:  magic "MCBE" | u64 n | u64 m | m × (u32 src, u32 dst)
 //! CSR:        magic "MCBC" | u64 n | u64 m | (n+1) × u64 offsets | m × u32 targets
 //! CSR v2:     magic "MCBR" | u64 n | u64 m | u32 reorder tag | (n+1) × u64 offsets | m × u32 targets
 //! shard:      magic "MCBS" | u64 n_global | u64 shards | u64 index | u64 local_m
@@ -25,7 +24,6 @@ use crate::shard::CsrShard;
 use bytes::{Buf, BufMut};
 use std::io::{self, Read, Write};
 
-const EDGE_MAGIC: &[u8; 4] = b"MCBE";
 const CSR_MAGIC: &[u8; 4] = b"MCBC";
 const CSR_REORDERED_MAGIC: &[u8; 4] = b"MCBR";
 /// Magic prefix of a shard file (`write_shard`); public so tools can
@@ -60,61 +58,6 @@ impl core::fmt::Display for IoError {
 }
 
 impl std::error::Error for IoError {}
-
-/// Writes an edge list in the `MCBE` binary format.
-pub fn write_edge_list<W: Write>(
-    w: &mut W,
-    n: usize,
-    edges: &[(VertexId, VertexId)],
-) -> Result<(), IoError> {
-    let mut header = Vec::with_capacity(20);
-    header.put_slice(EDGE_MAGIC);
-    header.put_u64_le(n as u64);
-    header.put_u64_le(edges.len() as u64);
-    w.write_all(&header)?;
-    let mut buf = Vec::with_capacity(8 * 1024);
-    for &(u, v) in edges {
-        buf.put_u32_le(u);
-        buf.put_u32_le(v);
-        if buf.len() >= 8 * 1024 - 8 {
-            w.write_all(&buf)?;
-            buf.clear();
-        }
-    }
-    w.write_all(&buf)?;
-    Ok(())
-}
-
-/// Reads an edge list written by [`write_edge_list`]; returns `(n, edges)`.
-pub fn read_edge_list<R: Read>(r: &mut R) -> Result<(usize, Vec<(VertexId, VertexId)>), IoError> {
-    let mut header = [0u8; 20];
-    r.read_exact(&mut header)?;
-    let mut cur = &header[..];
-    let mut magic = [0u8; 4];
-    cur.copy_to_slice(&mut magic);
-    if &magic != EDGE_MAGIC {
-        return Err(IoError::BadMagic);
-    }
-    let n = cur.get_u64_le() as usize;
-    let m = cur.get_u64_le() as usize;
-    let mut payload = vec![
-        0u8;
-        m.checked_mul(8)
-            .ok_or(IoError::Corrupt("edge count overflow"))?
-    ];
-    r.read_exact(&mut payload)?;
-    let mut cur = &payload[..];
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        let u = cur.get_u32_le();
-        let v = cur.get_u32_le();
-        if u as usize >= n || v as usize >= n {
-            return Err(IoError::Corrupt("edge endpoint out of range"));
-        }
-        edges.push((u, v));
-    }
-    Ok((n, edges))
-}
 
 /// Writes a CSR graph in the `MCBC` binary format (ordering `none`).
 pub fn write_csr<W: Write>(w: &mut W, graph: &CsrGraph) -> Result<(), IoError> {
@@ -281,149 +224,9 @@ pub fn read_shard<R: Read>(r: &mut R) -> Result<CsrShard, IoError> {
     CsrShard::from_raw_parts(n_global, shards, index, offsets, targets).map_err(IoError::Corrupt)
 }
 
-/// Parses a whitespace-separated text edge list (`src dst` per line,
-/// `#`-prefixed comment lines skipped) — the common interchange format of
-/// SNAP and similar graph repositories. Returns `(max_vertex + 1, edges)`.
-pub fn parse_text_edge_list(text: &str) -> Result<(usize, Vec<(VertexId, VertexId)>), IoError> {
-    let mut edges = Vec::new();
-    let mut max_v: u64 = 0;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let u: u64 = it
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or(IoError::Corrupt("unparsable source vertex"))?;
-        let v: u64 = it
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or(IoError::Corrupt("unparsable destination vertex"))?;
-        if u >= VertexId::MAX as u64 || v >= VertexId::MAX as u64 {
-            return Err(IoError::Corrupt("vertex id exceeds 32-bit space"));
-        }
-        max_v = max_v.max(u).max(v);
-        edges.push((u as VertexId, v as VertexId));
-    }
-    let n = if edges.is_empty() {
-        0
-    } else {
-        max_v as usize + 1
-    };
-    Ok((n, edges))
-}
-
-/// Parses a MatrixMarket coordinate file (`.mtx`) as a graph — the common
-/// interchange format of the SuiteSparse/UF collection. Supported headers:
-/// `matrix coordinate <field> general|symmetric`; entry values (if present)
-/// are ignored, 1-based indices are converted, and `symmetric` inputs are
-/// mirrored. Returns `(n, edges)` where `n = max(rows, cols)`.
-pub fn parse_matrix_market(text: &str) -> Result<(usize, Vec<(VertexId, VertexId)>), IoError> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or(IoError::Corrupt("empty file"))?;
-    let header_lc = header.to_ascii_lowercase();
-    if !header_lc.starts_with("%%matrixmarket matrix coordinate") {
-        return Err(IoError::BadMagic);
-    }
-    let symmetric = header_lc.contains("symmetric");
-    // Skip comments, read the size line.
-    let size_line = lines
-        .by_ref()
-        .find(|l| !l.trim_start().starts_with('%') && !l.trim().is_empty())
-        .ok_or(IoError::Corrupt("missing size line"))?;
-    let mut it = size_line.split_whitespace();
-    let rows: u64 = it
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or(IoError::Corrupt("bad row count"))?;
-    let cols: u64 = it
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or(IoError::Corrupt("bad column count"))?;
-    let nnz: u64 = it
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or(IoError::Corrupt("bad entry count"))?;
-    let n = rows.max(cols);
-    if n >= VertexId::MAX as u64 {
-        return Err(IoError::Corrupt("matrix dimension exceeds 32-bit id space"));
-    }
-    let mut edges = Vec::with_capacity(nnz as usize);
-    for line in lines {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('%') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let r: u64 = it
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or(IoError::Corrupt("unparsable row index"))?;
-        let c: u64 = it
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or(IoError::Corrupt("unparsable column index"))?;
-        if r == 0 || c == 0 || r > n || c > n {
-            return Err(IoError::Corrupt("matrix index out of declared bounds"));
-        }
-        let (u, v) = ((r - 1) as VertexId, (c - 1) as VertexId);
-        edges.push((u, v));
-        if symmetric && u != v {
-            edges.push((v, u));
-        }
-    }
-    if edges.len() < nnz as usize {
-        return Err(IoError::Corrupt("fewer entries than declared"));
-    }
-    Ok((n as usize, edges))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn edge_list_roundtrip() {
-        let edges = vec![(0u32, 1u32), (1, 2), (2, 0), (3, 3)];
-        let mut buf = Vec::new();
-        write_edge_list(&mut buf, 4, &edges).unwrap();
-        let (n, back) = read_edge_list(&mut &buf[..]).unwrap();
-        assert_eq!(n, 4);
-        assert_eq!(back, edges);
-    }
-
-    #[test]
-    fn empty_edge_list_roundtrip() {
-        let mut buf = Vec::new();
-        write_edge_list(&mut buf, 0, &[]).unwrap();
-        let (n, back) = read_edge_list(&mut &buf[..]).unwrap();
-        assert_eq!(n, 0);
-        assert!(back.is_empty());
-    }
-
-    #[test]
-    fn edge_list_rejects_bad_magic() {
-        let buf = b"NOPE\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0".to_vec();
-        assert!(matches!(
-            read_edge_list(&mut &buf[..]),
-            Err(IoError::BadMagic)
-        ));
-    }
-
-    #[test]
-    fn edge_list_rejects_out_of_range_endpoint() {
-        let mut buf = Vec::new();
-        write_edge_list(&mut buf, 2, &[(0, 1)]).unwrap();
-        // Corrupt the destination of the only edge to 9.
-        let fixpos = buf.len() - 4;
-        buf[fixpos..].copy_from_slice(&9u32.to_le_bytes());
-        assert!(matches!(
-            read_edge_list(&mut &buf[..]),
-            Err(IoError::Corrupt(_))
-        ));
-    }
 
     #[test]
     fn csr_roundtrip() {
@@ -532,94 +335,6 @@ mod tests {
             read_shard(&mut &buf[..]),
             Err(IoError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn text_edge_list_parses_with_comments() {
-        let text = "# a comment\n0 1\n1 2\n\n # another\n2 0\n";
-        let (n, edges) = parse_text_edge_list(text).unwrap();
-        assert_eq!(n, 3);
-        assert_eq!(edges, vec![(0, 1), (1, 2), (2, 0)]);
-    }
-
-    #[test]
-    fn text_edge_list_empty_input() {
-        let (n, edges) = parse_text_edge_list("# nothing\n").unwrap();
-        assert_eq!(n, 0);
-        assert!(edges.is_empty());
-    }
-
-    #[test]
-    fn text_edge_list_rejects_garbage() {
-        assert!(parse_text_edge_list("0 x\n").is_err());
-        assert!(parse_text_edge_list("12\n").is_err());
-    }
-
-    #[test]
-    fn text_edge_list_rejects_huge_ids() {
-        let text = format!("0 {}\n", u64::from(u32::MAX));
-        assert!(parse_text_edge_list(&text).is_err());
-    }
-
-    #[test]
-    fn matrix_market_general() {
-        let mtx = "%%MatrixMarket matrix coordinate real general\n\
-                   % a comment\n\
-                   3 3 3\n\
-                   1 2 0.5\n\
-                   2 3 1.5\n\
-                   3 1 2.5\n";
-        let (n, edges) = parse_matrix_market(mtx).unwrap();
-        assert_eq!(n, 3);
-        assert_eq!(edges, vec![(0, 1), (1, 2), (2, 0)]);
-    }
-
-    #[test]
-    fn matrix_market_symmetric_mirrors() {
-        let mtx = "%%MatrixMarket matrix coordinate pattern symmetric\n\
-                   3 3 2\n\
-                   2 1\n\
-                   3 3\n";
-        let (n, edges) = parse_matrix_market(mtx).unwrap();
-        assert_eq!(n, 3);
-        // (2,1) mirrored; diagonal (3,3) not duplicated.
-        assert_eq!(edges, vec![(1, 0), (0, 1), (2, 2)]);
-    }
-
-    #[test]
-    fn matrix_market_rectangular_uses_max_dimension() {
-        let mtx = "%%MatrixMarket matrix coordinate pattern general\n2 5 1\n1 5\n";
-        let (n, edges) = parse_matrix_market(mtx).unwrap();
-        assert_eq!(n, 5);
-        assert_eq!(edges, vec![(0, 4)]);
-    }
-
-    #[test]
-    fn matrix_market_rejects_bad_inputs() {
-        assert!(matches!(
-            parse_matrix_market("nope"),
-            Err(IoError::BadMagic)
-        ));
-        assert!(parse_matrix_market("%%MatrixMarket matrix coordinate real general\n").is_err());
-        let oob = "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n3 1\n";
-        assert!(matches!(parse_matrix_market(oob), Err(IoError::Corrupt(_))));
-        let zero = "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n0 1\n";
-        assert!(parse_matrix_market(zero).is_err());
-        let short = "%%MatrixMarket matrix coordinate pattern general\n2 2 3\n1 1\n";
-        assert!(matches!(
-            parse_matrix_market(short),
-            Err(IoError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn matrix_market_to_csr_pipeline() {
-        let mtx = "%%MatrixMarket matrix coordinate pattern symmetric\n\
-                   4 4 3\n2 1\n3 2\n4 3\n";
-        let (n, edges) = parse_matrix_market(mtx).unwrap();
-        let g = CsrGraph::from_edges(n, &edges);
-        assert_eq!(g.num_edges(), 6);
-        assert!(g.has_edge(0, 1) && g.has_edge(1, 0));
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! * [`validate::validate_bfs_tree`] — a Graph500-style validator used by
 //!   every test and benchmark to prove each parallel run produced a correct
 //!   BFS tree.
-//! * [`io`] — edge-list and CSR (de)serialization for persisting generated
+//! * [`io`] — CSR and shard (de)serialization for persisting generated
 //!   benchmark graphs, including the applied-reordering header tag.
 
 pub mod bitmap;

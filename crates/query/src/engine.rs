@@ -480,123 +480,103 @@ impl<'g> QueryEngine<'g> {
         wave: &[Admitted],
         kernel: WaveKernel<'g>,
     ) -> (Vec<QueryOutcome>, WaveStats) {
+        let edges_of = |_: usize, depths: &[u32]| reachable_edges_of(self.graph, depths);
         match kernel {
-            WaveKernel::Single(r) => self.assemble_singleton(w, wave[0], r),
+            WaveKernel::Single(r) => {
+                let depths = depths_from_parents(&r.parents);
+                let parents = wave[0].query.wants_parents().then(|| vec![r.parents]);
+                let (outcomes, mut stats) = wave_outcomes(
+                    w,
+                    wave,
+                    vec![depths],
+                    parents,
+                    edges_of,
+                    r.stats.levels as usize,
+                    r.stats.seconds,
+                );
+                stats.fallback = true;
+                (outcomes, stats)
+            }
             WaveKernel::Ms(raw) => {
                 let native_seconds = raw.seconds;
-                let run = raw.finish();
+                let MsBfsRun {
+                    depths,
+                    parents,
+                    profile,
+                    levels,
+                    ..
+                } = raw.finish();
                 let seconds = match &self.mode {
                     ExecMode::Native => native_seconds,
-                    ExecMode::Model(model) => model.predict(&run.profile).seconds,
+                    ExecMode::Model(model) => model.predict(&profile).seconds,
                 };
-                self.assemble(w, wave, run, seconds)
+                wave_outcomes(w, wave, depths, parents, edges_of, levels, seconds)
             }
         }
     }
-
-    fn assemble_singleton(
-        &self,
-        w: usize,
-        admitted: Admitted,
-        r: BfsResult,
-    ) -> (Vec<QueryOutcome>, WaveStats) {
-        let Admitted { id, query, queued } = admitted;
-        let depths = depths_from_parents(&r.parents);
-        let edges = reachable_edges_of(self.graph, &depths);
-        let outcome = QueryOutcome {
-            id,
-            query,
-            result: result_for(query, depths, || r.parents.clone()),
-            wave: w,
-            latency_seconds: 0.0,
-            queue_seconds: queued.as_secs_f64(),
-            service_seconds: 0.0,
-            edges,
-            depth_histogram: r.stats.depth_histogram.clone(),
-        };
-        let stats = WaveStats {
-            wave: w,
-            queries: 1,
-            levels: r.stats.levels as usize,
-            seconds: r.stats.seconds,
-            edges,
-            fallback: true,
-            socket: 0,
-        };
-        (vec![outcome], stats)
-    }
-
-    fn assemble(
-        &self,
-        w: usize,
-        wave: &[Admitted],
-        run: MsBfsRun,
-        seconds: f64,
-    ) -> (Vec<QueryOutcome>, WaveStats) {
-        let MsBfsRun {
-            depths,
-            mut parents,
-            levels,
-            ..
-        } = run;
-        let mut wave_edges = 0u64;
-        let outcomes: Vec<QueryOutcome> = wave
-            .iter()
-            .zip(depths)
-            .enumerate()
-            .map(|(slot, (&Admitted { id, query, queued }, depths))| {
-                let edges = reachable_edges_of(self.graph, &depths);
-                wave_edges += edges;
-                let depth_histogram = depth_histogram_of(&depths);
-                let result = result_for(query, depths, || {
-                    std::mem::take(&mut parents.as_mut().expect("parents recorded")[slot])
-                });
-                QueryOutcome {
-                    id,
-                    query,
-                    result,
-                    wave: w,
-                    latency_seconds: 0.0,
-                    queue_seconds: queued.as_secs_f64(),
-                    service_seconds: 0.0,
-                    edges,
-                    depth_histogram,
-                }
-            })
-            .collect();
-        let stats = WaveStats {
-            wave: w,
-            queries: wave.len(),
-            levels,
-            seconds,
-            edges: wave_edges,
-            fallback: false,
-            socket: 0,
-        };
-        (outcomes, stats)
-    }
 }
 
-/// Projects one search's depth array (and lazily its parent array) onto the
-/// query kind's answer.
-fn result_for(
-    query: Query,
-    depths: Vec<u32>,
-    parents: impl FnOnce() -> Vec<VertexId>,
-) -> QueryResult {
-    match query {
-        Query::Parents { .. } => QueryResult::Parents {
-            parents: parents(),
-            depths,
-        },
-        Query::Distances { .. } => QueryResult::Distances { depths },
-        Query::StCon { t, .. } => QueryResult::StCon {
-            distance: (depths[t as usize] != u32::MAX).then(|| depths[t as usize]),
-        },
-        Query::Reachable { to, .. } => QueryResult::Reachable {
-            reachable: depths[to as usize] != u32::MAX,
-        },
-    }
+/// Projects one wave's per-slot arrays onto its queries' answers: slot `s`
+/// of `depths` and of `parents` (present when any query asked for a tree)
+/// belongs to `wave[s]`, and `edges_of(s, depths)` is its TEPS numerator,
+/// asked for while the slot's depths are still in cache. Every wave
+/// executor assembles its outcomes here — the engine's kernels and the
+/// sharded cluster alike. Timing stays with the caller: outcomes carry
+/// their admission queue time and zero latency and service time; the
+/// [`WaveStats`] record `levels` and `seconds` as given, on socket 0, not
+/// a fallback.
+pub fn wave_outcomes(
+    index: usize,
+    wave: &[Admitted],
+    depths: Vec<Vec<u32>>,
+    mut parents: Option<Vec<Vec<VertexId>>>,
+    mut edges_of: impl FnMut(usize, &[u32]) -> u64,
+    levels: usize,
+    seconds: f64,
+) -> (Vec<QueryOutcome>, WaveStats) {
+    let outcomes: Vec<QueryOutcome> = wave
+        .iter()
+        .zip(depths)
+        .enumerate()
+        .map(|(slot, (&Admitted { id, query, queued }, depths))| {
+            let edges = edges_of(slot, &depths);
+            let depth_histogram = depth_histogram_of(&depths);
+            let result = match query {
+                Query::Parents { .. } => QueryResult::Parents {
+                    parents: std::mem::take(&mut parents.as_mut().expect("parents recorded")[slot]),
+                    depths,
+                },
+                Query::Distances { .. } => QueryResult::Distances { depths },
+                Query::StCon { t, .. } => QueryResult::StCon {
+                    distance: (depths[t as usize] != u32::MAX).then(|| depths[t as usize]),
+                },
+                Query::Reachable { to, .. } => QueryResult::Reachable {
+                    reachable: depths[to as usize] != u32::MAX,
+                },
+            };
+            QueryOutcome {
+                id,
+                query,
+                result,
+                wave: index,
+                latency_seconds: 0.0,
+                queue_seconds: queued.as_secs_f64(),
+                service_seconds: 0.0,
+                edges,
+                depth_histogram,
+            }
+        })
+        .collect();
+    let stats = WaveStats {
+        wave: index,
+        queries: wave.len(),
+        levels,
+        seconds,
+        edges: outcomes.iter().map(|o| o.edges).sum(),
+        fallback: false,
+        socket: 0,
+    };
+    (outcomes, stats)
 }
 
 #[cfg(test)]

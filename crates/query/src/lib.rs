@@ -24,7 +24,9 @@ pub mod msbfs;
 pub mod stats;
 
 pub use batcher::{AdmitError, Admitted, BatcherOpts, QueryBatcher};
-pub use engine::{BatchReport, Query, QueryEngine, QueryOutcome, QueryResult, WaveStats};
+pub use engine::{
+    wave_outcomes, BatchReport, Query, QueryEngine, QueryOutcome, QueryResult, WaveStats,
+};
 pub use kernel::{run_batched_kernel, BatchedKernelReport};
 pub use msbfs::{
     ms_bfs, ms_bfs_deterministic, ms_bfs_deterministic_raw, ms_bfs_raw, MsBfsRun, RawMsBfs,

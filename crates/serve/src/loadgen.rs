@@ -272,7 +272,7 @@ fn open_loop_connection(
     std::thread::scope(|scope| -> std::io::Result<()> {
         let reader_handle = scope.spawn(|| {
             let mut reader = BufReader::new(stream);
-            let mut line = String::new();
+            let mut line = Vec::new();
             let mut grace_start: Option<Instant> = None;
             loop {
                 if done_sending.load(Ordering::Acquire) {
@@ -282,11 +282,14 @@ fn open_loop_connection(
                         break;
                     }
                 }
-                line.clear();
-                match reader.read_line(&mut line) {
+                // A timeout can land mid-frame: the bytes read so far stay
+                // in `line` and the next read appends the rest.
+                match reader.read_until(b'\n', &mut line) {
                     Ok(0) => break,
                     Ok(_) => {
-                        let Ok(response) = wire::decode::<Response>(&line) else {
+                        let decoded = wire::decode::<Response>(&String::from_utf8_lossy(&line));
+                        line.clear();
+                        let Ok(response) = decoded else {
                             continue;
                         };
                         let (tag, resolution, edges) = classify(&response);

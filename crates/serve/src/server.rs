@@ -300,12 +300,21 @@ fn run_connection<E: WaveExecutor>(
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     while !shared.draining() {
-        line.clear();
-        match reader.read_line(&mut line) {
+        // A timeout can land mid-frame: the bytes read so far stay in
+        // `line` and the next read appends the rest.
+        match reader.read_until(b'\n', &mut line) {
             Ok(0) => break,
-            Ok(_) => handle_frame(&line, &writer, shared, default_deadline),
+            Ok(_) => {
+                handle_frame(
+                    &String::from_utf8_lossy(&line),
+                    &writer,
+                    shared,
+                    default_deadline,
+                );
+                line.clear();
+            }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(_) => break,
         }

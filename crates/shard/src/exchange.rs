@@ -8,11 +8,13 @@
 //! frame out per shard (buckets merged per destination, senders in shard
 //! order, sent even when empty because it releases the shard into its
 //! next level); `wave_finish` to every shard before any `wave_result` is
-//! read. The per-shard owned ranges are then stitched into global
-//! answers. The live [`crate::Router`] runs this loop over TCP links to
-//! worker processes and the in-process [`crate::ShardedEngine`] over local
-//! links into the worker's own frame handler, so both move byte-identical
-//! frames and keep the same per-level [`ExchangeLog`].
+//! read. The per-shard owned ranges are then stitched into global arrays,
+//! which [`mcbfs_query::wave_outcomes`] turns into answers exactly as it
+//! does for the single-process engine. The live [`crate::Router`] runs
+//! this loop over TCP links to worker processes and the in-process
+//! [`crate::ShardedEngine`] over local links into the worker's own frame
+//! handler, so both move byte-identical frames and keep the same
+//! per-level [`ExchangeLog`].
 //!
 //! Frames from a link are checked before use: a bucket addressed to a
 //! shard that does not exist, or a `wave_result` shaped unlike the wave,
@@ -24,7 +26,7 @@
 
 use crate::swire::ShardFrame;
 use mcbfs_machine::model::MachineModel;
-use mcbfs_query::{Admitted, BatchReport, Query, QueryOutcome, QueryResult, WaveStats};
+use mcbfs_query::{wave_outcomes, Admitted, BatchReport, Query, QueryOutcome, WaveStats};
 use mcbfs_trace::{EventKind, SpanTimer};
 use std::io;
 use std::ops::Range;
@@ -127,37 +129,33 @@ impl Cluster {
             return Ok(BatchReport::default());
         }
         let wave_id = self.waves.fetch_add(1, Ordering::Relaxed);
-        let sources: Vec<u32> = wave.iter().map(|a| a.query.source()).collect();
-        let record_parents = wave
-            .iter()
-            .any(|a| matches!(a.query, Query::Parents { .. }));
-        let run = self.run_wave(links, &sources, record_parents, wave_id, model)?;
-        let seconds = run.seconds;
-        let (outcomes, stats) = assemble_outcomes(wave, run, wave_id as usize, model.is_none());
-        let mut report = BatchReport {
+        let (mut outcomes, stats) = self.run_wave(links, wave, wave_id, model)?;
+        outcomes.sort_by_key(|o| o.id);
+        Ok(BatchReport {
             outcomes,
+            seconds: stats.seconds,
             waves: vec![stats],
-            seconds,
             ..BatchReport::default()
-        };
-        report.outcomes.sort_by_key(|o| o.id);
-        Ok(report)
+        })
     }
 
     fn run_wave<L: ShardLink>(
         &self,
         links: &mut [L],
-        sources: &[u32],
-        record_parents: bool,
+        wave: &[Admitted],
         wave_id: u64,
         model: Option<&MachineModel>,
-    ) -> io::Result<WaveRun> {
+    ) -> io::Result<(Vec<QueryOutcome>, WaveStats)> {
         let start = Instant::now();
+        let sources: Vec<u32> = wave.iter().map(|a| a.query.source()).collect();
+        let record_parents = wave
+            .iter()
+            .any(|a| matches!(a.query, Query::Parents { .. }));
         let shards = links.len();
         for link in links.iter_mut() {
             link.send(ShardFrame::WaveStart {
                 wave: wave_id,
-                sources: sources.to_vec(),
+                sources: sources.clone(),
                 record_parents,
             })?;
         }
@@ -293,91 +291,34 @@ impl Cluster {
             .expect("exchange log lock")
             .levels
             .extend(ledger);
-        Ok(WaveRun {
+        let seconds = match model {
+            Some(_) => modeled,
+            None => start.elapsed().as_secs_f64(),
+        };
+        let (mut outcomes, stats) = wave_outcomes(
+            wave_id as usize,
+            wave,
             depths,
             parents,
-            slot_edges,
-            levels,
-            seconds: match model {
-                Some(_) => modeled,
-                None => start.elapsed().as_secs_f64(),
-            },
-        })
+            |slot, _| slot_edges[slot],
+            levels as usize,
+            seconds,
+        );
+        for o in &mut outcomes {
+            // A modelled wave prices only the modelled schedule, not the
+            // wall-clock batcher queue time.
+            if model.is_some() {
+                o.queue_seconds = 0.0;
+            }
+            o.service_seconds = seconds;
+            o.latency_seconds = o.queue_seconds + seconds;
+        }
+        Ok((outcomes, stats))
     }
 }
 
 pub(crate) fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-/// Stitched output of one sharded wave.
-struct WaveRun {
-    depths: Vec<Vec<u32>>,
-    parents: Option<Vec<Vec<u32>>>,
-    slot_edges: Vec<u64>,
-    levels: u64,
-    seconds: f64,
-}
-
-/// Projects one slot's stitched arrays onto the query kind's answer —
-/// the sharded twin of the single-process engine's result assembly.
-fn assemble_outcomes(
-    wave: &[Admitted],
-    run: WaveRun,
-    wave_index: usize,
-    queue_counts: bool,
-) -> (Vec<QueryOutcome>, WaveStats) {
-    let mut wave_edges = 0u64;
-    let mut parents = run.parents;
-    let outcomes: Vec<QueryOutcome> = wave
-        .iter()
-        .zip(run.depths)
-        .enumerate()
-        .map(|(slot, (&Admitted { id, query, queued }, depths))| {
-            let queue_seconds = if queue_counts {
-                queued.as_secs_f64()
-            } else {
-                0.0
-            };
-            let edges = run.slot_edges[slot];
-            wave_edges += edges;
-            let depth_histogram = mcbfs_query::msbfs::depth_histogram_of(&depths);
-            let result = match query {
-                Query::Parents { .. } => QueryResult::Parents {
-                    parents: std::mem::take(&mut parents.as_mut().expect("parents recorded")[slot]),
-                    depths,
-                },
-                Query::Distances { .. } => QueryResult::Distances { depths },
-                Query::StCon { t, .. } => QueryResult::StCon {
-                    distance: (depths[t as usize] != u32::MAX).then(|| depths[t as usize]),
-                },
-                Query::Reachable { to, .. } => QueryResult::Reachable {
-                    reachable: depths[to as usize] != u32::MAX,
-                },
-            };
-            QueryOutcome {
-                id,
-                query,
-                result,
-                wave: wave_index,
-                latency_seconds: queue_seconds + run.seconds,
-                queue_seconds,
-                service_seconds: run.seconds,
-                edges,
-                depth_histogram,
-            }
-        })
-        .collect();
-    let stats = WaveStats {
-        wave: wave_index,
-        queries: wave.len(),
-        levels: run.levels as usize,
-        seconds: run.seconds,
-        edges: wave_edges,
-        fallback: false,
-        socket: 0,
-    };
-    (outcomes, stats)
 }
 
 #[cfg(test)]
@@ -402,12 +343,14 @@ mod tests {
         }
     }
 
-    /// One distances query from vertex 0 over a single shard owning 0..3,
-    /// answered by `script`.
-    fn drive(script: Vec<ShardFrame>) -> io::Result<BatchReport> {
+    const DISTANCES: Query = Query::Distances { root: 0 };
+
+    /// One `query` from vertex 0 over a single shard owning 0..3, answered
+    /// by `script`.
+    fn drive(query: Query, script: Vec<ShardFrame>) -> io::Result<BatchReport> {
         let wave = [Admitted {
             id: 0,
-            query: Query::Distances { root: 0 },
+            query,
             queued: Duration::ZERO,
         }];
         let owned = std::iter::once(0..3).collect();
@@ -449,10 +392,10 @@ mod tests {
 
     #[test]
     fn well_formed_frames_are_stitched() {
-        let report = drive(vec![
-            exchange(None),
-            result(vec![vec![0, u32::MAX, 1]], vec![4]),
-        ])
+        let report = drive(
+            DISTANCES,
+            vec![exchange(None), result(vec![vec![0, u32::MAX, 1]], vec![4])],
+        )
         .expect("well-formed wave");
         let outcome = &report.outcomes[0];
         assert_eq!(outcome.result.depths(), Some(&[0, u32::MAX, 1][..]));
@@ -461,19 +404,38 @@ mod tests {
 
     #[test]
     fn malformed_worker_frames_are_invalid_data() {
+        let parents = Query::Parents { root: 0 };
         let scripts = [
             // Buckets addressed past the last shard.
-            vec![exchange(Some(1))],
-            vec![exchange(Some(u64::MAX))],
+            (DISTANCES, vec![exchange(Some(1))]),
+            (DISTANCES, vec![exchange(Some(u64::MAX))]),
             // Results with the wrong slot count or per-slot length.
-            vec![exchange(None), result(vec![], vec![4])],
-            vec![exchange(None), result(vec![vec![0], vec![0]], vec![4, 4])],
-            vec![exchange(None), result(vec![vec![0, 1]], vec![4])],
-            vec![exchange(None), result(vec![vec![0, 1, 2]], vec![])],
+            (DISTANCES, vec![exchange(None), result(vec![], vec![4])]),
+            (
+                DISTANCES,
+                vec![exchange(None), result(vec![vec![0], vec![0]], vec![4, 4])],
+            ),
+            (
+                DISTANCES,
+                vec![exchange(None), result(vec![vec![0, 1]], vec![4])],
+            ),
+            (
+                DISTANCES,
+                vec![exchange(None), result(vec![vec![0, 1, 2]], vec![])],
+            ),
+            // A parents wave answered without parents.
+            (
+                parents,
+                vec![exchange(None), result(vec![vec![0, 1, 2]], vec![4])],
+            ),
         ];
-        for script in scripts {
-            let err = drive(script.clone()).expect_err("malformed frames fail the wave");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{script:?}");
+        for (query, script) in scripts {
+            let err = drive(query, script.clone()).expect_err("malformed frames fail the wave");
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "{query:?} {script:?}"
+            );
         }
     }
 }

@@ -4,8 +4,8 @@
 //! `u64` of wave-slot bits per owned vertex — restricted to a
 //! [`CsrShard`]. Each level is the classic two-phase compute/communicate
 //! split: [`ShardWave::scan`] walks the owned frontier and either applies
-//! a discovery locally (target owned here) or pushes it into a
-//! per-destination [`ExchangeBuckets`] drain (target owned elsewhere);
+//! a discovery locally (target owned here) or pushes it into the
+//! bucket of the owning shard (target owned elsewhere);
 //! [`ShardWave::apply`] absorbs the items other shards discovered into
 //! this shard's range; [`ShardWave::advance`] is the level barrier.
 //!
@@ -19,7 +19,6 @@
 use crate::swire::ExchangeItem;
 use mcbfs_graph::csr::UNVISITED;
 use mcbfs_graph::shard::CsrShard;
-use mcbfs_sync::ExchangeBuckets;
 
 /// What one [`ShardWave::scan`] produced for the router.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -63,8 +62,9 @@ pub struct ShardWave<'s> {
     /// Slot-major parents over the owned range, when recorded.
     parents: Option<Vec<Vec<u32>>>,
     level: u32,
-    /// Reused per-destination drains for the scan phase.
-    buckets: ExchangeBuckets<ExchangeItem>,
+    /// Cross-shard discoveries of the current scan, indexed by
+    /// destination shard; handed to the router whole.
+    buckets: Vec<Vec<ExchangeItem>>,
 }
 
 impl<'s> ShardWave<'s> {
@@ -90,7 +90,7 @@ impl<'s> ShardWave<'s> {
             depths: vec![vec![u32::MAX; owned]; sources.len()],
             parents: record_parents.then(|| vec![vec![UNVISITED; owned]; sources.len()]),
             level: 0,
-            buckets: ExchangeBuckets::new(shard.shards()),
+            buckets: vec![Vec::new(); shard.shards()],
         };
         let start = shard.owned_range().start as u32;
         for (slot, &src) in sources.iter().enumerate() {
@@ -132,19 +132,16 @@ impl<'s> ShardWave<'s> {
                 if owner == index {
                     self.apply_one(v - start, u_global, bits);
                 } else {
-                    self.buckets.push(
-                        owner,
-                        ExchangeItem {
-                            v,
-                            u: u_global,
-                            mask: bits,
-                        },
-                    );
+                    self.buckets[owner].push(ExchangeItem {
+                        v,
+                        u: u_global,
+                        mask: bits,
+                    });
                 }
             }
         }
         let local_next = self.next.iter().any(|&b| b != 0);
-        let buckets = self.buckets.flip().to_vec();
+        let buckets = std::mem::replace(&mut self.buckets, vec![Vec::new(); self.shard.shards()]);
         ScanOutput {
             buckets,
             local_next,

@@ -5,9 +5,7 @@
 //! layer from two published building blocks:
 //!
 //! * the **Ticket Lock** of Sridharan et al. (SPAA'07) — a fair FIFO
-//!   spin lock ([`ticket::TicketLock`]) — plus the **MCS queue lock** that
-//!   paper compares it against ([`mcs::McsLock`]), so the choice is
-//!   benchmarkable;
+//!   spin lock ([`ticket::TicketLock`]);
 //! * the **FastForward** queue of Giacomoni et al. (PPoPP'08) — a
 //!   cache-optimized single-producer/single-consumer lock-free ring
 //!   ([`fastforward::FastForward`]).
@@ -26,10 +24,7 @@
 //!   enqueue — the `LockedDequeue` / `LockedEnqueue` primitives of the
 //!   pseudo-code ([`workq::SharedQueue`]);
 //! * a pinned worker pool standing in for the paper's pthread + affinity
-//!   setup ([`pool`], [`affinity`]);
-//! * double-buffered per-destination buckets for the sharded serving
-//!   tier's level exchange ([`exchange::ExchangeBuckets`]) — the
-//!   single-owner, two-phase analogue of the FastForward split.
+//!   setup ([`pool`], [`affinity`]).
 //!
 //! All primitives are independent of the graph code and are reusable for any
 //! pipeline-parallel or level-synchronous workload.
@@ -37,18 +32,14 @@
 pub mod affinity;
 pub mod barrier;
 pub mod channel;
-pub mod exchange;
 pub mod fastforward;
-pub mod mcs;
 pub mod pool;
 pub mod ticket;
 pub mod workq;
 
 pub use barrier::SpinBarrier;
 pub use channel::{BatchBuffer, SocketChannel};
-pub use exchange::ExchangeBuckets;
 pub use fastforward::FastForward;
-pub use mcs::McsLock;
 pub use pool::WorkerPool;
 pub use ticket::TicketLock;
 pub use workq::SharedQueue;

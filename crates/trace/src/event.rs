@@ -16,9 +16,9 @@ pub enum EventKind {
     /// Time spent inside `SpinBarrier::wait`. `arg` = 1 if this thread
     /// was the episode leader (last to arrive), else 0.
     BarrierWait = 1,
-    /// Time from requesting a ticket/MCS lock to acquiring it. `arg` = 0.
+    /// Time from requesting a ticket lock to acquiring it. `arg` = 0.
     LockWait = 2,
-    /// Time a ticket/MCS lock was held (guard lifetime). `arg` = 0.
+    /// Time a ticket lock was held (guard lifetime). `arg` = 0.
     LockHold = 3,
     /// One batched push into an inter-socket channel, lock to unlock.
     /// `arg` = tuples sent.

@@ -64,15 +64,6 @@ proptest! {
     }
 
     #[test]
-    fn edge_list_io_roundtrips(edges in proptest::collection::vec((0u32..100, 0u32..100), 0..300)) {
-        let mut buf = Vec::new();
-        io::write_edge_list(&mut buf, 100, &edges).unwrap();
-        let (n, back) = io::read_edge_list(&mut &buf[..]).unwrap();
-        prop_assert_eq!(n, 100);
-        prop_assert_eq!(back, edges);
-    }
-
-    #[test]
     fn csr_io_roundtrips((graph, _root) in arb_graph()) {
         let mut buf = Vec::new();
         io::write_csr(&mut buf, &graph).unwrap();

@@ -11,7 +11,8 @@
 //!    receives exactly one response, and the admitted ones are all
 //!    answered.
 //! 3. **Lifecycle.** Malformed frames get an `error` reply on a
-//!    still-open connection; deadlines produce explicit `timeout`
+//!    still-open connection; a frame split across read timeouts is
+//!    reassembled, not dropped; deadlines produce explicit `timeout`
 //!    frames; shutdown drains every in-flight query before `serve`
 //!    returns.
 
@@ -295,6 +296,24 @@ fn malformed_frames_error_without_closing_the_connection() {
     assert_eq!(stats.protocol_errors, 2);
     assert_eq!(stats.errors, 1);
     assert_eq!(stats.served, 1);
+}
+
+#[test]
+fn frame_split_across_read_timeouts_is_reassembled() {
+    let graph = RmatBuilder::new(8, 8).seed(1).build();
+    let (reply, stats) = with_server(&graph, ServeOpts::default(), |addr| {
+        let mut client = Client::connect(addr);
+        // The halves straddle several of the server's 50 ms read timeouts;
+        // the first half must survive them and join the second.
+        let frame = wire::encode(&Request::Ping { tag: 3 });
+        let (head, tail) = frame.split_at(frame.len() / 2);
+        client.send_raw(head);
+        std::thread::sleep(Duration::from_millis(150));
+        client.send_raw(tail);
+        client.recv()
+    });
+    assert_eq!(reply, Response::Pong { tag: 3 });
+    assert_eq!(stats.protocol_errors, 0);
 }
 
 #[test]
