@@ -16,14 +16,16 @@ pub mod single_socket;
 use mcbfs_graph::csr::VertexId;
 use mcbfs_machine::profile::WorkProfile;
 
-/// Result of a native (real-thread) BFS execution.
+/// Result of a native (real-thread) BFS execution, or of the hybrid's
+/// virtual-thread twin [`hybrid::bfs_hybrid_deterministic`].
 #[derive(Debug, Clone)]
 pub struct NativeRun {
     /// Parent array (`parents[root] == root`, unreached = `UNVISITED`).
     pub parents: Vec<VertexId>,
     /// Per-level, per-thread operation counts.
     pub profile: WorkProfile,
-    /// Measured wall-clock seconds of the parallel phase.
+    /// Measured wall-clock seconds of the parallel phase (`0.0` from the
+    /// virtual-thread executor, whose profile a machine model prices).
     pub seconds: f64,
     /// Vertices reached, including the root.
     pub visited: u64,

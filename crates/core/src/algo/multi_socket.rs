@@ -118,7 +118,7 @@ pub fn bfs_multi_socket(
     let socket_of_thread = |tid: usize| -> usize { tid * sockets / threads };
 
     let start = Instant::now();
-    scoped_run(threads, None, |tid| {
+    scoped_run(threads, |tid| {
         mcbfs_trace::register_worker(tid);
         let this = socket_of_thread(tid);
         let mut series: Vec<ThreadCounts> = Vec::new();

@@ -37,7 +37,7 @@ pub fn bfs_simple(graph: &CsrGraph, root: VertexId, threads: usize) -> NativeRun
     let deposits: TicketLock<u64> = TicketLock::new(0); // total edges
 
     let start = Instant::now();
-    scoped_run(threads, None, |tid| {
+    scoped_run(threads, |tid| {
         mcbfs_trace::register_worker(tid);
         let mut series: Vec<ThreadCounts> = Vec::new();
         let mut parity = 0usize;

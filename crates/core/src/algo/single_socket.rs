@@ -84,7 +84,7 @@ pub fn bfs_single_socket(
     let edge_total: TicketLock<u64> = TicketLock::new(0);
 
     let start = Instant::now();
-    scoped_run(threads, None, |tid| {
+    scoped_run(threads, |tid| {
         mcbfs_trace::register_worker(tid);
         let mut series: Vec<ThreadCounts> = Vec::new();
         let mut parity = 0usize;

@@ -18,16 +18,22 @@
 //!
 //! Two executors run them:
 //!
-//! * the **native executor** — real threads from a pinned
-//!   [`mcbfs_sync::pool::WorkerPool`]; wall-clock measurements are
+//! * the **native executor** — real, unpinned threads forked per search by
+//!   [`mcbfs_sync::pool::scoped_run`]; wall-clock measurements are
 //!   meaningful on real multicore hosts;
 //! * the **simulated executor** ([`simexec`]) — a deterministic
-//!   single-threaded re-execution of the same algorithm logic for `T`
-//!   virtual threads on `S` virtual sockets, producing the exact per-level
-//!   per-thread operation counts that the machine cost model
-//!   ([`mcbfs_machine::model::MachineModel`]) prices. This is how the
+//!   single-threaded re-execution of Algorithms 1–3 and the Fig. 5
+//!   ablations for `T` virtual threads on `S` virtual sockets, producing
+//!   the exact per-level per-thread operation counts that the machine cost
+//!   model ([`mcbfs_machine::model::MachineModel`]) prices. This is how the
 //!   paper's 16-thread EP and 64-thread EX figures are reproduced on hosts
 //!   without that hardware.
+//!
+//! The direction-optimizing [`algo::hybrid`] and the MS-BFS kernel of
+//! `mcbfs-query` need no simulated twin: their model modes
+//! ([`algo::hybrid::bfs_hybrid_deterministic`],
+//! `msbfs::ms_bfs_deterministic`) run the native per-level code on virtual
+//! threads on the calling thread.
 //!
 //! [`runner::BfsRunner`] is the front door; [`throughput`] adds the
 //! multi-instance SSCA#2-style mode of Fig. 10, and [`components`] the

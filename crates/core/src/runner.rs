@@ -1,17 +1,17 @@
 //! The front door: configure an algorithm, an executor and a thread count,
 //! then run BFS.
 
-use crate::algo::hybrid::{bfs_hybrid, ForcedDirection, HybridOpts};
+use crate::algo::hybrid::{bfs_hybrid, bfs_hybrid_deterministic, ForcedDirection, HybridOpts};
 use crate::algo::multi_socket::{bfs_multi_socket, MultiSocketOpts};
 use crate::algo::sequential::bfs_sequential;
 use crate::algo::simple::bfs_simple;
 use crate::algo::single_socket::{bfs_single_socket, SingleSocketOpts};
 use crate::instrument::{stats_from_profile, BfsStats};
 use crate::observe;
-use crate::simexec::{simulate, simulate_hybrid, VariantConfig};
+use crate::simexec::{simulate, VariantConfig};
 use mcbfs_graph::csr::{CsrGraph, VertexId};
 use mcbfs_graph::reorder::Reorder;
-use mcbfs_graph::validate::depth_histogram;
+use mcbfs_graph::validate::{depth_histogram, depths_from_parents};
 use mcbfs_machine::model::MachineModel;
 use mcbfs_machine::profile::WorkProfile;
 use mcbfs_trace::Trace;
@@ -53,8 +53,8 @@ impl Algorithm {
 
     /// The simulated-executor configuration equivalent to this algorithm.
     /// [`Algorithm::Hybrid`] has no [`VariantConfig`] of its own (its
-    /// model-mode path is [`simulate_hybrid`]); the nearest fixed-direction
-    /// equivalent is Algorithm 2.
+    /// model-mode path is [`bfs_hybrid_deterministic`]); the nearest
+    /// fixed-direction equivalent is Algorithm 2.
     pub fn variant_config(&self) -> VariantConfig {
         match *self {
             Algorithm::Sequential => VariantConfig {
@@ -247,7 +247,7 @@ impl<'g> BfsRunner<'g> {
                 r
             }
         };
-        result.stats.depth_histogram = depth_histogram(&result.parents);
+        result.stats.depth_histogram = depth_histogram(&depths_from_parents(&result.parents));
         if self.trace {
             mcbfs_trace::record_level_meta(observe::level_meta(&result.profile));
             result.trace = mcbfs_trace::finish();
@@ -288,23 +288,33 @@ impl<'g> BfsRunner<'g> {
                 } else {
                     self.threads
                 };
-                let sim = if let Algorithm::Hybrid { policy } = self.algorithm {
-                    simulate_hybrid(graph, root, threads, HybridOpts::with_policy(policy))
-                } else {
-                    simulate(graph, root, threads, self.algorithm.variant_config())
-                };
-                let prediction = model.predict(&sim.profile);
+                // The hybrid's model mode is its native code on virtual
+                // threads; Algorithms 1-3 run the simulated executor.
+                let (parents, profile, visited) =
+                    if let Algorithm::Hybrid { policy } = self.algorithm {
+                        let run = bfs_hybrid_deterministic(
+                            graph,
+                            root,
+                            threads,
+                            HybridOpts::with_policy(policy),
+                        );
+                        (run.parents, run.profile, run.visited)
+                    } else {
+                        let sim = simulate(graph, root, threads, self.algorithm.variant_config());
+                        (sim.parents, sim.profile, sim.visited)
+                    };
+                let prediction = model.predict(&profile);
                 if self.trace {
                     // The simulated timeline goes through the same trace
                     // pipeline as native runs: one level span per virtual
                     // thread per level, idle tails as barrier waits.
-                    observe::inject_model_timeline(&sim.profile, &prediction.level_seconds);
+                    observe::inject_model_timeline(&profile, &prediction.level_seconds);
                 }
-                let stats = stats_from_profile(&sim.profile, prediction.seconds, sim.visited);
+                let stats = stats_from_profile(&profile, prediction.seconds, visited);
                 BfsResult {
-                    parents: sim.parents,
+                    parents,
                     stats,
-                    profile: sim.profile,
+                    profile,
                     trace: None,
                 }
             }

@@ -1,25 +1,28 @@
 //! The simulated executor: deterministic virtual-thread execution.
 //!
 //! To reproduce the paper's 16-thread Nehalem EP and 64-thread Nehalem EX
-//! figures on hosts without that hardware, the algorithms are re-executed
-//! *logically*: a single host thread walks the same level-synchronous
-//! schedule the real implementation follows — per virtual socket, the
-//! frontier is handed out to virtual threads in [`DEQUEUE_CHUNK`]-sized
-//! chunks; remote discoveries travel through virtual channels and are
-//! drained in phase 2 — while exact per-virtual-thread operation counts are
-//! recorded. The resulting [`WorkProfile`] is priced by
+//! figures on hosts without that hardware, Algorithms 1–3 and the Fig. 5
+//! ablations are re-executed *logically*: a single host thread walks the
+//! same level-synchronous schedule the real implementation follows — per
+//! virtual socket, the frontier is handed out to virtual threads in
+//! [`DEQUEUE_CHUNK`]-sized chunks; remote discoveries travel through
+//! virtual channels and are drained in phase 2 — while exact
+//! per-virtual-thread operation counts are recorded. The resulting [`WorkProfile`] is priced by
 //! [`mcbfs_machine::model::MachineModel::predict`].
 //!
 //! Because claims are resolved in deterministic order the simulation also
 //! produces a valid BFS parent array, which the tests validate against the
 //! native implementations.
+//!
+//! The direction-optimizing hybrid and the MS-BFS kernel have no model
+//! here: their model modes run their own native per-level code on virtual
+//! threads (`algo::hybrid::bfs_hybrid_deterministic`,
+//! `mcbfs_query::msbfs::ms_bfs_deterministic`).
 
-use crate::algo::hybrid::{ForcedDirection, HybridOpts};
 use crate::algo::{DEQUEUE_CHUNK, ENQUEUE_BATCH};
 use mcbfs_graph::csr::{CsrGraph, VertexId, UNVISITED};
-use mcbfs_graph::frontier::chunk_of;
 use mcbfs_graph::partition::VertexPartition;
-use mcbfs_machine::profile::{Direction, LevelProfile, ThreadCounts, WorkProfile};
+use mcbfs_machine::profile::{LevelProfile, ThreadCounts, WorkProfile};
 
 /// Which algorithm variant the virtual execution follows. The three named
 /// algorithms of the paper are [`VariantConfig::algorithm1`],
@@ -270,187 +273,6 @@ pub fn simulate(graph: &CsrGraph, root: VertexId, threads: usize, config: Varian
     }
 }
 
-/// Executes the direction-optimizing hybrid BFS on `threads` virtual
-/// threads, mirroring [`crate::algo::hybrid::bfs_hybrid`]'s schedule:
-/// top-down levels use the greedy min-load vertex balancing of [`simulate`]
-/// with test-then-set claims; bottom-up levels partition the visited-bitmap
-/// words contiguously across virtual threads and early-exit each adjacency
-/// scan at the first frontier hit, charging the skipped remainder to
-/// `edges_skipped`. Representation-conversion costs are charged to the
-/// level they prepare, as in the native implementation. The per-level
-/// direction decisions use the same alpha/beta heuristic, so `simexec` can
-/// schedule bottom-up levels deterministically for the cost model.
-pub fn simulate_hybrid(
-    graph: &CsrGraph,
-    root: VertexId,
-    threads: usize,
-    opts: HybridOpts,
-) -> SimRun {
-    let n = graph.num_vertices();
-    assert!((root as usize) < n, "root {root} out of range 0..{n}");
-    let threads = threads.max(1);
-    let words = n.div_ceil(64);
-    let mut parents = vec![UNVISITED; n];
-    let mut visited = vec![false; n];
-    parents[root as usize] = root;
-    visited[root as usize] = true;
-    let mut visited_count = 1u64;
-    let mut frontier: Vec<VertexId> = vec![root];
-    let mut m_u = graph.num_edges() as u64 - graph.degree(root) as u64;
-    let mut dir = match opts.forced_direction {
-        ForcedDirection::BottomUp => Direction::BottomUp,
-        _ => Direction::TopDown,
-    };
-    // A direction change converts the frontier between representations;
-    // the cost lands on the level the conversion prepares.
-    let mut pending_conversion = false;
-    let mut levels: Vec<LevelProfile> = Vec::new();
-    let mut edges_traversed = 0u64;
-
-    while !frontier.is_empty() {
-        let mut level = LevelProfile::new(threads, 2);
-        level.direction = dir;
-        if core::mem::take(&mut pending_conversion) {
-            match dir {
-                Direction::BottomUp => {
-                    // Sparse → dense: one `fetch_or` per vertex of the
-                    // thread's share of the queue slice.
-                    for tid in 0..threads {
-                        let share = chunk_of(frontier.len(), tid, threads);
-                        level.threads[tid].atomic_ops += share.len() as u64;
-                    }
-                }
-                Direction::TopDown => {
-                    // Dense → sparse: word-partitioned scan, one batched
-                    // queue reservation per thread.
-                    for tid in 0..threads {
-                        let wr = chunk_of(words, tid, threads);
-                        let cnt = frontier
-                            .iter()
-                            .filter(|&&v| wr.contains(&(v as usize / 64)))
-                            .count();
-                        level.threads[tid].queue_pushes += cnt as u64;
-                        level.threads[tid].atomic_ops += 1;
-                    }
-                }
-            }
-        }
-
-        let mut next: Vec<VertexId> = Vec::new();
-        let mut m_f = 0u64;
-        match dir {
-            Direction::TopDown => {
-                let mut load: Vec<u64> = vec![0; threads];
-                for &u in &frontier {
-                    let wi = (0..threads)
-                        .min_by_key(|&w| (load[w], w))
-                        .expect("at least one virtual thread");
-                    let counts = &mut level.threads[wi];
-                    counts.vertices_scanned += 1;
-                    let mut chunk_edges = 0u64;
-                    for &v in graph.neighbors(u) {
-                        counts.edges_scanned += 1;
-                        chunk_edges += 1;
-                        counts.bitmap_reads += 1;
-                        if !visited[v as usize] {
-                            // Test-then-set: the atomic is only issued for
-                            // not-yet-visited targets.
-                            counts.atomic_ops += 1;
-                            visited[v as usize] = true;
-                            parents[v as usize] = u;
-                            visited_count += 1;
-                            counts.parent_writes += 1;
-                            counts.queue_pushes += 1;
-                            m_f += graph.degree(v) as u64;
-                            next.push(v);
-                        }
-                    }
-                    load[wi] += chunk_edges.max(1);
-                }
-                for t in level.threads.iter_mut() {
-                    t.atomic_ops += t.vertices_scanned.div_ceil(DEQUEUE_CHUNK as u64);
-                }
-            }
-            Direction::BottomUp => {
-                let mut in_frontier = vec![false; n];
-                for &v in &frontier {
-                    in_frontier[v as usize] = true;
-                }
-                for tid in 0..threads {
-                    let counts = &mut level.threads[tid];
-                    for wi in chunk_of(words, tid, threads) {
-                        for u in wi * 64..((wi + 1) * 64).min(n) {
-                            if visited[u] {
-                                continue;
-                            }
-                            counts.vertices_scanned += 1;
-                            let neigh = graph.neighbors(u as VertexId);
-                            for (i, &v) in neigh.iter().enumerate() {
-                                counts.edges_scanned += 1;
-                                counts.bitmap_reads += 1;
-                                if in_frontier[v as usize] {
-                                    visited[u] = true;
-                                    parents[u] = v;
-                                    visited_count += 1;
-                                    counts.parent_writes += 1;
-                                    counts.queue_pushes += 1;
-                                    counts.edges_skipped += (neigh.len() - 1 - i) as u64;
-                                    m_f += neigh.len() as u64;
-                                    next.push(u as VertexId);
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        m_u = m_u.saturating_sub(m_f);
-        let n_f = next.len() as u64;
-        let decided = match opts.forced_direction {
-            ForcedDirection::TopDown => Direction::TopDown,
-            ForcedDirection::BottomUp => Direction::BottomUp,
-            ForcedDirection::Alternate => match dir {
-                Direction::TopDown => Direction::BottomUp,
-                Direction::BottomUp => Direction::TopDown,
-            },
-            ForcedDirection::Auto => {
-                if dir == Direction::TopDown && m_f as f64 > m_u as f64 / opts.alpha {
-                    Direction::BottomUp
-                } else if dir == Direction::BottomUp && (n_f as f64) < n as f64 / opts.beta {
-                    Direction::TopDown
-                } else {
-                    dir
-                }
-            }
-        };
-        if decided != dir && !next.is_empty() {
-            pending_conversion = true;
-        }
-        edges_traversed += level.total().edges_scanned;
-        levels.push(level);
-        frontier = next;
-        dir = decided;
-    }
-
-    let profile = WorkProfile {
-        levels,
-        threads,
-        sockets: 1,
-        num_vertices: n as u64,
-        visited_bytes: (n as u64).div_ceil(8),
-        pipelined: true,
-        sharded_state: true,
-        edges_traversed,
-    };
-    SimRun {
-        parents,
-        profile,
-        visited: visited_count,
-    }
-}
-
 /// Claim logic shared by both phases: probe, maybe atomic, maybe own.
 #[allow(clippy::too_many_arguments)]
 fn claim(
@@ -642,70 +464,5 @@ mod tests {
         assert_eq!(run.parents, vec![0]);
         assert_eq!(run.visited, 1);
         assert_eq!(run.profile.num_levels(), 1);
-    }
-
-    #[test]
-    fn hybrid_simulation_valid_and_deterministic() {
-        let g = graph();
-        for policy in [
-            ForcedDirection::Auto,
-            ForcedDirection::TopDown,
-            ForcedDirection::BottomUp,
-            ForcedDirection::Alternate,
-        ] {
-            let opts = HybridOpts::with_policy(policy);
-            let a = simulate_hybrid(&g, 0, 8, opts);
-            let b = simulate_hybrid(&g, 0, 8, opts);
-            assert_eq!(a.parents, b.parents, "{policy:?}");
-            assert_eq!(a.profile, b.profile, "{policy:?}");
-            validate_bfs_tree(&g, 0, &a.parents).unwrap_or_else(|e| panic!("{policy:?}: {e}"));
-        }
-    }
-
-    #[test]
-    fn hybrid_simulation_matches_native_reachability() {
-        let g = graph();
-        let native = crate::algo::sequential::bfs_sequential(&g, 0);
-        let sim = simulate_hybrid(&g, 0, 8, HybridOpts::default());
-        assert_eq!(sim.visited, native.visited);
-    }
-
-    #[test]
-    fn hybrid_simulation_records_directions_and_skips_edges() {
-        let g = RmatBuilder::new(12, 8).seed(5).build();
-        let sim = simulate_hybrid(&g, 0, 8, HybridOpts::default());
-        let dirs = sim.profile.direction_string();
-        assert_eq!(dirs.len(), sim.profile.num_levels());
-        assert!(
-            dirs.contains('B'),
-            "expected bottom-up levels, got {dirs:?}"
-        );
-        assert!(sim.profile.total().edges_skipped > 0);
-        // The heuristic must beat pure top-down on edge examinations.
-        let td = simulate(&g, 0, 8, VariantConfig::algorithm2());
-        assert!(sim.profile.edges_traversed * 2 <= td.profile.edges_traversed);
-    }
-
-    #[test]
-    fn hybrid_simulation_agrees_with_native_direction_schedule() {
-        let g = RmatBuilder::new(11, 8).seed(7).build();
-        let sim = simulate_hybrid(&g, 0, 4, HybridOpts::default());
-        let native = crate::algo::hybrid::bfs_hybrid(&g, 0, 4, HybridOpts::default());
-        // Deterministic heuristic inputs (m_f, n_f, m_u depend only on the
-        // level structure) ⇒ identical direction schedules.
-        assert_eq!(
-            sim.profile.direction_string(),
-            native.profile.direction_string()
-        );
-        assert_eq!(sim.visited, native.visited);
-    }
-
-    #[test]
-    fn forced_top_down_hybrid_simulation_matches_algorithm2_edges() {
-        let g = graph();
-        let forced = simulate_hybrid(&g, 0, 4, HybridOpts::with_policy(ForcedDirection::TopDown));
-        let a2 = simulate(&g, 0, 4, VariantConfig::algorithm2());
-        assert_eq!(forced.profile.edges_traversed, a2.profile.edges_traversed);
-        assert_eq!(forced.profile.total().edges_skipped, 0);
     }
 }

@@ -49,7 +49,7 @@ pub fn throughput_native(
     assert!(!graphs.is_empty(), "need at least one instance");
     let edges: TicketLock<Vec<(usize, u64)>> = TicketLock::new(Vec::new());
     let start = Instant::now();
-    scoped_run(graphs.len(), None, |instance| {
+    scoped_run(graphs.len(), |instance| {
         let run = bfs_single_socket(
             &graphs[instance],
             roots[instance],

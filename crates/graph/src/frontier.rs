@@ -1,186 +1,53 @@
-//! Frontier representations for direction-optimizing BFS.
+//! Frontier conversions for direction-optimizing BFS.
 //!
 //! The paper's Algorithms 1–3 keep the frontier *sparse*: a chunked
 //! [`SharedQueue`] of vertex ids, ideal when the frontier is a small
 //! fraction of the graph. A bottom-up sweep instead asks "is any of my
 //! neighbours *in* the frontier?", which needs O(1) membership — a *dense*
-//! [`AtomicBitmap`] level-set, 1 bit per vertex. [`Frontier`] is the enum
-//! over the two, with conversions in both directions.
-//!
-//! Conversions are embarrassingly parallel over contiguous chunks. Two
-//! entry points are provided:
-//!
-//! * [`Frontier::densify_chunk`] / [`Frontier::sparsify_chunk`] — the share
-//!   of thread `tid` of `threads`, for callers already inside a parallel
-//!   region (the hybrid BFS converts between two of its level barriers);
-//! * [`Frontier::to_dense`] / [`Frontier::to_sparse`] — whole conversions
-//!   that spawn a scoped thread team, for standalone use.
+//! [`AtomicBitmap`] level-set, 1 bit per vertex. The hybrid BFS keeps both
+//! and converts between them with [`densify_chunk`] and [`sparsify_chunk`].
+//! Each converts the share of thread `tid` of `threads`, so a thread team
+//! converts a whole frontier in parallel between two of its level barriers.
 
 use crate::bitmap::AtomicBitmap;
 use crate::csr::VertexId;
 use mcbfs_sync::workq::SharedQueue;
 
-/// A BFS frontier in either sparse (queue) or dense (bitmap) form.
+/// Copies thread `tid`'s contiguous share of the sparse frontier `queue`
+/// into `dense`. Uses atomic `fetch_or` stores because two threads' shares
+/// may land in the same bitmap word; a barrier afterwards publishes the
+/// bits.
 ///
-/// The variants differ greatly in inline size (`SharedQueue` embeds
-/// cache-padded cursors), but frontiers are created once per traversal and
-/// held in place — never moved per level — so indirection would only add a
-/// pointer chase to every access.
-#[allow(clippy::large_enum_variant)]
-pub enum Frontier {
-    /// Vertex ids in discovery order — the chunked queue of Algorithm 2.
-    Sparse(SharedQueue<VertexId>),
-    /// One bit per vertex — the level-set a bottom-up sweep probes.
-    Dense(AtomicBitmap),
+/// Returns the number of vertices this thread converted.
+pub fn densify_chunk(
+    queue: &SharedQueue<VertexId>,
+    dense: &AtomicBitmap,
+    tid: usize,
+    threads: usize,
+) -> usize {
+    let slice = queue.as_slice();
+    let share = chunk_of(slice.len(), tid, threads);
+    for &v in &slice[share.clone()] {
+        dense.set_atomic(v as usize);
+    }
+    share.len()
 }
 
-impl Frontier {
-    /// An empty sparse frontier over `n` vertices (capacity `n`: a vertex
-    /// enters a frontier at most once).
-    pub fn sparse(n: usize) -> Self {
-        Frontier::Sparse(SharedQueue::with_capacity(n))
-    }
-
-    /// An empty dense frontier over `n` vertices.
-    pub fn dense(n: usize) -> Self {
-        Frontier::Dense(AtomicBitmap::new(n))
-    }
-
-    /// `true` when the dense (bitmap) representation is active.
-    pub fn is_dense(&self) -> bool {
-        matches!(self, Frontier::Dense(_))
-    }
-
-    /// Number of frontier vertices. For the dense form this is a full
-    /// popcount scan — call it between levels, not per edge.
-    pub fn len(&self) -> usize {
-        match self {
-            Frontier::Sparse(q) => q.len(),
-            Frontier::Dense(b) => b.count_ones(),
-        }
-    }
-
-    /// `true` when the frontier holds no vertices.
-    pub fn is_empty(&self) -> bool {
-        match self {
-            Frontier::Sparse(q) => q.is_empty(),
-            Frontier::Dense(b) => b.count_ones() == 0,
-        }
-    }
-
-    /// The sparse queue. Panics when dense — representation mismatches are
-    /// scheduling bugs in the caller, not recoverable states.
-    pub fn as_queue(&self) -> &SharedQueue<VertexId> {
-        match self {
-            Frontier::Sparse(q) => q,
-            Frontier::Dense(_) => panic!("frontier is dense, expected sparse"),
-        }
-    }
-
-    /// The dense bitmap. Panics when sparse.
-    pub fn as_bitmap(&self) -> &AtomicBitmap {
-        match self {
-            Frontier::Sparse(_) => panic!("frontier is sparse, expected dense"),
-            Frontier::Dense(b) => b,
-        }
-    }
-
-    /// Empties the frontier for reuse as a next-level target. Requires
-    /// external quiescence (call between level barriers).
-    pub fn reset(&self) {
-        match self {
-            Frontier::Sparse(q) => q.reset(),
-            Frontier::Dense(b) => b.clear(),
-        }
-    }
-
-    /// Copies thread `tid`'s contiguous share of this sparse frontier into
-    /// `dense`, as part of a cooperative parallel conversion: every thread
-    /// of the region calls this with its own `tid`, and a barrier afterwards
-    /// publishes the bits. Uses atomic `fetch_or` stores because two
-    /// threads' shares may land in the same bitmap word.
-    ///
-    /// Returns the number of vertices this thread converted.
-    pub fn densify_chunk(&self, dense: &AtomicBitmap, tid: usize, threads: usize) -> usize {
-        let slice = self.as_queue().as_slice();
-        let share = chunk_of(slice.len(), tid, threads);
-        for &v in &slice[share.clone()] {
-            dense.set_atomic(v as usize);
-        }
-        share.len()
-    }
-
-    /// Scans thread `tid`'s contiguous share of this dense frontier's
-    /// *words* and appends the set indices to `sparse` with one batched
-    /// reservation. Word-granular partitioning keeps shares disjoint.
-    ///
-    /// Returns the number of vertices this thread converted.
-    pub fn sparsify_chunk(
-        &self,
-        sparse: &SharedQueue<VertexId>,
-        tid: usize,
-        threads: usize,
-    ) -> usize {
-        let bitmap = self.as_bitmap();
-        let words = chunk_of(bitmap.num_words(), tid, threads);
-        let out: Vec<VertexId> = bitmap.iter_set_bits(words).map(|b| b as VertexId).collect();
-        sparse.push_batch(&out);
-        out.len()
-    }
-
-    /// Converts a sparse frontier to a dense one over `n` vertices, using
-    /// `threads` scoped threads.
-    pub fn to_dense(&self, n: usize, threads: usize) -> Frontier {
-        let dense = AtomicBitmap::new(n);
-        let threads = threads.max(1);
-        if threads == 1 {
-            self.densify_chunk(&dense, 0, 1);
-        } else {
-            std::thread::scope(|s| {
-                for tid in 0..threads {
-                    let dense = &dense;
-                    s.spawn(move || self.densify_chunk(dense, tid, threads));
-                }
-            });
-        }
-        Frontier::Dense(dense)
-    }
-
-    /// Converts a dense frontier to a sparse one, using `threads` scoped
-    /// threads. Vertex order is deterministic per thread share but shares
-    /// may interleave arbitrarily; level-synchronous BFS does not depend on
-    /// intra-frontier order.
-    pub fn to_sparse(&self, threads: usize) -> Frontier {
-        let bitmap = self.as_bitmap();
-        let sparse = SharedQueue::with_capacity(bitmap.len());
-        let threads = threads.max(1);
-        if threads == 1 {
-            self.sparsify_chunk(&sparse, 0, 1);
-        } else {
-            std::thread::scope(|s| {
-                for tid in 0..threads {
-                    let sparse = &sparse;
-                    s.spawn(move || self.sparsify_chunk(sparse, tid, threads));
-                }
-            });
-        }
-        Frontier::Sparse(sparse)
-    }
-}
-
-impl core::fmt::Debug for Frontier {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Frontier::Sparse(q) => f
-                .debug_struct("Frontier::Sparse")
-                .field("len", &q.len())
-                .finish(),
-            Frontier::Dense(b) => f
-                .debug_struct("Frontier::Dense")
-                .field("ones", &b.count_ones())
-                .finish(),
-        }
-    }
+/// Appends the set bits in thread `tid`'s contiguous share of the dense
+/// frontier's *words* to `queue`, in ascending order, with one batched
+/// reservation. Word-granular partitioning keeps shares disjoint.
+///
+/// Returns the number of vertices this thread converted.
+pub fn sparsify_chunk(
+    dense: &AtomicBitmap,
+    queue: &SharedQueue<VertexId>,
+    tid: usize,
+    threads: usize,
+) -> usize {
+    let words = chunk_of(dense.num_words(), tid, threads);
+    let out: Vec<VertexId> = dense.iter_set_bits(words).map(|b| b as VertexId).collect();
+    queue.push_batch(&out);
+    out.len()
 }
 
 /// Contiguous share of `len` items assigned to `tid` of `threads`, with the
@@ -198,15 +65,6 @@ pub fn chunk_of(len: usize, tid: usize, threads: usize) -> core::ops::Range<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sorted_vertices(f: &Frontier) -> Vec<VertexId> {
-        let mut v: Vec<VertexId> = match f {
-            Frontier::Sparse(q) => q.as_slice().to_vec(),
-            Frontier::Dense(b) => b.iter_ones().map(|i| i as VertexId).collect(),
-        };
-        v.sort_unstable();
-        v
-    }
 
     #[test]
     fn chunk_of_covers_exactly_once() {
@@ -227,77 +85,28 @@ mod tests {
     }
 
     #[test]
-    fn sparse_to_dense_roundtrip() {
-        let n = 1000;
-        let members: Vec<VertexId> = (0..n as VertexId).filter(|v| v % 7 == 0).collect();
-        let f = Frontier::sparse(n);
-        f.as_queue().push_batch(&members);
-        for threads in [1, 2, 4] {
-            let dense = f.to_dense(n, threads);
-            assert!(dense.is_dense());
-            assert_eq!(dense.len(), members.len());
-            assert_eq!(sorted_vertices(&dense), members);
-            let back = dense.to_sparse(threads);
-            assert_eq!(sorted_vertices(&back), members);
-        }
-    }
-
-    #[test]
-    fn empty_frontier_conversions() {
-        let f = Frontier::sparse(64);
-        let d = f.to_dense(64, 3);
-        assert!(d.is_empty());
-        assert_eq!(d.len(), 0);
-        let s = d.to_sparse(3);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn cooperative_chunk_conversion_matches_whole() {
+    fn cooperative_conversions_round_trip() {
         let n = 513; // non-multiple of 64 exercises the partial word
-        let members: Vec<VertexId> = (0..n as VertexId).filter(|v| v % 3 == 1).collect();
-        let f = Frontier::sparse(n);
-        f.as_queue().push_batch(&members);
-        let dense = AtomicBitmap::new(n);
-        let mut converted = 0;
-        for tid in 0..4 {
-            converted += f.densify_chunk(&dense, tid, 4);
+        let empty = Vec::new();
+        let every_third: Vec<VertexId> = (0..n as VertexId).filter(|v| v % 3 == 1).collect();
+        for members in [empty, every_third] {
+            for threads in [1, 2, 4] {
+                let queue = SharedQueue::with_capacity(n);
+                queue.push_batch(&members);
+                let dense = AtomicBitmap::new(n);
+                let converted: usize = (0..threads)
+                    .map(|tid| densify_chunk(&queue, &dense, tid, threads))
+                    .sum();
+                assert_eq!(converted, members.len());
+                assert_eq!(dense.count_ones(), members.len());
+                let back = SharedQueue::with_capacity(n);
+                let converted: usize = (0..threads)
+                    .map(|tid| sparsify_chunk(&dense, &back, tid, threads))
+                    .sum();
+                assert_eq!(converted, members.len());
+                // Shares converted in tid order come back sorted.
+                assert_eq!(back.as_slice(), &members[..]);
+            }
         }
-        assert_eq!(converted, members.len());
-        assert_eq!(dense.count_ones(), members.len());
-        let sparse = SharedQueue::with_capacity(n);
-        let d = Frontier::Dense(dense);
-        let mut back = 0;
-        for tid in 0..4 {
-            back += d.sparsify_chunk(&sparse, tid, 4);
-        }
-        assert_eq!(back, members.len());
-        let mut got = sparse.as_slice().to_vec();
-        got.sort_unstable();
-        assert_eq!(got, members);
-    }
-
-    #[test]
-    fn reset_clears_both_representations() {
-        let s = Frontier::sparse(10);
-        s.as_queue().push(3);
-        s.reset();
-        assert!(s.is_empty());
-        let d = Frontier::dense(10);
-        d.as_bitmap().set_atomic(4);
-        d.reset();
-        assert!(d.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "expected sparse")]
-    fn as_queue_on_dense_panics() {
-        Frontier::dense(8).as_queue();
-    }
-
-    #[test]
-    #[should_panic(expected = "expected dense")]
-    fn as_bitmap_on_sparse_panics() {
-        Frontier::sparse(8).as_bitmap();
     }
 }

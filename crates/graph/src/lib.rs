@@ -14,9 +14,9 @@
 //!   of the paper). Its [`bitmap::AtomicBitmap::claim`] implements the
 //!   test-then-set idiom that eliminates most `lock`-prefixed operations
 //!   (Fig. 4).
-//! * [`frontier::Frontier`] — the frontier abstraction of the
-//!   direction-optimizing extension: an enum over the sparse chunked queue
-//!   and a dense bitmap level-set, with parallel conversions both ways.
+//! * [`frontier`] — the direction-optimizing extension's conversions
+//!   between a sparse chunked-queue frontier and a dense bitmap level-set,
+//!   each split into per-thread shares.
 //! * [`partition::VertexPartition`] — the per-socket decomposition of
 //!   Algorithm 3: contiguous vertex ranges and the rule
 //!   `DetermineSocket(v)` assigning every vertex's visit state (parent slot,
@@ -49,7 +49,6 @@ pub mod validate;
 
 pub use bitmap::AtomicBitmap;
 pub use csr::{CsrGraph, VertexId, UNVISITED};
-pub use frontier::Frontier;
 pub use partition::VertexPartition;
 pub use reorder::{Permutation, Reorder};
 pub use shard::{shard_file_name, CsrShard};

@@ -179,17 +179,17 @@ pub fn depths_from_parents(parents: &[VertexId]) -> Vec<u32> {
     depths
 }
 
-/// Per-depth vertex counts (`histogram[d]` = vertices at hop depth `d`),
-/// derived from a parent array via [`depths_from_parents`]. Two BFS runs
-/// over isomorphic graphs produce identical histograms, which makes this
-/// the equality check for reordering correctness.
-pub fn depth_histogram(parents: &[VertexId]) -> Vec<u64> {
-    let depths = depths_from_parents(parents);
-    let Some(&max) = depths.iter().filter(|&&d| d != u32::MAX).max() else {
+/// Per-depth vertex counts (`histogram[d]` = vertices at hop depth `d`) of
+/// a depth array (`u32::MAX` = unreached), such as [`sequential_levels`]
+/// or [`depths_from_parents`] return. Two BFS runs over isomorphic graphs
+/// produce identical histograms, which makes this the equality check for
+/// reordering and batching correctness.
+pub fn depth_histogram(levels: &[u32]) -> Vec<u64> {
+    let Some(&max) = levels.iter().filter(|&&d| d != u32::MAX).max() else {
         return Vec::new();
     };
     let mut histogram = vec![0u64; max as usize + 1];
-    for &d in &depths {
+    for &d in levels {
         if d != u32::MAX {
             histogram[d as usize] += 1;
         }
@@ -197,12 +197,15 @@ pub fn depth_histogram(parents: &[VertexId]) -> Vec<u64> {
     histogram
 }
 
-/// Number of directed edges whose source is reachable from `root` — the
-/// paper's `ma`, used as the numerator of every edges/second figure.
+/// Adjacency entries of every vertex reached in `levels` (`u32::MAX` =
+/// unreached) — the paper's `ma`, the numerator of every edges/second
+/// figure. It is the same whether a search ran alone or in a batched wave.
 pub fn reachable_edges(graph: &CsrGraph, levels: &[u32]) -> u64 {
-    (0..graph.num_vertices() as VertexId)
-        .filter(|&v| levels[v as usize] != u32::MAX)
-        .map(|v| graph.degree(v) as u64)
+    levels
+        .iter()
+        .enumerate()
+        .filter(|&(_, &d)| d != u32::MAX)
+        .map(|(v, _)| graph.degree(v as VertexId) as u64)
         .sum()
 }
 
@@ -327,15 +330,22 @@ mod tests {
     #[test]
     fn depth_histogram_counts_per_level() {
         let g = sample();
-        let parents = sequential_parents(&g, 0);
+        let depths = depths_from_parents(&sequential_parents(&g, 0));
         // Level 0: {0}; level 1: {1, 3}; level 2: {2}; vertex 4 unreached.
-        assert_eq!(depth_histogram(&parents), vec![1, 2, 1]);
+        assert_eq!(depth_histogram(&depths), vec![1, 2, 1]);
     }
 
     #[test]
     fn depth_histogram_of_nothing_is_empty() {
-        assert!(depth_histogram(&[UNVISITED, UNVISITED]).is_empty());
+        assert!(depth_histogram(&[u32::MAX, u32::MAX]).is_empty());
         assert!(depth_histogram(&[]).is_empty());
+    }
+
+    #[test]
+    fn reachable_edges_skip_unreached_vertices() {
+        let g = CsrGraph::from_edges_symmetric(5, &[(0, 1), (1, 2), (2, 4), (3, 3)]);
+        // Vertex 3 unreached: degree sum of {0,1,2,4} with (3,3) excluded.
+        assert_eq!(reachable_edges(&g, &[0, 1, 1, u32::MAX, 2]), 6);
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub fn fetch_add_benchmark(
     let buf: Vec<AtomicU64> = (0..len).map(|_| AtomicU64::new(0)).collect();
     let threads = threads.max(1);
     let start = Instant::now();
-    scoped_run(threads, None, |tid| {
+    scoped_run(threads, |tid| {
         let mut rng = XorShift64::new(0xABCD ^ tid as u64);
         for _ in 0..ops_per_thread {
             let idx = (rng.next_u64() % len as u64) as usize;

@@ -15,13 +15,10 @@
 //! experiment is exactly reproducible on this host.
 
 use crate::batcher::{Admitted, BatcherOpts, QueryBatcher};
-use crate::msbfs::{
-    depth_histogram_of, ms_bfs_deterministic_raw, ms_bfs_raw, reachable_edges_of, MsBfsRun,
-    RawMsBfs, MAX_SOURCES,
-};
+use crate::msbfs::{ms_bfs_deterministic_raw, ms_bfs_raw, MsBfsRun, RawMsBfs, MAX_SOURCES};
 use mcbfs_core::runner::{Algorithm, BfsResult, BfsRunner, ExecMode};
 use mcbfs_graph::csr::{CsrGraph, VertexId};
-use mcbfs_graph::validate::depths_from_parents;
+use mcbfs_graph::validate::{depth_histogram, depths_from_parents, reachable_edges};
 use mcbfs_sync::pool::scoped_run;
 use mcbfs_sync::ticket::TicketLock;
 use mcbfs_trace::{EventKind, SpanTimer, Trace};
@@ -384,7 +381,7 @@ impl<'g> QueryEngine<'g> {
         // batch epoch, pre-admission) bounds the reported makespan so
         // `latency_seconds <= seconds` holds even with queue time counted.
         let exec_start = Instant::now();
-        scoped_run(self.sockets.min(waves.len().max(1)), None, |socket| {
+        scoped_run(self.sockets.min(waves.len().max(1)), |socket| {
             loop {
                 let w = cursor.fetch_add(1, Ordering::Relaxed);
                 if w >= waves.len() {
@@ -480,7 +477,7 @@ impl<'g> QueryEngine<'g> {
         wave: &[Admitted],
         kernel: WaveKernel<'g>,
     ) -> (Vec<QueryOutcome>, WaveStats) {
-        let edges_of = |_: usize, depths: &[u32]| reachable_edges_of(self.graph, depths);
+        let edges_of = |_: usize, depths: &[u32]| reachable_edges(self.graph, depths);
         match kernel {
             WaveKernel::Single(r) => {
                 let depths = depths_from_parents(&r.parents);
@@ -540,7 +537,7 @@ pub fn wave_outcomes(
         .enumerate()
         .map(|(slot, (&Admitted { id, query, queued }, depths))| {
             let edges = edges_of(slot, &depths);
-            let depth_histogram = depth_histogram_of(&depths);
+            let depth_histogram = depth_histogram(&depths);
             let result = match query {
                 Query::Parents { .. } => QueryResult::Parents {
                     parents: std::mem::take(&mut parents.as_mut().expect("parents recorded")[slot]),
@@ -750,31 +747,5 @@ mod tests {
         assert!(p0 > 0.0 && p0 <= report.latency_quantile(0.5));
         assert!(report.latency_quantile(0.5) <= p100);
         assert!(p100 <= report.seconds + 1e-9);
-    }
-
-    #[test]
-    fn traced_batch_records_admit_and_execute_spans() {
-        let g = graph();
-        let queries: Vec<Query> = (0..6).map(|i| Query::Distances { root: i }).collect();
-        let report = QueryEngine::new(&g)
-            .max_batch(3)
-            .traced(true)
-            .execute(&queries);
-        if cfg!(feature = "trace") {
-            let trace = report.trace.expect("trace collected");
-            let count = |kind: EventKind| {
-                trace
-                    .threads
-                    .iter()
-                    .flat_map(|t| &t.events)
-                    .filter(|e| e.kind == kind)
-                    .count()
-            };
-            assert_eq!(count(EventKind::BatchAdmit), 2);
-            assert_eq!(count(EventKind::BatchExecute), 2);
-            assert!(count(EventKind::Level) > 0, "kernel level spans recorded");
-        } else {
-            assert!(report.trace.is_none());
-        }
     }
 }

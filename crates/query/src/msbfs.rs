@@ -249,7 +249,7 @@ pub fn ms_bfs_raw<'g>(
     let found_counts: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
     let total_edges = AtomicU64::new(0);
     let start = Instant::now();
-    scoped_run(threads, None, |tid| {
+    scoped_run(threads, |tid| {
         let mut series: Vec<ThreadCounts> = Vec::new();
         let mut depth = 1u32;
         loop {
@@ -340,33 +340,6 @@ pub fn ms_bfs_deterministic_raw<'g>(
     }
 }
 
-/// Vertices per hop depth for one search's depth array — same shape as
-/// `BfsStats::depth_histogram`, so batched and single-source runs compare
-/// directly.
-pub fn depth_histogram_of(depths: &[u32]) -> Vec<u64> {
-    let max = depths.iter().copied().filter(|&d| d != u32::MAX).max();
-    let mut hist = vec![0u64; max.map_or(0, |m| m as usize + 1)];
-    for &d in depths {
-        if d != u32::MAX {
-            hist[d as usize] += 1;
-        }
-    }
-    hist
-}
-
-/// The per-query TEPS numerator: adjacency entries of every vertex the
-/// search reached. Identical whether the search ran alone or in a wave,
-/// which keeps batched-vs-sequential aggregate TEPS an apples-to-apples
-/// wall-time comparison.
-pub fn reachable_edges_of(graph: &CsrGraph, depths: &[u32]) -> u64 {
-    depths
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d != u32::MAX)
-        .map(|(v, _)| graph.degree(v as VertexId) as u64)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,16 +425,6 @@ mod tests {
         assert_eq!(t.parent_writes, reached);
         assert!(run.seconds > 0.0);
         assert_eq!(run.levels, run.profile.num_levels());
-    }
-
-    #[test]
-    fn histogram_and_edge_helpers() {
-        let depths = vec![0, 1, 1, u32::MAX, 2];
-        assert_eq!(depth_histogram_of(&depths), vec![1, 2, 1]);
-        assert_eq!(depth_histogram_of(&[u32::MAX]), Vec::<u64>::new());
-        let g = CsrGraph::from_edges_symmetric(5, &[(0, 1), (1, 2), (2, 4), (3, 3)]);
-        // Vertex 3 unreached: degree sum of {0,1,2,4} with (3,3) excluded.
-        assert_eq!(reachable_edges_of(&g, &depths), 6);
     }
 
     #[test]

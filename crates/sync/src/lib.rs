@@ -23,13 +23,12 @@
 //! * shared work queues with atomic chunked dequeue and reserved batch
 //!   enqueue — the `LockedDequeue` / `LockedEnqueue` primitives of the
 //!   pseudo-code ([`workq::SharedQueue`]);
-//! * a pinned worker pool standing in for the paper's pthread + affinity
-//!   setup ([`pool`], [`affinity`]).
+//! * a fork-join region standing in for the paper's pthread worker team
+//!   ([`pool::scoped_run`]; threads are not pinned).
 //!
 //! All primitives are independent of the graph code and are reusable for any
 //! pipeline-parallel or level-synchronous workload.
 
-pub mod affinity;
 pub mod barrier;
 pub mod channel;
 pub mod fastforward;
@@ -40,6 +39,5 @@ pub mod workq;
 pub use barrier::SpinBarrier;
 pub use channel::{BatchBuffer, SocketChannel};
 pub use fastforward::FastForward;
-pub use pool::WorkerPool;
 pub use ticket::TicketLock;
 pub use workq::SharedQueue;

@@ -1,219 +1,18 @@
-//! A pinned worker pool: the paper's pthread worker-team substrate.
+//! The fork-join substrate standing in for the paper's pthread worker team.
 //!
-//! The BFS algorithms `fork` a fixed team of threads once, then drive them
-//! through many levels (and, in benchmarks, many searches) without
-//! re-spawning. [`WorkerPool`] keeps the team parked between jobs and
-//! broadcasts closures to every worker; [`scoped_run`] is the one-shot
-//! equivalent for tests and simple callers.
-//!
-//! Workers are pinned with [`crate::affinity::pin_current_thread`] according
-//! to an optional affinity map, mirroring the core-numbering tables of the
-//! paper's Nehalem systems (Table I).
+//! [`scoped_run`] forks a team of scoped threads, runs one closure on each
+//! with its thread id, and joins them. Every parallel BFS level loop, the
+//! MS-BFS kernel and the query engine's wave dispatch run inside one such
+//! region. Threads are not pinned; the operating system places them.
 
-use crate::affinity::{pin_current_thread, PinResult};
-use parking_lot::{Condvar, Mutex};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-type Job = *const (dyn Fn(usize) + Sync);
-
-/// Wrapper making the smuggled job pointer `Send`; validity is guaranteed
-/// because `run` does not return until every worker is done with it.
-#[derive(Clone, Copy)]
-struct JobPtr(Job);
-// SAFETY: the pointee is `Sync` (so &-calls from any thread are fine) and
-// `run` enforces its lifetime across the broadcast.
-unsafe impl Send for JobPtr {}
-
-struct State {
-    job: Option<JobPtr>,
-    generation: u64,
-    active: usize,
-    panicked: usize,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    start: Condvar,
-    done: Condvar,
-}
-
-/// A persistent team of worker threads that repeatedly executes broadcast
-/// jobs.
-///
-/// # Examples
-///
-/// ```
-/// use mcbfs_sync::pool::WorkerPool;
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-///
-/// let pool = WorkerPool::new(4, None);
-/// let hits = AtomicUsize::new(0);
-/// pool.run(|tid| {
-///     assert!(tid < 4);
-///     hits.fetch_add(1, Ordering::SeqCst);
-/// });
-/// assert_eq!(hits.load(Ordering::SeqCst), 4);
-/// // The pool is reusable:
-/// pool.run(|_| {
-///     hits.fetch_add(1, Ordering::SeqCst);
-/// });
-/// assert_eq!(hits.load(Ordering::SeqCst), 8);
-/// ```
-pub struct WorkerPool {
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
-    threads: usize,
-    pinned: usize,
-}
-
-impl WorkerPool {
-    /// Spawns `threads` workers. If `affinity` is given, worker `i` is
-    /// pinned to `affinity[i % affinity.len()]`; pinning failures degrade to
-    /// unpinned execution.
-    pub fn new(threads: usize, affinity: Option<&[usize]>) -> Self {
-        let threads = threads.max(1);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                job: None,
-                generation: 0,
-                active: 0,
-                panicked: 0,
-                shutdown: false,
-            }),
-            start: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let pinned = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let shared = Arc::clone(&shared);
-                let core = affinity.map(|a| a[tid % a.len()]);
-                let pinned = Arc::clone(&pinned);
-                std::thread::Builder::new()
-                    .name(format!("mcbfs-worker-{tid}"))
-                    .spawn(move || {
-                        if let Some(core) = core {
-                            if pin_current_thread(core) == PinResult::Pinned {
-                                pinned.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            }
-                        }
-                        worker_loop(&shared, tid);
-                    })
-                    .expect("failed to spawn worker thread")
-            })
-            .collect();
-        // Workers record pinning before their first job; reading the count
-        // here is best-effort and only informs diagnostics.
-        let pinned_count = pinned.load(std::sync::atomic::Ordering::Relaxed);
-        Self {
-            shared,
-            handles,
-            threads,
-            pinned: pinned_count,
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Number of workers that reported successful pinning at spawn time
-    /// (best-effort diagnostic).
-    pub fn pinned_workers(&self) -> usize {
-        self.pinned
-    }
-
-    /// Runs `f(tid)` on every worker and returns when all are done.
-    ///
-    /// # Panics
-    /// Re-raises (as a panic) if any worker's closure panicked.
-    pub fn run<F: Fn(usize) + Sync>(&self, f: F) {
-        let f_ref: &(dyn Fn(usize) + Sync) = &f;
-        // SAFETY: we erase the lifetime of `f_ref`, which is sound because
-        // this function blocks until every worker has finished calling it.
-        let job: Job = unsafe { core::mem::transmute::<_, *const (dyn Fn(usize) + Sync)>(f_ref) };
-        let mut st = self.shared.state.lock();
-        debug_assert_eq!(st.active, 0, "run() while a job is active");
-        st.job = Some(JobPtr(job));
-        st.generation += 1;
-        st.active = self.threads;
-        st.panicked = 0;
-        self.shared.start.notify_all();
-        while st.active > 0 {
-            self.shared.done.wait(&mut st);
-        }
-        let panicked = st.panicked;
-        st.job = None;
-        drop(st);
-        assert!(
-            panicked == 0,
-            "{panicked} worker(s) panicked during pool job"
-        );
-    }
-}
-
-fn worker_loop(shared: &Shared, tid: usize) {
-    let mut seen_generation = 0u64;
-    loop {
-        let job: Job;
-        {
-            let mut st = shared.state.lock();
-            while st.generation == seen_generation && !st.shutdown {
-                shared.start.wait(&mut st);
-            }
-            if st.shutdown {
-                return;
-            }
-            seen_generation = st.generation;
-            job = st.job.expect("job set with generation bump").0;
-        }
-        // SAFETY: `run` keeps the closure alive until `active` drops to 0,
-        // which happens strictly after this call returns.
-        let f = unsafe { &*job };
-        let result = catch_unwind(AssertUnwindSafe(|| f(tid)));
-        let mut st = shared.state.lock();
-        if result.is_err() {
-            st.panicked += 1;
-        }
-        st.active -= 1;
-        if st.active == 0 {
-            shared.done.notify_all();
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock();
-            st.shutdown = true;
-            self.shared.start.notify_all();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// One-shot parallel region: runs `f(tid)` on `threads` scoped threads with
-/// optional affinity, returning when all complete. Equivalent to building a
-/// [`WorkerPool`] for a single job, without the reuse machinery.
-pub fn scoped_run<F: Fn(usize) + Sync>(threads: usize, affinity: Option<&[usize]>, f: F) {
+/// One-shot parallel region: runs `f(tid)` on `threads` scoped threads (at
+/// least one), returning when all complete.
+pub fn scoped_run<F: Fn(usize) + Sync>(threads: usize, f: F) {
     let threads = threads.max(1);
     std::thread::scope(|s| {
         for tid in 0..threads {
             let f = &f;
-            let core = affinity.map(|a| a[tid % a.len()]);
-            s.spawn(move || {
-                if let Some(core) = core {
-                    let _ = pin_current_thread(core);
-                }
-                f(tid);
-            });
+            s.spawn(move || f(tid));
         }
     });
 }
@@ -224,86 +23,22 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn pool_runs_every_tid_once() {
-        let pool = WorkerPool::new(8, None);
-        let seen: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
-        pool.run(|tid| {
-            seen[tid].fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(seen.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-    }
-
-    #[test]
-    fn pool_is_reusable_many_times() {
-        let pool = WorkerPool::new(3, None);
-        let count = AtomicUsize::new(0);
-        for _ in 0..50 {
-            pool.run(|_| {
-                count.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        assert_eq!(count.load(Ordering::SeqCst), 150);
-    }
-
-    #[test]
-    fn pool_with_affinity_map_still_runs() {
-        let pool = WorkerPool::new(4, Some(&[0]));
-        let count = AtomicUsize::new(0);
-        pool.run(|_| {
-            count.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn zero_threads_clamped_to_one() {
-        let pool = WorkerPool::new(0, None);
-        assert_eq!(pool.threads(), 1);
-        let hit = AtomicUsize::new(0);
-        pool.run(|tid| {
-            assert_eq!(tid, 0);
-            hit.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(hit.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
     fn scoped_run_borrows_stack_data() {
         let data = [1u64, 2, 3, 4];
         let sum = AtomicUsize::new(0);
-        scoped_run(4, None, |tid| {
+        scoped_run(4, |tid| {
             sum.fetch_add(data[tid] as usize, Ordering::SeqCst);
         });
         assert_eq!(sum.load(Ordering::SeqCst), 10);
     }
 
     #[test]
-    fn pool_propagates_worker_panic() {
-        let pool = WorkerPool::new(2, None);
-        let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run(|tid| {
-                if tid == 1 {
-                    panic!("boom");
-                }
-            });
-        }));
-        assert!(res.is_err());
-        // Pool must remain usable after a propagated panic.
-        let ok = AtomicUsize::new(0);
-        pool.run(|_| {
-            ok.fetch_add(1, Ordering::SeqCst);
+    fn zero_threads_clamped_to_one() {
+        let hit = AtomicUsize::new(0);
+        scoped_run(0, |tid| {
+            assert_eq!(tid, 0);
+            hit.fetch_add(1, Ordering::SeqCst);
         });
-        assert_eq!(ok.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn pool_jobs_see_borrowed_state() {
-        let pool = WorkerPool::new(4, None);
-        let local = [10usize, 20, 30, 40];
-        let total = AtomicUsize::new(0);
-        pool.run(|tid| {
-            total.fetch_add(local[tid], Ordering::SeqCst);
-        });
-        assert_eq!(total.load(Ordering::SeqCst), 100);
+        assert_eq!(hit.load(Ordering::SeqCst), 1);
     }
 }

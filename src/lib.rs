@@ -10,7 +10,7 @@
 //! This facade crate re-exports the full public API of the workspace:
 //!
 //! * [`sync`] — ticket locks, FastForward SPSC queues, batched socket
-//!   channels, spin barriers, pinned worker pools;
+//!   channels, spin barriers, fork-join scoped threads;
 //! * [`graph`] — CSR graphs, atomic visited bitmaps, per-socket partitions,
 //!   BFS-tree validation;
 //! * [`gen`] — uniform-random, R-MAT, SSCA#2 and grid generators

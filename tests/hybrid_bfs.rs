@@ -67,8 +67,8 @@ fn forced_policies_agree_on_the_reachable_set() {
 
 #[test]
 fn model_mode_schedules_bottom_up_levels() {
-    // simexec follows the same heuristic, so model-mode runs report the
-    // same per-level direction schedule as native runs.
+    // Model mode runs the hybrid's own per-level code and direction switch
+    // on virtual threads, so it reports the native direction schedule.
     let g = RmatBuilder::new(12, 8).seed(5).build();
     let native = BfsRunner::new(&g)
         .algorithm(Algorithm::hybrid())

@@ -1,11 +1,16 @@
 //! Consistency between the native executor, the simulated executor, and
 //! the machine cost model.
 
+use multicore_bfs::core::algo::hybrid::{
+    bfs_hybrid, bfs_hybrid_deterministic, ForcedDirection, HybridOpts,
+};
 use multicore_bfs::core::algo::multi_socket::{bfs_multi_socket, MultiSocketOpts};
 use multicore_bfs::core::algo::single_socket::{bfs_single_socket, SingleSocketOpts};
+use multicore_bfs::core::algo::ENQUEUE_BATCH;
 use multicore_bfs::core::simexec::{simulate, VariantConfig};
 use multicore_bfs::gen::prelude::*;
 use multicore_bfs::machine::model::MachineModel;
+use multicore_bfs::machine::profile::{Direction, WorkProfile};
 use multicore_bfs::machine::topology::MachineSpec;
 
 #[test]
@@ -38,6 +43,70 @@ fn simulated_channel_traffic_matches_native_multi_socket() {
     assert_eq!(nt.channel_items, st.channel_items);
     assert_eq!(nt.channel_drained, st.channel_drained);
     assert_eq!(nt.edges_scanned, st.edges_scanned);
+}
+
+#[test]
+fn hybrid_model_is_the_native_code_minus_batched_enqueue() {
+    // At one thread the native hybrid has no races, so its model-mode twin
+    // (the same per-level code on one virtual thread) must match it
+    // exactly. The one difference is the discovery sink: native appends to
+    // the next queue in ENQUEUE_BATCH-sized reservations, one atomic each,
+    // where the model pushes every discovery directly.
+    let graphs = [
+        ("rmat", RmatBuilder::new(12, 8).seed(1).build()),
+        ("uniform", UniformBuilder::new(1 << 13, 8).seed(13).build()),
+    ];
+    for (name, g) in &graphs {
+        for policy in [
+            ForcedDirection::Auto,
+            ForcedDirection::TopDown,
+            ForcedDirection::BottomUp,
+            ForcedDirection::Alternate,
+        ] {
+            let opts = HybridOpts::with_policy(policy);
+            let native = bfs_hybrid(g, 0, 1, opts);
+            let model = bfs_hybrid_deterministic(g, 0, 1, opts);
+            assert_eq!(native.parents, model.parents, "{name} {policy:?}");
+            assert_eq!(native.visited, model.visited, "{name} {policy:?}");
+            assert_eq!(
+                native.profile.direction_string(),
+                model.profile.direction_string(),
+                "{name} {policy:?}"
+            );
+            assert_eq!(
+                WorkProfile {
+                    levels: Vec::new(),
+                    ..native.profile.clone()
+                },
+                WorkProfile {
+                    levels: Vec::new(),
+                    ..model.profile.clone()
+                },
+                "{name} {policy:?}"
+            );
+            assert_eq!(native.profile.num_levels(), model.profile.num_levels());
+            for (level, (n, m)) in native
+                .profile
+                .levels
+                .iter()
+                .zip(&model.profile.levels)
+                .enumerate()
+            {
+                let (mut n, m) = (n.threads[0], m.threads[0]);
+                let reservations = match native.profile.levels[level].direction {
+                    Direction::TopDown => n.parent_writes.div_ceil(ENQUEUE_BATCH as u64),
+                    Direction::BottomUp => 0,
+                };
+                assert_eq!(
+                    n.atomic_ops,
+                    m.atomic_ops + reservations,
+                    "{name} {policy:?} level {level}: atomics"
+                );
+                n.atomic_ops = m.atomic_ops;
+                assert_eq!(n, m, "{name} {policy:?} level {level}");
+            }
+        }
+    }
 }
 
 #[test]

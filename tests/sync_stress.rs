@@ -4,7 +4,7 @@
 
 use multicore_bfs::sync::barrier::SpinBarrier;
 use multicore_bfs::sync::channel::{BatchBuffer, ChannelMatrix, SocketChannel};
-use multicore_bfs::sync::pool::{scoped_run, WorkerPool};
+use multicore_bfs::sync::pool::scoped_run;
 use multicore_bfs::sync::ticket::TicketLock;
 use multicore_bfs::sync::workq::SharedQueue;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -21,7 +21,7 @@ fn two_phase_level_protocol_conserves_tuples() {
     let links: ChannelMatrix<u64> = ChannelMatrix::new(SOCKETS, 1 << 10);
     let barrier = SpinBarrier::new(THREADS);
     let received = AtomicU64::new(0);
-    scoped_run(THREADS, None, |tid| {
+    scoped_run(THREADS, |tid| {
         let socket = tid / 2;
         let peer = 1 - socket;
         for level in 0..LEVELS {
@@ -56,7 +56,7 @@ fn channel_survives_capacity_one() {
     // on a single-core host, a scheduler handoff — keep the count modest).
     const ITEMS: u32 = 500;
     let ch: SocketChannel<u32> = SocketChannel::with_capacity(1);
-    scoped_run(2, None, |tid| {
+    scoped_run(2, |tid| {
         if tid == 0 {
             for i in 0..ITEMS {
                 ch.send_one(i);
@@ -85,7 +85,7 @@ fn try_send_overflow_pattern_is_lossless() {
     let ch: SocketChannel<u64> = SocketChannel::with_capacity(64);
     let spill: TicketLock<Vec<u64>> = TicketLock::new(Vec::new());
     let seen: Arc<Vec<AtomicUsize>> = Arc::new((0..ITEMS).map(|_| AtomicUsize::new(0)).collect());
-    scoped_run(3, None, |tid| match tid {
+    scoped_run(3, |tid| match tid {
         0 => {
             // Producer: try the channel, spill what does not fit.
             let mut pending: Vec<u64> = Vec::new();
@@ -142,7 +142,7 @@ fn shared_queue_full_bfs_lifecycle() {
     queues[0].push_batch(&(0..64u32).collect::<Vec<_>>());
     let barrier = SpinBarrier::new(THREADS);
     let total = AtomicU64::new(0);
-    scoped_run(THREADS, None, |_tid| {
+    scoped_run(THREADS, |_tid| {
         let mut parity = 0;
         for level in 0..6 {
             let cq = &queues[parity];
@@ -174,11 +174,12 @@ fn shared_queue_full_bfs_lifecycle() {
 
 #[test]
 fn pool_and_barrier_compose_over_many_generations() {
-    let pool = WorkerPool::new(6, None);
+    // One barrier outlives 25 forked teams: its generations must carry
+    // over from one parallel region to the next.
     let barrier = SpinBarrier::new(6);
     let counter = AtomicU64::new(0);
     for _ in 0..25 {
-        pool.run(|_tid| {
+        scoped_run(6, |_tid| {
             counter.fetch_add(1, Ordering::Relaxed);
             barrier.wait();
             counter.fetch_add(1, Ordering::Relaxed);
@@ -195,7 +196,7 @@ fn ticket_lock_fifo_under_heavy_contention() {
     // (weak fairness smoke test — strict FIFO is unobservable from outside,
     // but total counts must balance).
     let lock = Arc::new(TicketLock::new(Vec::<usize>::new()));
-    scoped_run(4, None, |tid| {
+    scoped_run(4, |tid| {
         for _ in 0..500 {
             lock.lock().push(tid);
         }
