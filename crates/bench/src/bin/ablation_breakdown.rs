@@ -7,7 +7,7 @@
 use mcbfs_bench::cli::Args;
 use mcbfs_bench::workloads::fig5_case;
 use mcbfs_bench::{scale_profile, sockets_for_threads};
-use mcbfs_core::simexec::{simulate, VariantConfig};
+use mcbfs_core::algo::level::{bfs_deterministic, VariantConfig};
 use mcbfs_machine::model::MachineModel;
 
 fn main() {
@@ -50,8 +50,8 @@ fn main() {
         "variant", "scan%", "memory%", "atomics%", "queues%", "chans%", "barrier%", "ME/s"
     );
     for (name, config) in variants {
-        let sim = simulate(&graph, 0, threads, config);
-        let mut profile = scale_profile(sim.profile, case.factor);
+        let run = bfs_deterministic(&graph, 0, threads, config);
+        let mut profile = scale_profile(run.profile, case.factor);
         profile.num_vertices = case.paper_n;
         profile.visited_bytes = if config.use_bitmap {
             case.paper_n.div_ceil(8)

@@ -10,7 +10,7 @@
 use mcbfs_bench::cli::Args;
 use mcbfs_bench::report::Report;
 use mcbfs_bench::workloads::fig4_case;
-use mcbfs_core::algo::single_socket::{bfs_single_socket, SingleSocketOpts};
+use mcbfs_core::algo::level::{bfs, VariantConfig};
 
 fn main() {
     let args = Args::parse("fig04_bitmap_atomics");
@@ -19,7 +19,7 @@ fn main() {
     let graph = case.build();
     let threads = args.threads.as_ref().map(|t| t[0]).unwrap_or(4);
 
-    let run = bfs_single_socket(&graph, 0, threads, SingleSocketOpts::default());
+    let run = bfs(&graph, 0, threads, VariantConfig::algorithm2());
     let mut report = Report::new(
         "Fig. 4: bitmap accesses vs atomic operations per BFS level (test-then-set on)",
         "level",
@@ -42,14 +42,14 @@ fn main() {
     }
 
     // Contrast: the same run without the check issues one atomic per probe.
-    let naive = bfs_single_socket(
+    let naive = bfs(
         &graph,
         0,
         threads,
-        SingleSocketOpts {
-            use_bitmap: true,
+        VariantConfig {
             test_then_set: false,
-            software_pipeline: false,
+            pipelined: false,
+            ..VariantConfig::algorithm2()
         },
     );
     for (level, (_, atomics)) in naive.profile.bitmap_vs_atomics_series().iter().enumerate() {

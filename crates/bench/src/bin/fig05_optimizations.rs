@@ -14,7 +14,7 @@ use mcbfs_bench::cli::Args;
 use mcbfs_bench::report::Report;
 use mcbfs_bench::workloads::fig5_case;
 use mcbfs_bench::{model_rate, sockets_for_threads};
-use mcbfs_core::simexec::VariantConfig;
+use mcbfs_core::algo::level::VariantConfig;
 use mcbfs_machine::model::MachineModel;
 
 fn main() {

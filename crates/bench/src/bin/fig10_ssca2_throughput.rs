@@ -9,7 +9,7 @@ use mcbfs_bench::cli::{Args, Scale};
 use mcbfs_bench::model_rate;
 use mcbfs_bench::report::Report;
 use mcbfs_bench::workloads::SMALL_DIVISOR;
-use mcbfs_core::simexec::VariantConfig;
+use mcbfs_core::algo::level::VariantConfig;
 use mcbfs_core::throughput::throughput_native;
 use mcbfs_gen::prelude::*;
 use mcbfs_machine::model::MachineModel;

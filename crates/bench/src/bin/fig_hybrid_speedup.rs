@@ -14,17 +14,16 @@
 //!   more work — the standard direction-optimizing benchmarking caveat).
 //!
 //! `--mode native` (default spirit of this figure) measures wall clock on
-//! this host; `--mode model` prices the deterministic schedules (the
-//! simulated Algorithm 2 and the hybrid's own code on virtual threads) on
-//! the Nehalem EP model at the scaled graph's own size.
+//! this host; `--mode model` prices the deterministic schedules (Algorithm
+//! 2's and the hybrid's own code on virtual threads) on the Nehalem EP
+//! model at the scaled graph's own size.
 
 use mcbfs_bench::cli::{Args, Mode};
 use mcbfs_bench::report::Report;
 use mcbfs_bench::workloads::{rate_cases, Family};
 use mcbfs_core::algo::hybrid::{bfs_hybrid, bfs_hybrid_deterministic, HybridOpts};
-use mcbfs_core::algo::single_socket::{bfs_single_socket, SingleSocketOpts};
+use mcbfs_core::algo::level::{bfs, bfs_deterministic, VariantConfig};
 use mcbfs_core::runner::{Algorithm, BfsRunner};
-use mcbfs_core::simexec::{simulate, VariantConfig};
 use mcbfs_gen::prelude::*;
 use mcbfs_graph::csr::CsrGraph;
 use mcbfs_machine::model::MachineModel;
@@ -88,7 +87,7 @@ fn main() {
         );
         if args.mode.wants_native() || args.mode == Mode::Both {
             for &t in &threads {
-                let alg2 = bfs_single_socket(&graph, 0, t, SingleSocketOpts::default());
+                let alg2 = bfs(&graph, 0, t, VariantConfig::algorithm2());
                 let hybrid = bfs_hybrid(&graph, 0, t, HybridOpts::default());
                 report.push(
                     "edges_examined",
@@ -133,7 +132,7 @@ fn main() {
         if args.mode.wants_model() {
             let model = MachineModel::nehalem_ep();
             for &t in &threads {
-                let alg2 = simulate(&graph, 0, t, VariantConfig::algorithm2());
+                let alg2 = bfs_deterministic(&graph, 0, t, VariantConfig::algorithm2());
                 let hybrid = bfs_hybrid_deterministic(&graph, 0, t, HybridOpts::default());
                 let alg2_s = model.predict(&alg2.profile).seconds;
                 let hybrid_s = model.predict(&hybrid.profile).seconds;

@@ -14,8 +14,8 @@ use crate::cli::{Args, Mode};
 use crate::report::Report;
 use crate::workloads::{check_fits, rate_cases, size_cases, Family};
 use crate::{model_rate, native_rate, sockets_for_threads};
+use mcbfs_core::algo::level::VariantConfig;
 use mcbfs_core::runner::Algorithm;
-use mcbfs_core::simexec::VariantConfig;
 use mcbfs_machine::model::MachineModel;
 
 /// Algorithm choice for `threads` on `model`'s machine, per the paper's

@@ -526,7 +526,7 @@ pub fn bfs_hybrid_deterministic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::single_socket::{bfs_single_socket, SingleSocketOpts};
+    use crate::algo::level::{bfs, VariantConfig};
     use mcbfs_gen::prelude::*;
     use mcbfs_graph::validate::validate_bfs_tree;
 
@@ -565,7 +565,7 @@ mod tests {
     fn auto_switches_bottom_up_and_cuts_edges_on_rmat() {
         let g = RmatBuilder::new(12, 8).seed(5).build();
         let hybrid = bfs_hybrid(&g, 0, 2, HybridOpts::default());
-        let topdown = bfs_single_socket(&g, 0, 2, SingleSocketOpts::default());
+        let topdown = bfs(&g, 0, 2, VariantConfig::algorithm2());
         let dirs = hybrid.profile.direction_string();
         assert!(
             dirs.contains('B'),
@@ -584,7 +584,7 @@ mod tests {
     fn forced_top_down_matches_algorithm2_edge_counts() {
         let g = UniformBuilder::new(4_096, 8).seed(13).build();
         let forced = bfs_hybrid(&g, 0, 2, HybridOpts::with_policy(ForcedDirection::TopDown));
-        let alg2 = bfs_single_socket(&g, 0, 2, SingleSocketOpts::default());
+        let alg2 = bfs(&g, 0, 2, VariantConfig::algorithm2());
         assert_eq!(forced.profile.edges_traversed, alg2.profile.edges_traversed);
         assert_eq!(
             forced

@@ -7,17 +7,15 @@
 //! distributed-memory variant (§V) lives in the `mcbfs-shard` crate.
 
 pub mod hybrid;
-pub mod multi_socket;
+pub mod level;
 pub mod parents;
 pub mod sequential;
-pub mod simple;
-pub mod single_socket;
 
 use mcbfs_graph::csr::VertexId;
 use mcbfs_machine::profile::WorkProfile;
 
-/// Result of a native (real-thread) BFS execution, or of the hybrid's
-/// virtual-thread twin [`hybrid::bfs_hybrid_deterministic`].
+/// Result of a native (real-thread) BFS execution, or of a virtual-thread
+/// twin ([`level::bfs_deterministic`], [`hybrid::bfs_hybrid_deterministic`]).
 #[derive(Debug, Clone)]
 pub struct NativeRun {
     /// Parent array (`parents[root] == root`, unreached = `UNVISITED`).

@@ -9,8 +9,8 @@
 //! the sequential traversal (spawning a thread team for a 3-vertex
 //! component would be pure overhead).
 
+use crate::algo::level::{bfs, VariantConfig};
 use crate::algo::sequential::bfs_sequential;
-use crate::algo::single_socket::{bfs_single_socket, SingleSocketOpts};
 use mcbfs_graph::bitmap::AtomicBitmap;
 use mcbfs_graph::csr::{CsrGraph, VertexId, UNVISITED};
 
@@ -75,7 +75,7 @@ pub fn connected_components(
         let use_parallel =
             threads > 1 && component_at_least(graph, root, &labels, parallel_threshold);
         let parents = if use_parallel {
-            bfs_single_socket(graph, root, threads, SingleSocketOpts::default()).parents
+            bfs(graph, root, threads, VariantConfig::algorithm2()).parents
         } else {
             bfs_sequential(graph, root).parents
         };

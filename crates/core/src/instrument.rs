@@ -90,6 +90,22 @@ impl Recorder {
         pipelined: bool,
         edges_traversed: u64,
     ) -> WorkProfile {
+        let (threads, sockets) = (self.threads, self.sockets);
+        WorkProfile {
+            levels: self.into_levels(),
+            threads,
+            sockets,
+            num_vertices,
+            visited_bytes,
+            pipelined,
+            sharded_state: true,
+            edges_traversed,
+        }
+    }
+
+    /// The per-level, per-thread counts alone, for executors that fill in
+    /// the rest of the profile themselves.
+    pub fn into_levels(self) -> Vec<LevelProfile> {
         let deposits = self.deposits.into_inner();
         let num_levels = deposits.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
         let mut levels: Vec<LevelProfile> = (0..num_levels)
@@ -100,16 +116,7 @@ impl Recorder {
                 levels[l].threads[tid] = counts;
             }
         }
-        WorkProfile {
-            levels,
-            threads: self.threads,
-            sockets: self.sockets,
-            num_vertices,
-            visited_bytes,
-            pipelined,
-            sharded_state: true,
-            edges_traversed,
-        }
+        levels
     }
 }
 

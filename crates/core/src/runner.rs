@@ -2,13 +2,10 @@
 //! then run BFS.
 
 use crate::algo::hybrid::{bfs_hybrid, bfs_hybrid_deterministic, ForcedDirection, HybridOpts};
-use crate::algo::multi_socket::{bfs_multi_socket, MultiSocketOpts};
+use crate::algo::level::{bfs, bfs_deterministic, VariantConfig};
 use crate::algo::sequential::bfs_sequential;
-use crate::algo::simple::bfs_simple;
-use crate::algo::single_socket::{bfs_single_socket, SingleSocketOpts};
 use crate::instrument::{stats_from_profile, BfsStats};
 use crate::observe;
-use crate::simexec::{simulate, VariantConfig};
 use mcbfs_graph::csr::{CsrGraph, VertexId};
 use mcbfs_graph::reorder::Reorder;
 use mcbfs_graph::validate::{depth_histogram, depths_from_parents};
@@ -51,19 +48,14 @@ impl Algorithm {
         }
     }
 
-    /// The simulated-executor configuration equivalent to this algorithm.
-    /// [`Algorithm::Hybrid`] has no [`VariantConfig`] of its own (its
-    /// model-mode path is [`bfs_hybrid_deterministic`]); the nearest
-    /// fixed-direction equivalent is Algorithm 2.
-    pub fn variant_config(&self) -> VariantConfig {
+    /// The [`VariantConfig`] of Algorithms 1–3; `None` for the sequential
+    /// search and the hybrid, which have executors of their own.
+    pub fn variant_config(&self) -> Option<VariantConfig> {
         match *self {
-            Algorithm::Sequential => VariantConfig {
-                sockets: 1,
-                ..VariantConfig::algorithm2()
-            },
-            Algorithm::Simple => VariantConfig::algorithm1(),
-            Algorithm::SingleSocket | Algorithm::Hybrid { .. } => VariantConfig::algorithm2(),
-            Algorithm::MultiSocket { sockets } => VariantConfig::algorithm3(sockets),
+            Algorithm::Simple => Some(VariantConfig::algorithm1()),
+            Algorithm::SingleSocket => Some(VariantConfig::algorithm2()),
+            Algorithm::MultiSocket { sockets } => Some(VariantConfig::algorithm3(sockets)),
+            Algorithm::Sequential | Algorithm::Hybrid { .. } => None,
         }
     }
 }
@@ -256,68 +248,42 @@ impl<'g> BfsRunner<'g> {
     }
 
     fn run_inner(&self, graph: &CsrGraph, root: VertexId) -> BfsResult {
-        match &self.mode {
-            ExecMode::Native => {
-                let run = match self.algorithm {
-                    Algorithm::Sequential => bfs_sequential(graph, root),
-                    Algorithm::Simple => bfs_simple(graph, root, self.threads),
-                    Algorithm::SingleSocket => {
-                        bfs_single_socket(graph, root, self.threads, SingleSocketOpts::default())
-                    }
-                    Algorithm::MultiSocket { sockets } => bfs_multi_socket(
-                        graph,
-                        root,
-                        self.threads,
-                        MultiSocketOpts::with_sockets(sockets),
-                    ),
-                    Algorithm::Hybrid { policy } => {
-                        bfs_hybrid(graph, root, self.threads, HybridOpts::with_policy(policy))
-                    }
-                };
-                let stats = stats_from_profile(&run.profile, run.seconds, run.visited);
-                BfsResult {
-                    parents: run.parents,
-                    stats,
-                    profile: run.profile,
-                    trace: None,
+        let native = matches!(self.mode, ExecMode::Native);
+        let threads = self.threads;
+        let run = match (self.algorithm, self.algorithm.variant_config()) {
+            (_, Some(config)) if native => bfs(graph, root, threads, config),
+            (_, Some(config)) => bfs_deterministic(graph, root, threads, config),
+            (Algorithm::Hybrid { policy }, _) => {
+                let opts = HybridOpts::with_policy(policy);
+                if native {
+                    bfs_hybrid(graph, root, threads, opts)
+                } else {
+                    bfs_hybrid_deterministic(graph, root, threads, opts)
                 }
             }
+            _ if native => bfs_sequential(graph, root),
+            // The sequential search has no model of its own: model mode
+            // prices Algorithm 2 on one thread.
+            _ => bfs_deterministic(graph, root, 1, VariantConfig::algorithm2()),
+        };
+        let seconds = match &self.mode {
+            ExecMode::Native => run.seconds,
             ExecMode::Model(model) => {
-                let threads = if matches!(self.algorithm, Algorithm::Sequential) {
-                    1
-                } else {
-                    self.threads
-                };
-                // The hybrid's model mode is its native code on virtual
-                // threads; Algorithms 1-3 run the simulated executor.
-                let (parents, profile, visited) =
-                    if let Algorithm::Hybrid { policy } = self.algorithm {
-                        let run = bfs_hybrid_deterministic(
-                            graph,
-                            root,
-                            threads,
-                            HybridOpts::with_policy(policy),
-                        );
-                        (run.parents, run.profile, run.visited)
-                    } else {
-                        let sim = simulate(graph, root, threads, self.algorithm.variant_config());
-                        (sim.parents, sim.profile, sim.visited)
-                    };
-                let prediction = model.predict(&profile);
+                let prediction = model.predict(&run.profile);
                 if self.trace {
-                    // The simulated timeline goes through the same trace
+                    // The modelled timeline goes through the same trace
                     // pipeline as native runs: one level span per virtual
                     // thread per level, idle tails as barrier waits.
-                    observe::inject_model_timeline(&profile, &prediction.level_seconds);
+                    observe::inject_model_timeline(&run.profile, &prediction.level_seconds);
                 }
-                let stats = stats_from_profile(&profile, prediction.seconds, visited);
-                BfsResult {
-                    parents,
-                    stats,
-                    profile,
-                    trace: None,
-                }
+                prediction.seconds
             }
+        };
+        BfsResult {
+            stats: stats_from_profile(&run.profile, seconds, run.visited),
+            parents: run.parents,
+            profile: run.profile,
+            trace: None,
         }
     }
 }

@@ -6,8 +6,7 @@
 //! independent Algorithm 2 search confined to one socket's cores; the
 //! metric is the aggregate edges/second over all instances.
 
-use crate::algo::single_socket::{bfs_single_socket, SingleSocketOpts};
-use crate::simexec::{simulate, VariantConfig};
+use crate::algo::level::{bfs, bfs_deterministic, VariantConfig};
 use mcbfs_graph::csr::{CsrGraph, VertexId};
 use mcbfs_machine::model::MachineModel;
 use mcbfs_sync::pool::scoped_run;
@@ -50,11 +49,11 @@ pub fn throughput_native(
     let edges: TicketLock<Vec<(usize, u64)>> = TicketLock::new(Vec::new());
     let start = Instant::now();
     scoped_run(graphs.len(), |instance| {
-        let run = bfs_single_socket(
+        let run = bfs(
             &graphs[instance],
             roots[instance],
             threads_per_instance,
-            SingleSocketOpts::default(),
+            VariantConfig::algorithm2(),
         );
         edges.lock().push((instance, run.profile.edges_traversed));
     });
@@ -83,9 +82,9 @@ pub fn throughput_model(
     let mut edges = Vec::with_capacity(graphs.len());
     let mut slowest: f64 = 0.0;
     for (g, &r) in graphs.iter().zip(roots) {
-        let sim = simulate(g, r, threads_per_instance, VariantConfig::algorithm2());
-        let pred = model.predict(&sim.profile);
-        edges.push(sim.profile.edges_traversed);
+        let run = bfs_deterministic(g, r, threads_per_instance, VariantConfig::algorithm2());
+        let pred = model.predict(&run.profile);
+        edges.push(run.profile.edges_traversed);
         slowest = slowest.max(pred.seconds);
     }
     ThroughputStats {

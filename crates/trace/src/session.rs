@@ -254,7 +254,7 @@ pub fn record_level_meta(levels: Vec<LevelMeta>) {
 }
 
 /// Deposits a pre-built event stream for a (possibly virtual) thread into
-/// the active session — the model/simexec path synthesizes its timeline
+/// the active session — the model-mode path synthesizes its timeline
 /// and hands it over here so native and model traces flow through one
 /// pipeline.
 pub fn inject(tid: usize, events: Vec<TraceEvent>) {

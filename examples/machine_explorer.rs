@@ -5,7 +5,7 @@
 //! cargo run --release --example machine_explorer [sockets] [cores_per_socket]
 //! ```
 
-use multicore_bfs::core::simexec::{simulate, VariantConfig};
+use multicore_bfs::core::algo::level::{bfs_deterministic, VariantConfig};
 use multicore_bfs::machine::model::MachineModel;
 use multicore_bfs::prelude::*;
 
@@ -53,8 +53,8 @@ fn main() {
         } else {
             VariantConfig::algorithm2()
         };
-        let sim = simulate(&graph, 0, threads, config);
-        let pred = model.predict(&sim.profile);
+        let run = bfs_deterministic(&graph, 0, threads, config);
+        let pred = model.predict(&run.profile);
         let b = pred.breakdown;
         println!(
             "    {threads:>3} threads ({} sockets): {:>8.1} ME/s — \

@@ -5,7 +5,7 @@
 //! per-level direction decisions.
 
 use multicore_bfs::core::algo::hybrid::{bfs_hybrid, ForcedDirection, HybridOpts};
-use multicore_bfs::core::algo::single_socket::{bfs_single_socket, SingleSocketOpts};
+use multicore_bfs::core::algo::level::{bfs, VariantConfig};
 use multicore_bfs::core::runner::{Algorithm, BfsRunner, ExecMode};
 use multicore_bfs::gen::prelude::*;
 use multicore_bfs::graph::validate::validate_bfs_tree;
@@ -17,7 +17,7 @@ fn rmat_scale16_hybrid_examines_at_most_half_the_edges() {
     let g = RmatBuilder::new(16, 8).seed(1).build();
     let root = 0;
     let hybrid = bfs_hybrid(&g, root, 4, HybridOpts::default());
-    let topdown = bfs_single_socket(&g, root, 4, SingleSocketOpts::default());
+    let topdown = bfs(&g, root, 4, VariantConfig::algorithm2());
 
     // Same traversal, so the workload must be comparable.
     validate_bfs_tree(&g, root, &hybrid.parents).unwrap();

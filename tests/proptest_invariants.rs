@@ -2,8 +2,8 @@
 //! must produce a valid BFS tree with the correct reachable set, the IO
 //! layer must round-trip, and the partition must tile.
 
+use multicore_bfs::core::algo::level::{bfs, bfs_deterministic, VariantConfig};
 use multicore_bfs::core::runner::{Algorithm, BfsRunner};
-use multicore_bfs::core::simexec::{simulate, VariantConfig};
 use multicore_bfs::graph::csr::{CsrGraph, VertexId};
 use multicore_bfs::graph::io;
 use multicore_bfs::graph::partition::VertexPartition;
@@ -52,13 +52,17 @@ proptest! {
             VariantConfig::algorithm3(3),
             VariantConfig::algorithm2_multisocket(2),
         ] {
-            let sim = simulate(&graph, root, threads, config);
-            validate_bfs_tree(&graph, root, &sim.parents)
-                .map_err(|e| TestCaseError::fail(format!("{config:?}: {e}")))?;
-            // Conservation: every scanned edge was probed exactly once.
+            let sim = bfs_deterministic(&graph, root, threads, config);
+            let native = bfs(&graph, root, threads, config);
+            for run in [&sim, &native] {
+                validate_bfs_tree(&graph, root, &run.parents)
+                    .map_err(|e| TestCaseError::fail(format!("{config:?}: {e}")))?;
+                // Conservation: every scanned edge was probed exactly once.
+                let t = run.profile.total();
+                prop_assert_eq!(t.bitmap_reads, t.edges_scanned);
+                prop_assert_eq!(t.channel_items, t.channel_drained);
+            }
             let t = sim.profile.total();
-            prop_assert_eq!(t.bitmap_reads, t.edges_scanned);
-            prop_assert_eq!(t.channel_items, t.channel_drained);
             prop_assert!(t.atomic_ops <= t.edges_scanned + t.vertices_scanned + 64);
         }
     }
