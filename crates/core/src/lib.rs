@@ -34,7 +34,8 @@
 //!   without that hardware. Algorithms 1–3 use
 //!   [`algo::level::bfs_deterministic`], the direction-optimizing
 //!   [`algo::hybrid`] uses [`algo::hybrid::bfs_hybrid_deterministic`], and
-//!   the MS-BFS kernel of `mcbfs-query` uses `msbfs::ms_bfs_deterministic`.
+//!   the MS-BFS kernel of `mcbfs-query` (which the shard workers also run)
+//!   uses `msbfs::ms_bfs_deterministic`.
 //!
 //! [`runner::BfsRunner`] is the front door; [`throughput`] adds the
 //! multi-instance SSCA#2-style mode of Fig. 10, and [`components`] the

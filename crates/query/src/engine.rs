@@ -15,7 +15,7 @@
 //! experiment is exactly reproducible on this host.
 
 use crate::batcher::{Admitted, BatcherOpts, QueryBatcher};
-use crate::msbfs::{ms_bfs_deterministic_raw, ms_bfs_raw, MsBfsRun, RawMsBfs, MAX_SOURCES};
+use crate::msbfs::{ms_bfs, ms_bfs_deterministic, MsBfsRun, RawMsBfs, MAX_SOURCES};
 use mcbfs_core::runner::{Algorithm, BfsResult, BfsRunner, ExecMode};
 use mcbfs_graph::csr::{CsrGraph, VertexId};
 use mcbfs_graph::validate::{depth_histogram, depths_from_parents, reachable_edges};
@@ -463,9 +463,9 @@ impl<'g> QueryEngine<'g> {
         let sources: Vec<VertexId> = wave.iter().map(|a| a.query.source()).collect();
         let record_parents = wave.iter().any(|a| a.query.wants_parents());
         WaveKernel::Ms(match &self.mode {
-            ExecMode::Native => ms_bfs_raw(self.graph, &sources, self.threads, record_parents),
+            ExecMode::Native => ms_bfs(self.graph, &sources, self.threads, record_parents),
             ExecMode::Model(_) => {
-                ms_bfs_deterministic_raw(self.graph, &sources, self.threads, record_parents)
+                ms_bfs_deterministic(self.graph, &sources, self.threads, record_parents)
             }
         })
     }

@@ -6,11 +6,12 @@
 //! distances, st-connectivity, reachability) are admitted by a
 //! [`batcher::QueryBatcher`], sealed into waves of up to 64, and served by
 //! a bit-parallel multi-source kernel ([`msbfs`]) in which every CSR
-//! adjacency fetch advances all in-flight searches at once. Singleton
-//! waves fall back to the paper's single-search algorithms, wave dispatch
-//! generalizes the per-socket throughput mode, and a deterministic
-//! model-mode path prices batched runs on the machine model so serving
-//! experiments reproduce exactly on any host.
+//! adjacency fetch advances all in-flight searches at once; over a
+//! `CsrShard`'s owned rows, the same kernel is what `mcbfs-shard`'s
+//! workers run. Singleton waves fall back to the paper's single-search
+//! algorithms, wave dispatch generalizes the per-socket throughput mode,
+//! and a deterministic model-mode path prices batched runs on the machine
+//! model so serving experiments reproduce exactly on any host.
 //!
 //! Layering: `engine` (waves, dispatch, results) sits on `msbfs` (the
 //! kernel) and `batcher` (admission over `sync::workq`); `stats` flattens
@@ -29,7 +30,6 @@ pub use engine::{
 };
 pub use kernel::{run_batched_kernel, BatchedKernelReport};
 pub use msbfs::{
-    ms_bfs, ms_bfs_deterministic, ms_bfs_deterministic_raw, ms_bfs_raw, MsBfsRun, RawMsBfs,
-    MAX_SOURCES,
+    ms_bfs, ms_bfs_deterministic, MsBfs, MsBfsRun, OwnedAdjacency, RawMsBfs, MAX_SOURCES,
 };
 pub use stats::{batch_stats, nearest_rank_quantile, BatchStats, QueryStats};

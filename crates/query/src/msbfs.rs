@@ -18,21 +18,79 @@
 //! identical for every claim order — are deterministic. That determinism is
 //! what lets the native executor and the model-mode executor produce
 //! bit-identical depth arrays.
+//!
+//! [`MsBfs`] is the one kernel, Buluç–Madduri's 1D BFS over an
+//! [`OwnedAdjacency`]: [`MsBfs::scan`] claims owned neighbours inline and
+//! hands foreign ones to the caller's sink, [`MsBfs::apply`] claims one
+//! routed discovery, and the level step is `depth + 1`. [`ms_bfs`] and
+//! [`ms_bfs_deterministic`] run it over a [`CsrGraph`] (the `p = 1` case,
+//! monomorphised to carry no owner test and no range offset); the shard
+//! worker runs it over a [`CsrShard`] on one thread.
 
 use mcbfs_core::instrument::Recorder;
 use mcbfs_graph::bitmap::{bits_of_word, AtomicBitmap};
 use mcbfs_graph::csr::{CsrGraph, VertexId};
 use mcbfs_graph::frontier::chunk_of;
+use mcbfs_graph::shard::CsrShard;
 use mcbfs_machine::profile::{ThreadCounts, WorkProfile};
 use mcbfs_sync::barrier::SpinBarrier;
 use mcbfs_sync::pool::scoped_run;
 use mcbfs_trace::{EventKind, SpanTimer};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Widest wave one kernel invocation can carry: one bit per source in a
 /// `u64` mask.
 pub const MAX_SOURCES: usize = 64;
+
+/// The rows one kernel instance owns: a contiguous global vertex range,
+/// with neighbours as global ids.
+pub trait OwnedAdjacency: Sync {
+    /// The global vertex ids whose rows this adjacency holds.
+    fn owned_range(&self) -> Range<usize>;
+
+    /// Neighbours (global ids) of owned vertex `owned_range().start + local`.
+    fn row(&self, local: usize) -> &[VertexId];
+
+    /// True when global vertex `v` lies in the owned range.
+    fn owns(&self, v: VertexId) -> bool;
+}
+
+/// The whole graph: owns `0..n`, so the owner test is a constant.
+impl OwnedAdjacency for CsrGraph {
+    #[inline]
+    fn owned_range(&self) -> Range<usize> {
+        0..CsrGraph::num_vertices(self)
+    }
+
+    #[inline]
+    fn row(&self, local: usize) -> &[VertexId] {
+        self.neighbors(local as VertexId)
+    }
+
+    #[inline]
+    fn owns(&self, _: VertexId) -> bool {
+        true
+    }
+}
+
+/// One 1D shard: owns its rows; cut edges lead to other owners.
+impl OwnedAdjacency for CsrShard {
+    fn owned_range(&self) -> Range<usize> {
+        CsrShard::owned_range(self)
+    }
+
+    #[inline]
+    fn row(&self, local: usize) -> &[VertexId] {
+        self.neighbors_global(local)
+    }
+
+    #[inline]
+    fn owns(&self, v: VertexId) -> bool {
+        self.owner_of(v) == self.index()
+    }
+}
 
 /// Result of one multi-source sweep.
 #[derive(Debug)]
@@ -55,120 +113,191 @@ pub struct MsBfsRun {
     pub levels: usize,
 }
 
-/// The shared search state: three `n`-word mask arrays plus flat
-/// source-major depth/parent grids.
-struct MsState<'g> {
-    graph: &'g CsrGraph,
+/// The search state of one wave over an owned range: three mask arrays of
+/// one word per owned vertex plus flat source-major depth/parent grids.
+pub struct MsBfs<'a, A: OwnedAdjacency> {
+    adj: &'a A,
+    /// Wave width: the number of sources.
+    k: usize,
+    /// Owned vertices: the stride of the grids.
+    len: usize,
     /// Word `v` = sources that have *ever* reached `v`.
     seen: AtomicBitmap,
     /// Double-buffered frontiers; word `v` = sources whose frontier
-    /// contains `v` this level (index by parity).
+    /// contains `v` this level (index by depth parity).
     visit: [AtomicBitmap; 2],
-    /// `depth_grid[q * n + v]` holds `depth + 1` (`0` = unreached). The
+    /// `depth_grid[q * len + v]` holds `depth + 1` (`0` = unreached). The
     /// offset-by-one encoding lets the grid come from a zeroed allocation —
     /// pages the sweep never touches are never materialized, and grid setup
     /// costs nothing inside the serving clock.
     depth_grid: Vec<AtomicU32>,
-    /// `parent_grid[q * n + v]` holds `parent + 1` (`0` = unreached);
+    /// `parent_grid[q * len + v]` holds `parent + 1` (`0` = unreached);
     /// allocated only when parents were requested.
     parent_grid: Option<Vec<AtomicU32>>,
 }
 
-/// A zero-initialized atomic grid straight from the allocator.
-/// `AtomicU32` has the same size, alignment and bit validity as `u32`, so
-/// reinterpreting a `vec![0u32; len]` (a calloc, i.e. lazily-zeroed pages)
-/// is sound and avoids a per-element construction pass.
+/// A zero-initialized atomic grid straight from the allocator, so that
+/// `vec![0u32; len]` is a calloc of lazily-zeroed pages and there is no
+/// per-element construction pass.
 fn zeroed_atomic_grid(len: usize) -> Vec<AtomicU32> {
     let mut v = std::mem::ManuallyDrop::new(vec![0u32; len]);
+    // SAFETY: `AtomicU32` has the same size, alignment and bit validity as
+    // `u32`, and `v` is never dropped, so the new `Vec` is the allocation's
+    // only owner.
     unsafe { Vec::from_raw_parts(v.as_mut_ptr().cast(), v.len(), v.capacity()) }
 }
 
-impl<'g> MsState<'g> {
-    fn new(graph: &'g CsrGraph, sources: &[VertexId], record_parents: bool) -> Self {
-        let n = graph.num_vertices();
+impl<'a, A: OwnedAdjacency> MsBfs<'a, A> {
+    /// Seeds a wave: search `q` starts at `sources[q]`, with depth 0 and
+    /// itself as parent. Sources outside the owned range are another
+    /// owner's seeds and leave this range's frontier empty.
+    ///
+    /// # Panics
+    /// Panics when `sources` is empty or wider than [`MAX_SOURCES`], or
+    /// when an owned source lies outside the owned range.
+    pub fn new(adj: &'a A, sources: &[VertexId], record_parents: bool) -> Self {
+        let owned = adj.owned_range();
+        let len = owned.len();
         let k = sources.len();
         assert!(
             (1..=MAX_SOURCES).contains(&k),
             "wave width {k} outside 1..={MAX_SOURCES}"
         );
-        for &s in sources {
-            assert!((s as usize) < n, "source {s} out of range");
-        }
-        let state = Self {
-            graph,
-            seen: AtomicBitmap::new(n * 64),
-            visit: [AtomicBitmap::new(n * 64), AtomicBitmap::new(n * 64)],
-            depth_grid: zeroed_atomic_grid(n * k),
-            parent_grid: record_parents.then(|| zeroed_atomic_grid(n * k)),
+        let wave = Self {
+            adj,
+            k,
+            len,
+            seen: AtomicBitmap::new(len * 64),
+            visit: [AtomicBitmap::new(len * 64), AtomicBitmap::new(len * 64)],
+            depth_grid: zeroed_atomic_grid(len * k),
+            parent_grid: record_parents.then(|| zeroed_atomic_grid(len * k)),
         };
         for (q, &s) in sources.iter().enumerate() {
+            if !adj.owns(s) {
+                continue;
+            }
+            assert!(owned.contains(&(s as usize)), "source {s} out of range");
+            let local = s as usize - owned.start;
             let bit = 1u64 << q;
-            state.seen.or_word(s as usize, bit);
-            state.visit[0].or_word(s as usize, bit);
-            state.depth_grid[q * n + s as usize].store(1, Ordering::Relaxed);
-            if let Some(pg) = &state.parent_grid {
-                pg[q * n + s as usize].store(s + 1, Ordering::Relaxed);
+            wave.seen.or_word(local, bit);
+            wave.visit[0].or_word(local, bit);
+            wave.depth_grid[q * len + local].store(1, Ordering::Relaxed);
+            if let Some(pg) = &wave.parent_grid {
+                pg[q * len + local].store(s + 1, Ordering::Relaxed);
             }
         }
-        state
+        wave
+    }
+
+    /// Thread `tid`'s share of level `depth` (the depth its discoveries
+    /// get, 1 for the sources' level): scans the owned vertices whose
+    /// frontier word is non-zero, claims undiscovered (source, neighbour)
+    /// pairs of owned neighbours in the next frontier, and passes every
+    /// foreign neighbour to `foreign(v, u, mask)` — `v` the neighbour, `u`
+    /// its parent, `mask` the sources at `u`. Returns the operation counts;
+    /// `parent_writes` is the number of pairs claimed.
+    // Out of line on purpose: inlined into a driver's level loop, the
+    // counters of the per-edge path spill to the stack, and a 64-wide wave
+    // on a scale-18 R-MAT runs about 5% slower.
+    #[inline(never)]
+    pub fn scan(
+        &self,
+        depth: u32,
+        tid: usize,
+        threads: usize,
+        mut foreign: impl FnMut(VertexId, VertexId, u64),
+    ) -> ThreadCounts {
+        let owned = self.adj.owned_range();
+        let cur = &self.visit[(depth as usize + 1) % 2];
+        let mut c = ThreadCounts::default();
+        for local in chunk_of(self.len, tid, threads) {
+            let mask = cur.word(local);
+            if mask == 0 {
+                continue;
+            }
+            // Consuming the word as we go leaves this buffer all-zero for its
+            // next life as the other parity's frontier: that is what makes
+            // the level step a bare `depth + 1`.
+            cur.set_word(local, 0);
+            c.vertices_scanned += 1;
+            let u = (owned.start + local) as VertexId;
+            for &w in self.adj.row(local) {
+                c.edges_scanned += 1;
+                if !self.adj.owns(w) {
+                    foreign(w, u, mask);
+                    continue;
+                }
+                self.claim(&mut c, w as usize - owned.start, u, mask, depth);
+            }
+        }
+        c
+    }
+
+    /// Claims a discovery routed in from another owner at level `depth`:
+    /// owned vertex `v` reached from `u` by the sources in `mask`.
+    ///
+    /// # Panics
+    /// Panics when `v` lies outside the owned range.
+    pub fn apply(&self, depth: u32, v: VertexId, u: VertexId, mask: u64) {
+        let local = v as usize - self.adj.owned_range().start;
+        self.claim(&mut ThreadCounts::default(), local, u, mask, depth);
+    }
+
+    /// The claim: stamps depth `depth` and parent `u` on owned vertex
+    /// `local` for every source of `mask` that has not reached it yet.
+    #[inline(always)]
+    fn claim(&self, c: &mut ThreadCounts, local: usize, u: VertexId, mask: u64, depth: u32) {
+        c.bitmap_reads += 1;
+        let d = mask & !self.seen.word(local);
+        if d == 0 {
+            c.edges_skipped += 1;
+            return;
+        }
+        c.atomic_ops += 1;
+        let new = d & !self.seen.or_word(local, d);
+        if new == 0 {
+            c.edges_skipped += 1;
+            return;
+        }
+        c.atomic_ops += 1;
+        self.visit[depth as usize % 2].or_word(local, new);
+        let claimed = new.count_ones() as u64;
+        c.parent_writes += claimed;
+        c.queue_pushes += claimed;
+        let len = self.len;
+        for q in bits_of_word(new) {
+            self.depth_grid[q * len + local].store(depth + 1, Ordering::Relaxed);
+            if let Some(pg) = &self.parent_grid {
+                pg[q * len + local].store(u + 1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Per source, the depth (`u32::MAX` unreached) and, when recorded,
+    /// the parent (`UNVISITED` unreached) of every owned vertex. The grids
+    /// store value + 1 with 0 = unreached, so one wrapping decrement
+    /// decodes both.
+    pub fn rows(&self) -> (Vec<Vec<u32>>, Option<Vec<Vec<VertexId>>>) {
+        let rows = |grid: &[AtomicU32]| -> Vec<Vec<u32>> {
+            (0..self.k)
+                .map(|q| {
+                    grid[q * self.len..(q + 1) * self.len]
+                        .iter()
+                        .map(|a| a.load(Ordering::Relaxed).wrapping_sub(1))
+                        .collect()
+                })
+                .collect()
+        };
+        (
+            rows(&self.depth_grid),
+            self.parent_grid.as_deref().map(rows),
+        )
     }
 }
 
-/// One thread's share of one level: scan the vertices whose current-frontier
-/// word is non-zero, claim undiscovered (source, vertex) pairs in the next
-/// frontier. Returns the operation counts and the number of pairs this
-/// thread discovered.
-fn sweep(
-    st: &MsState<'_>,
-    tid: usize,
-    threads: usize,
-    depth: u32,
-    parity: usize,
-) -> (ThreadCounts, u64) {
-    let n = st.graph.num_vertices();
-    let cur = &st.visit[parity];
-    let nxt = &st.visit[parity ^ 1];
-    let mut c = ThreadCounts::default();
-    let mut found = 0u64;
-    for v in chunk_of(n, tid, threads) {
-        let mask = cur.word(v);
-        if mask == 0 {
-            continue;
-        }
-        // Consuming the word as we go leaves this buffer all-zero for its
-        // next life as the other parity's frontier.
-        cur.set_word(v, 0);
-        c.vertices_scanned += 1;
-        for &w in st.graph.neighbors(v as VertexId) {
-            let wi = w as usize;
-            c.edges_scanned += 1;
-            c.bitmap_reads += 1;
-            let d = mask & !st.seen.word(wi);
-            if d == 0 {
-                c.edges_skipped += 1;
-                continue;
-            }
-            c.atomic_ops += 1;
-            let new = d & !st.seen.or_word(wi, d);
-            if new == 0 {
-                c.edges_skipped += 1;
-                continue;
-            }
-            c.atomic_ops += 1;
-            nxt.or_word(wi, new);
-            let claimed = new.count_ones() as u64;
-            c.parent_writes += claimed;
-            c.queue_pushes += claimed;
-            found += claimed;
-            for q in bits_of_word(new) {
-                st.depth_grid[q * n + wi].store(depth + 1, Ordering::Relaxed);
-                if let Some(pg) = &st.parent_grid {
-                    pg[q * n + wi].store(v as VertexId + 1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-    (c, found)
+/// The in-process sink: a [`CsrGraph`] owns every neighbour.
+fn owns_all(_: VertexId, _: VertexId, _: u64) {
+    unreachable!("an in-process wave owns every vertex")
 }
 
 /// A completed sweep whose per-query arrays are still in the shared grids.
@@ -178,11 +307,8 @@ fn sweep(
 /// serving clock — the Graph500 convention that validation and statistics
 /// are not part of the timed kernel.
 pub struct RawMsBfs<'g> {
-    graph: &'g CsrGraph,
-    k: usize,
-    st: MsState<'g>,
+    wave: MsBfs<'g, CsrGraph>,
     recorder: Recorder,
-    total_edges: u64,
     /// Kernel wall-clock seconds (native) or `0.0` (deterministic
     /// executor — callers price the profile with a machine model).
     pub seconds: f64,
@@ -191,72 +317,49 @@ pub struct RawMsBfs<'g> {
 impl RawMsBfs<'_> {
     /// Extracts the per-query depth/parent arrays and the work profile.
     pub fn finish(self) -> MsBfsRun {
-        let n = self.graph.num_vertices();
+        let n = self.wave.len;
         // Working set the cost model prices: seen + two frontier buffers,
         // one word per vertex each.
         let visited_bytes = 3 * n as u64 * 8;
-        let profile = self
+        let mut profile = self
             .recorder
-            .into_profile(n as u64, visited_bytes, false, self.total_edges);
-        let levels = profile.num_levels();
-        // The grids store value + 1 with 0 = unreached; the wrapping
-        // decrement maps 0 to `u32::MAX` (== `UNVISITED` for parents).
-        let load = |grid: &[AtomicU32], q: usize| -> Vec<u32> {
-            grid[q * n..(q + 1) * n]
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed).wrapping_sub(1))
-                .collect()
-        };
-        let depths = (0..self.k).map(|q| load(&self.st.depth_grid, q)).collect();
-        let parents = self
-            .st
-            .parent_grid
-            .as_ref()
-            .map(|pg| (0..self.k).map(|q| load(pg, q)).collect());
+            .into_profile(n as u64, visited_bytes, false, 0);
+        profile.edges_traversed = profile.total().edges_scanned;
+        let (depths, parents) = self.wave.rows();
         MsBfsRun {
             depths,
             parents,
+            levels: profile.num_levels(),
             profile,
             seconds: self.seconds,
-            levels,
         }
     }
 }
 
 /// Runs the wave on real threads (level-synchronous, two barrier episodes
-/// per level, per-level trace spans when a session is active).
-pub fn ms_bfs(
-    graph: &CsrGraph,
-    sources: &[VertexId],
-    threads: usize,
-    record_parents: bool,
-) -> MsBfsRun {
-    ms_bfs_raw(graph, sources, threads, record_parents).finish()
-}
-
-/// [`ms_bfs`] without the result extraction — the serving-path entry point.
-pub fn ms_bfs_raw<'g>(
+/// per level, per-level trace spans when a session is active). The grids
+/// stay in the returned [`RawMsBfs`] until [`RawMsBfs::finish`], which the
+/// serving path calls outside its clock.
+pub fn ms_bfs<'g>(
     graph: &'g CsrGraph,
     sources: &[VertexId],
     threads: usize,
     record_parents: bool,
 ) -> RawMsBfs<'g> {
     let threads = threads.max(1);
-    let st = MsState::new(graph, sources, record_parents);
+    let wave = MsBfs::new(graph, sources, record_parents);
     let recorder = Recorder::new(threads, 1, 2);
     let barrier = SpinBarrier::new(threads);
     let done = AtomicBool::new(false);
     let found_counts: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-    let total_edges = AtomicU64::new(0);
     let start = Instant::now();
     scoped_run(threads, |tid| {
         let mut series: Vec<ThreadCounts> = Vec::new();
         let mut depth = 1u32;
         loop {
             let timer = SpanTimer::start();
-            let parity = ((depth - 1) % 2) as usize;
-            let (c, found) = sweep(&st, tid, threads, depth, parity);
-            found_counts[tid].store(found, Ordering::Relaxed);
+            let c = wave.scan(depth, tid, threads, owns_all);
+            found_counts[tid].store(c.parent_writes, Ordering::Relaxed);
             series.push(c);
             timer.finish(EventKind::Level, (depth - 1) as u64);
             if barrier.wait() {
@@ -269,20 +372,13 @@ pub fn ms_bfs_raw<'g>(
             }
             depth += 1;
         }
-        total_edges.fetch_add(
-            series.iter().map(|c| c.edges_scanned).sum::<u64>(),
-            Ordering::Relaxed,
-        );
         recorder.deposit(tid, series);
         mcbfs_trace::flush_thread();
     });
     let seconds = start.elapsed().as_secs_f64();
     RawMsBfs {
-        graph,
-        k: sources.len(),
-        st,
+        wave,
         recorder,
-        total_edges: total_edges.into_inner(),
         seconds,
     }
 }
@@ -291,36 +387,23 @@ pub fn ms_bfs_raw<'g>(
 /// calling thread — the model-mode executor. Depths, frontiers and the
 /// per-level work partition are identical to a native run with the same
 /// thread count; only the claim *winners* (parents) can differ natively.
-pub fn ms_bfs_deterministic(
-    graph: &CsrGraph,
-    sources: &[VertexId],
-    virtual_threads: usize,
-    record_parents: bool,
-) -> MsBfsRun {
-    ms_bfs_deterministic_raw(graph, sources, virtual_threads, record_parents).finish()
-}
-
-/// [`ms_bfs_deterministic`] without the result extraction.
-pub fn ms_bfs_deterministic_raw<'g>(
+pub fn ms_bfs_deterministic<'g>(
     graph: &'g CsrGraph,
     sources: &[VertexId],
     virtual_threads: usize,
     record_parents: bool,
 ) -> RawMsBfs<'g> {
     let threads = virtual_threads.max(1);
-    let st = MsState::new(graph, sources, record_parents);
+    let wave = MsBfs::new(graph, sources, record_parents);
     let recorder = Recorder::new(threads, 1, 2);
     let mut series: Vec<Vec<ThreadCounts>> = vec![Vec::new(); threads];
-    let mut total_edges = 0u64;
     let mut depth = 1u32;
     loop {
-        let parity = ((depth - 1) % 2) as usize;
         let mut found = 0u64;
         for (tid, s) in series.iter_mut().enumerate() {
-            let (c, f) = sweep(&st, tid, threads, depth, parity);
-            total_edges += c.edges_scanned;
+            let c = wave.scan(depth, tid, threads, owns_all);
+            found += c.parent_writes;
             s.push(c);
-            found += f;
         }
         if found == 0 {
             break;
@@ -331,11 +414,8 @@ pub fn ms_bfs_deterministic_raw<'g>(
         recorder.deposit(tid, s);
     }
     RawMsBfs {
-        graph,
-        k: sources.len(),
-        st,
+        wave,
         recorder,
-        total_edges,
         seconds: 0.0,
     }
 }
@@ -348,7 +428,7 @@ mod tests {
     use mcbfs_graph::validate::sequential_levels;
 
     fn check_against_sequential(g: &CsrGraph, sources: &[VertexId], threads: usize) {
-        let run = ms_bfs(g, sources, threads, true);
+        let run = ms_bfs(g, sources, threads, true).finish();
         for (q, &s) in sources.iter().enumerate() {
             assert_eq!(run.depths[q], sequential_levels(g, s), "source {s}");
         }
@@ -394,24 +474,59 @@ mod tests {
     fn deterministic_executor_matches_native_depths() {
         let g = RmatBuilder::new(8, 8).seed(3).build();
         let sources: Vec<VertexId> = vec![0, 5, 100, 200];
-        let native = ms_bfs(&g, &sources, 4, false);
-        let model = ms_bfs_deterministic(&g, &sources, 4, false);
+        // One thread: one claim order, so the same tree and the same counts.
+        let native = ms_bfs(&g, &sources, 1, true).finish();
+        let model = ms_bfs_deterministic(&g, &sources, 1, true).finish();
+        assert_eq!(native.depths, model.depths);
+        assert_eq!(native.parents, model.parents);
+        assert_eq!(native.profile, model.profile);
+        assert_eq!(native.levels, model.levels);
+        // Four threads: the frontier and its partition are the same, so are
+        // every thread's scans; which thread wins a claim is not.
+        let native = ms_bfs(&g, &sources, 4, false).finish();
+        let model = ms_bfs_deterministic(&g, &sources, 4, false).finish();
         assert_eq!(native.depths, model.depths);
         assert_eq!(native.levels, model.levels);
-        // Identical work partition → identical per-level totals.
-        assert_eq!(
-            native.profile.total().edges_scanned,
-            model.profile.total().edges_scanned
-        );
-        let rerun = ms_bfs_deterministic(&g, &sources, 4, false);
+        assert_eq!(native.profile.levels.len(), model.profile.levels.len());
+        for (l, (a, b)) in native
+            .profile
+            .levels
+            .iter()
+            .zip(&model.profile.levels)
+            .enumerate()
+        {
+            let scans = |c: &ThreadCounts| (c.vertices_scanned, c.edges_scanned, c.bitmap_reads);
+            let a_scans: Vec<_> = a.threads.iter().map(scans).collect();
+            let b_scans: Vec<_> = b.threads.iter().map(scans).collect();
+            assert_eq!(a_scans, b_scans, "level {l}");
+            assert_eq!(
+                a.total().parent_writes,
+                b.total().parent_writes,
+                "level {l}"
+            );
+        }
+        let rerun = ms_bfs_deterministic(&g, &sources, 4, false).finish();
         assert_eq!(model.depths, rerun.depths);
         assert_eq!(model.profile, rerun.profile);
     }
 
     #[test]
+    fn foreign_sources_do_not_seed_and_empty_waves_terminate() {
+        let edges: Vec<(u32, u32)> = (0..10).map(|i| (i, (i + 1) % 10)).collect();
+        let g = CsrGraph::from_edges_symmetric(10, &edges);
+        let s1 = CsrShard::cut(&g, 2, 1); // owns 5..10
+        let wave = MsBfs::new(&s1, &[0], false);
+        // Source 0 is shard 0's; shard 1 starts with an empty frontier.
+        let mut foreign = 0;
+        let c = wave.scan(1, 0, 1, |_, _, _| foreign += 1);
+        assert_eq!((c.parent_writes, foreign, c.edges_scanned), (0, 0, 0));
+        assert_eq!(wave.rows(), (vec![vec![u32::MAX; 5]], None));
+    }
+
+    #[test]
     fn profile_counts_are_plausible() {
         let g = UniformBuilder::new(500, 8).seed(1).build();
-        let run = ms_bfs(&g, &[0, 1, 2], 2, false);
+        let run = ms_bfs(&g, &[0, 1, 2], 2, false).finish();
         let t = run.profile.total();
         assert!(t.edges_scanned > 0);
         assert_eq!(run.profile.edges_traversed, t.edges_scanned);
@@ -432,6 +547,6 @@ mod tests {
     fn oversized_wave_panics() {
         let g = CsrGraph::from_edges(2, &[(0, 1)]);
         let sources = vec![0; 65];
-        ms_bfs(&g, &sources, 1, false);
+        ms_bfs(&g, &sources, 1, false).finish();
     }
 }

@@ -21,6 +21,8 @@ pub mod shed;
 pub mod wire;
 
 pub use loadgen::{LoadReport, LoadgenOpts};
-pub use server::{arm_sigint, serve, serve_with, ServeOpts, ShutdownHandle, WaveExecutor};
+pub use server::{
+    accept_loop, arm_sigint, read_lines, serve, serve_with, ServeOpts, ShutdownHandle, WaveExecutor,
+};
 pub use shed::{ServerStats, StatsHub};
 pub use wire::{QueryReply, RejectReason, Request, Response, WireError, WIRE_VERSION};

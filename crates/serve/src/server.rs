@@ -28,6 +28,7 @@ use mcbfs_trace::EventKind;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -67,6 +68,10 @@ impl Default for ServeOpts {
         }
     }
 }
+
+/// How often a blocked accept loop or connection reader wakes to check
+/// for shutdown, in milliseconds.
+const DRAIN_POLL_MS: libc::c_int = 50;
 
 /// SIGINT latch shared between the C handler and [`ShutdownHandle`].
 static SIGINT_HIT: AtomicBool = AtomicBool::new(false);
@@ -245,19 +250,10 @@ pub fn serve_with<E: WaveExecutor, F: FnOnce(SocketAddr)>(
     on_ready(addr);
     std::thread::scope(|scope| {
         let sched = scope.spawn(|| scheduler::run(&shared));
-        while !shutdown.requested() {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    self::spawn_connection(scope, stream, &shared, default_deadline);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                // Transient accept failures (e.g. aborted handshakes)
-                // must not take the server down.
-                Err(_) => std::thread::sleep(Duration::from_millis(2)),
-            }
-        }
+        accept_loop(&listener, shutdown, |stream| {
+            shared.hub.connections.fetch_add(1, Ordering::Relaxed);
+            scope.spawn(|| run_connection(stream, &shared, default_deadline));
+        });
         // Drain-then-exit: stop admitting, let the scheduler flush every
         // in-flight wave, then wait for readers to notice and finish.
         shared.draining.store(true, Ordering::Release);
@@ -266,14 +262,36 @@ pub fn serve_with<E: WaveExecutor, F: FnOnce(SocketAddr)>(
     Ok(shared.stats())
 }
 
-fn spawn_connection<'scope, E: WaveExecutor>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    stream: TcpStream,
-    shared: &'scope Shared<E>,
-    default_deadline: Option<Duration>,
+/// Hands every connection `listener` accepts to `on_accept` until
+/// `shutdown` is requested. The listener must be non-blocking. While no
+/// connection waits, the loop blocks in `poll(2)` for at most the readers'
+/// 50 ms drain-poll period, so a shutdown request is noticed as quickly as
+/// the readers notice it, and SIGINT wakes it at once with `EINTR`.
+pub fn accept_loop(
+    listener: &TcpListener,
+    shutdown: &ShutdownHandle,
+    mut on_accept: impl FnMut(TcpStream),
 ) {
-    shared.hub.connections.fetch_add(1, Ordering::Relaxed);
-    scope.spawn(move || run_connection(stream, shared, default_deadline));
+    while !shutdown.requested() {
+        match listener.accept() {
+            Ok((stream, _)) => on_accept(stream),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                let mut waiting = libc::pollfd {
+                    fd: listener.as_raw_fd(),
+                    events: libc::POLLIN,
+                    revents: 0,
+                };
+                // SAFETY: `waiting` is one valid `pollfd` that outlives the
+                // call, and the descriptor stays open while `listener` is
+                // borrowed. Any result, an error included, just sends the
+                // loop back to `accept`.
+                unsafe { libc::poll(&mut waiting, 1, DRAIN_POLL_MS) };
+            }
+            // Transient accept failures (e.g. aborted handshakes)
+            // must not take the server down.
+            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+        }
+    }
 }
 
 /// One connection's reader loop: frames in, inline replies out, queries
@@ -284,39 +302,56 @@ fn run_connection<E: WaveExecutor>(
     shared: &Shared<E>,
     default_deadline: Option<Duration>,
 ) {
+    let writer: ConnWriter = match stream.try_clone() {
+        Ok(w) => Arc::new(Mutex::new(w)),
+        Err(_) => return,
+    };
+    read_lines(
+        stream,
+        || shared.draining(),
+        |line| {
+            handle_frame(line, &writer, shared, default_deadline);
+            true
+        },
+    );
+}
+
+/// Hands each non-blank newline-terminated frame that arrives on `stream`
+/// to `on_line` until the peer closes, a read fails, `stop` turns true or
+/// `on_line` returns false.
+pub fn read_lines(
+    stream: TcpStream,
+    stop: impl Fn() -> bool,
+    mut on_line: impl FnMut(&str) -> bool,
+) {
     // Answers are sub-MTU JSON lines; Nagle would batch them behind
     // delayed ACKs and dominate the measured latency.
     stream.set_nodelay(true).ok();
     // The periodic timeout is the drain poll: readers must notice
     // shutdown without a frame arriving.
     if stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
+        .set_read_timeout(Some(Duration::from_millis(DRAIN_POLL_MS as u64)))
         .is_err()
     {
         return;
     }
-    let writer: ConnWriter = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
-    while !shared.draining() {
+    while !stop() {
         // A timeout can land mid-frame: the bytes read so far stay in
         // `line` and the next read appends the rest.
         match reader.read_until(b'\n', &mut line) {
-            Ok(0) => break,
+            Ok(0) => return,
             Ok(_) => {
-                handle_frame(
-                    &String::from_utf8_lossy(&line),
-                    &writer,
-                    shared,
-                    default_deadline,
-                );
+                let text = String::from_utf8_lossy(&line);
+                let go_on = text.trim().is_empty() || on_line(&text);
                 line.clear();
+                if !go_on {
+                    return;
+                }
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(_) => break,
+            Err(_) => return,
         }
     }
 }
@@ -327,9 +362,6 @@ fn handle_frame<E: WaveExecutor>(
     shared: &Shared<E>,
     default_deadline: Option<Duration>,
 ) {
-    if line.trim().is_empty() {
-        return;
-    }
     let request = match wire::decode::<Request>(line) {
         Ok(r) => r,
         Err(err) => {

@@ -20,7 +20,7 @@ use std::time::Instant;
 const LATENCY_WINDOW: usize = 4096;
 
 /// Live server statistics, as exposed by the `stats` wire command.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Vertices in the served graph (the loadgen handshake reads this to
     /// pick query endpoints).
@@ -269,19 +269,7 @@ mod tests {
             edges: m,
             uptime_seconds: 3.0,
             connections: 1,
-            admitted: 0,
-            served: 0,
-            shed: 0,
-            timeouts: 0,
-            errors: 0,
-            protocol_errors: 0,
-            in_flight: 0,
-            waves: 0,
-            served_edges: 0,
-            aggregate_teps: 0.0,
-            p50_latency_ms: 0.0,
-            p99_latency_ms: 0.0,
-            p999_latency_ms: 0.0,
+            ..ServerStats::default()
         };
         let merged = ServerStats::merge(
             &[router.clone(), worker(60, 300), worker(40, 200)],

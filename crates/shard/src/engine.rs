@@ -19,8 +19,7 @@
 
 use crate::exchange::{bad_data, Cluster, ExchangeLog, ShardLink};
 use crate::swire::{self, ShardFrame};
-use crate::wave::ShardWave;
-use crate::worker::handle_frame;
+use crate::worker::{handle_frame, Wave};
 use mcbfs_graph::csr::CsrGraph;
 use mcbfs_graph::shard::CsrShard;
 use mcbfs_machine::model::MachineModel;
@@ -123,7 +122,7 @@ impl ShardedEngine {
 /// `wave_result` never is.
 struct LocalLink<'s> {
     shard: &'s CsrShard,
-    wave: Option<ShardWave<'s>>,
+    wave: Option<Wave<'s>>,
     reply: Option<ShardFrame>,
 }
 
@@ -201,15 +200,22 @@ mod tests {
         for (g, roots) in cases {
             let queries: Vec<Query> = roots
                 .iter()
-                .map(|&root| Query::Distances { root })
+                .flat_map(|&root| [Query::Distances { root }, Query::Parents { root }])
                 .collect();
-            let single = mcbfs_query::QueryEngine::new(&g).execute(&queries);
+            let single = mcbfs_query::QueryEngine::new(&g)
+                .threads(1)
+                .execute(&queries);
             for shards in [1, 2, 4, 7] {
                 let report = ShardedEngine::new(&g, shards).execute(&queries);
                 assert_eq!(report.outcomes.len(), queries.len());
                 for (a, b) in single.outcomes.iter().zip(&report.outcomes) {
                     assert_eq!(a.result.depths(), b.result.depths(), "{shards} shards");
                     assert_eq!(a.edges, b.edges, "{shards} shards");
+                    // One shard scans in the one-thread engine's order: one
+                    // kernel, one tree.
+                    if shards == 1 {
+                        assert_eq!(a.result, b.result);
+                    }
                 }
             }
         }

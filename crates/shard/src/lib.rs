@@ -4,9 +4,9 @@
 //! decomposition of distributed BFS (Buluç & Madduri) — the paper's §V
 //! distributed-memory extension — arranged as a star: per-shard
 //! **workers** ([`worker`]) each load one contiguous slice of the CSR
-//! (`mcbfs_graph::shard::CsrShard`) and run level-synchronous
-//! bit-parallel MS-BFS waves over their owned range ([`wave`]), while a
-//! **router** ([`router`]) speaks `mcbfs-wire-v1` to clients unchanged and
+//! (`mcbfs_graph::shard::CsrShard`) and run level-synchronous waves of
+//! the one bit-parallel MS-BFS kernel, `mcbfs_query::MsBfs`, over their
+//! owned range, while a **router** ([`router`]) speaks `mcbfs-wire-v1` to clients unchanged and
 //! `mcbfs-swire-v1` ([`swire`]) to its workers.
 //!
 //! One level loop ([`exchange`]) implements the exchange: it scatters
@@ -22,12 +22,10 @@ pub mod engine;
 pub mod exchange;
 pub mod router;
 pub mod swire;
-pub mod wave;
 pub mod worker;
 
 pub use engine::ShardedEngine;
 pub use exchange::{ExchangeLog, LevelExchange};
 pub use router::Router;
 pub use swire::{Bucket, ExchangeItem, ShardFrame, ShardMeta, SwireError, SWIRE_VERSION};
-pub use wave::{ScanOutput, ShardWave, WaveOutput};
 pub use worker::run_worker;

@@ -2,8 +2,9 @@
 //!
 //! A worker binds a TCP listener, accepts its router (one connection at a
 //! time — a router that restarts simply reconnects), and then runs a
-//! frame-driven state machine: `hello` → `meta`, `wave_start` → scan →
-//! `exchange` up, `merged` → apply/advance/scan → `exchange` up,
+//! frame-driven state machine over `mcbfs_query::MsBfs` on its owned rows:
+//! `hello` → `meta`, `wave_start` → scan → `exchange` up, `merged` →
+//! apply, next level, scan → `exchange` up,
 //! `wave_finish` → `wave_result`, `stats` → `stats_reply`. The worker
 //! never initiates: every frame it sends answers a router frame, which
 //! keeps the protocol lock-step and deadlock-free over a single duplex
@@ -13,13 +14,13 @@
 //! via `mcbfs_serve::arm_sigint`) is polled between frames; the worker
 //! finishes the frame in hand, closes, and returns its final stats part.
 
-use crate::swire::{self, Bucket, ShardFrame, ShardMeta};
-use crate::wave::ShardWave;
+use crate::swire::{self, Bucket, ExchangeItem, ShardFrame, ShardMeta};
 use mcbfs_graph::shard::CsrShard;
-use mcbfs_serve::{ServerStats, ShutdownHandle};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use mcbfs_query::MsBfs;
+use mcbfs_serve::{accept_loop, read_lines, ServerStats, ShutdownHandle};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Runs a shard worker until `shutdown` is requested. `on_ready` fires
 /// once with the bound address (port 0 picks a free port). Returns the
@@ -38,18 +39,10 @@ pub fn run_worker<F: FnOnce(SocketAddr)>(
     on_ready(bound);
     let started = Instant::now();
     let mut connections = 0u64;
-    while !shutdown.requested() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                connections += 1;
-                serve_router(shard, stream, shutdown, started, connections);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
+    accept_loop(&listener, shutdown, |stream| {
+        connections += 1;
+        serve_router(shard, stream, shutdown, started, connections);
+    });
     Ok(stats_part(shard, started, connections))
 }
 
@@ -60,19 +53,7 @@ fn stats_part(shard: &CsrShard, started: Instant, connections: u64) -> ServerSta
         edges: shard.local_edges() as u64,
         uptime_seconds: started.elapsed().as_secs_f64(),
         connections,
-        admitted: 0,
-        served: 0,
-        shed: 0,
-        timeouts: 0,
-        errors: 0,
-        protocol_errors: 0,
-        in_flight: 0,
-        waves: 0,
-        served_edges: 0,
-        aggregate_teps: 0.0,
-        p50_latency_ms: 0.0,
-        p99_latency_ms: 0.0,
-        p999_latency_ms: 0.0,
+        ..ServerStats::default()
     }
 }
 
@@ -89,54 +70,38 @@ fn serve_router(
     started: Instant,
     connections: u64,
 ) {
-    stream.set_nodelay(true).ok();
-    // The periodic timeout is the drain poll: the worker must notice
-    // shutdown without a frame arriving.
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .is_err()
-    {
+    let Ok(mut writer) = stream.try_clone() else {
         return;
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
     };
-    let mut reader = BufReader::new(stream);
-    let mut line = Vec::new();
-    let mut wave: Option<ShardWave> = None;
-    while !shutdown.requested() {
-        // A timeout can land mid-frame: the bytes read so far stay in
-        // `line` and the next read appends the rest.
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(_) => return,
-        }
-        let text = String::from_utf8_lossy(&line).into_owned();
-        line.clear();
-        if text.trim().is_empty() {
-            continue;
-        }
-        let frame = match swire::decode(&text) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("shard {}: bad router frame: {e}", shard.index());
-                return;
-            }
-        };
-        let reply = match frame {
-            ShardFrame::Stats => Some(ShardFrame::StatsReply {
-                stats: stats_part(shard, started, connections),
-            }),
-            frame => handle_frame(shard, &mut wave, frame),
-        };
-        let Some(reply) = reply else { return };
-        if send(&mut writer, &reply).is_err() {
-            return;
-        }
-    }
+    let mut wave: Option<Wave> = None;
+    read_lines(
+        stream,
+        || shutdown.requested(),
+        |text| {
+            let frame = match swire::decode(text) {
+                Ok(f) => f,
+                Err(e) => {
+                    eprintln!("shard {}: bad router frame: {e}", shard.index());
+                    return false;
+                }
+            };
+            let reply = match frame {
+                ShardFrame::Stats => Some(ShardFrame::StatsReply {
+                    stats: stats_part(shard, started, connections),
+                }),
+                frame => handle_frame(shard, &mut wave, frame),
+            };
+            reply.is_some_and(|reply| send(&mut writer, &reply).is_ok())
+        },
+    );
+}
+
+/// One wave in flight on a shard: the multi-source kernel over the owned
+/// rows, and the level its next scan runs (discoveries get depth
+/// `level + 1`).
+pub(crate) struct Wave<'s> {
+    kernel: MsBfs<'s, CsrShard>,
+    level: u32,
 }
 
 /// The worker's answer to one router frame (`stats` aside, which the
@@ -146,7 +111,7 @@ fn serve_router(
 /// logged, and the live worker drops the connection.
 pub(crate) fn handle_frame<'s>(
     shard: &'s CsrShard,
-    wave: &mut Option<ShardWave<'s>>,
+    wave: &mut Option<Wave<'s>>,
     frame: ShardFrame,
 ) -> Option<ShardFrame> {
     let reject = |why: String| {
@@ -175,8 +140,11 @@ pub(crate) fn handle_frame<'s>(
                     sources.len()
                 ));
             }
-            let w = wave.insert(ShardWave::new(shard, &sources, record_parents));
-            Some(exchange_frame(id, w))
+            let w = wave.insert(Wave {
+                kernel: MsBfs::new(shard, &sources, record_parents),
+                level: 0,
+            });
+            Some(exchange_frame(shard, id, w))
         }
         ShardFrame::Merged {
             wave: id, items, ..
@@ -191,21 +159,14 @@ pub(crate) fn handle_frame<'s>(
                     item.v
                 ));
             }
-            w.apply(&items);
-            w.advance();
-            Some(exchange_frame(id, w))
+            for item in &items {
+                w.kernel.apply(w.level + 1, item.v, item.u, item.mask);
+            }
+            w.level += 1;
+            Some(exchange_frame(shard, id, w))
         }
         ShardFrame::WaveFinish { wave: id } => match wave.take() {
-            Some(w) => {
-                let out = w.finish();
-                Some(ShardFrame::WaveResult {
-                    wave: id,
-                    depths: out.depths,
-                    parents: out.parents,
-                    slot_edges: out.slot_edges,
-                    levels: out.levels,
-                })
-            }
+            Some(w) => Some(wave_result(shard, id, &w)),
             None => reject("wave_finish outside a wave".to_string()),
         },
         other => reject(format!("unexpected frame from router: {other:?}")),
@@ -213,14 +174,17 @@ pub(crate) fn handle_frame<'s>(
 }
 
 /// Scans the wave's current level and builds the upward shard-exchange
-/// frame: non-empty buckets only, in destination order.
-fn exchange_frame(wave: u64, w: &mut ShardWave) -> ShardFrame {
-    let out = w.scan();
+/// frame: each foreign discovery bucketed by owner, in owned-vertex then
+/// CSR order; non-empty buckets only, in destination order.
+fn exchange_frame(shard: &CsrShard, wave: u64, w: &Wave) -> ShardFrame {
+    let mut buckets = vec![Vec::new(); shard.shards()];
+    let counts = w.kernel.scan(w.level + 1, 0, 1, |v, u, mask| {
+        buckets[shard.owner_of(v)].push(ExchangeItem { v, u, mask })
+    });
     ShardFrame::Exchange {
         wave,
-        level: w.level() as u64,
-        buckets: out
-            .buckets
+        level: w.level as u64,
+        buckets: buckets
             .into_iter()
             .enumerate()
             .filter(|(_, items)| !items.is_empty())
@@ -229,17 +193,44 @@ fn exchange_frame(wave: u64, w: &mut ShardWave) -> ShardFrame {
                 items,
             })
             .collect(),
-        local_next: out.local_next,
-        edges_scanned: out.edges_scanned,
+        local_next: counts.parent_writes > 0,
+        edges_scanned: counts.edges_scanned,
+    }
+}
+
+/// The wave's owned-range answer: per slot, depths and parents of the
+/// owned vertices, the adjacency entries of the reached ones (the TEPS
+/// numerator's share), and the highest owned depth + 1 as `levels`.
+fn wave_result(shard: &CsrShard, wave: u64, w: &Wave) -> ShardFrame {
+    let (depths, parents) = w.kernel.rows();
+    let slot_edges = depths
+        .iter()
+        .map(|row| {
+            row.iter()
+                .enumerate()
+                .filter(|&(_, &d)| d != u32::MAX)
+                .map(|(local, _)| shard.degree_local(local) as u64)
+                .sum()
+        })
+        .collect();
+    // Unreached vertices (`u32::MAX`) wrap to 0.
+    let levels = depths.iter().flatten().map(|&d| d.wrapping_add(1)).max();
+    ShardFrame::WaveResult {
+        wave,
+        parents,
+        depths,
+        slot_edges,
+        levels: levels.unwrap_or(0) as u64,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::swire::ExchangeItem;
     use mcbfs_graph::csr::CsrGraph;
+    use std::io::{BufRead, BufReader};
     use std::sync::mpsc;
+    use std::time::Duration;
 
     /// Writes `frames` on a fresh connection and collects the worker's
     /// replies until it closes the connection (or goes quiet for 10 s).

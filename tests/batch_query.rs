@@ -95,10 +95,10 @@ fn batched_64_wave_examines_8x_fewer_edges_than_64_singletons() {
     let g = RmatBuilder::new(16, 8).seed(16).permute(true).build();
     let roots = sample_roots(&g, 64, 2026);
     let scanned = |run: MsBfsRun| run.profile.total().edges_scanned;
-    let wave = scanned(ms_bfs(&g, &roots, 2, false));
+    let wave = scanned(ms_bfs(&g, &roots, 2, false).finish());
     let singletons: u64 = roots
         .iter()
-        .map(|&r| scanned(ms_bfs(&g, &[r], 1, false)))
+        .map(|&r| scanned(ms_bfs(&g, &[r], 1, false).finish()))
         .sum();
     let reachable: u64 = roots
         .iter()
