@@ -2,7 +2,7 @@
 //! native companion to the model-driven Fig. 5.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mcbfs_core::algo::hybrid::{bfs_hybrid, HybridOpts};
+use mcbfs_core::algo::hybrid::{bfs_hybrid, ForcedDirection};
 use mcbfs_core::algo::level::{bfs, VariantConfig};
 use mcbfs_core::algo::sequential::bfs_sequential;
 use mcbfs_gen::prelude::*;
@@ -31,7 +31,7 @@ fn bench_algorithms(c: &mut Criterion) {
         });
     }
     g.bench_function("hybrid_dirop_x2", |b| {
-        b.iter(|| std::hint::black_box(bfs_hybrid(&graph, 0, 2, HybridOpts::default()).visited));
+        b.iter(|| std::hint::black_box(bfs_hybrid(&graph, 0, 2, ForcedDirection::Auto).visited));
     });
     g.finish();
 }

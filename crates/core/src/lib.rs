@@ -21,6 +21,10 @@
 //!   separated by barriers.
 //!
 //! The Fig. 5 ablations are the same loop with single policies switched.
+//! The direction-optimizing [`algo::hybrid`] is that loop's Algorithm 2
+//! state plus bottom-up sweep levels: its top-down levels run
+//! [`algo::level`]'s scan and claims. With the MS-BFS kernel of
+//! `mcbfs-query`, that makes two parallel BFS kernels in the workspace.
 //! Every algorithm has two executors that run the same per-level code:
 //!
 //! * the **native executor** — real, unpinned threads forked per search by

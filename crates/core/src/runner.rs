@@ -1,7 +1,7 @@
 //! The front door: configure an algorithm, an executor and a thread count,
 //! then run BFS.
 
-use crate::algo::hybrid::{bfs_hybrid, bfs_hybrid_deterministic, ForcedDirection, HybridOpts};
+use crate::algo::hybrid::{bfs_hybrid, bfs_hybrid_deterministic, ForcedDirection};
 use crate::algo::level::{bfs, bfs_deterministic, VariantConfig};
 use crate::algo::sequential::bfs_sequential;
 use crate::instrument::{stats_from_profile, BfsStats};
@@ -32,8 +32,9 @@ pub enum Algorithm {
         /// Number of socket groups.
         sockets: usize,
     },
-    /// Direction-optimizing extension: Algorithm 2's top-down machinery
-    /// plus bottom-up sweep levels over the dense frontier bitmap.
+    /// Direction-optimizing extension: Algorithm 2's levels, run by the
+    /// same scan and claims as [`Algorithm::SingleSocket`], plus bottom-up
+    /// sweep levels over the dense frontier bitmap.
     Hybrid {
         /// Per-level direction policy (heuristic or forced).
         policy: ForcedDirection,
@@ -253,13 +254,9 @@ impl<'g> BfsRunner<'g> {
         let run = match (self.algorithm, self.algorithm.variant_config()) {
             (_, Some(config)) if native => bfs(graph, root, threads, config),
             (_, Some(config)) => bfs_deterministic(graph, root, threads, config),
+            (Algorithm::Hybrid { policy }, _) if native => bfs_hybrid(graph, root, threads, policy),
             (Algorithm::Hybrid { policy }, _) => {
-                let opts = HybridOpts::with_policy(policy);
-                if native {
-                    bfs_hybrid(graph, root, threads, opts)
-                } else {
-                    bfs_hybrid_deterministic(graph, root, threads, opts)
-                }
+                bfs_hybrid_deterministic(graph, root, threads, policy)
             }
             _ if native => bfs_sequential(graph, root),
             // The sequential search has no model of its own: model mode

@@ -289,9 +289,18 @@ fn parse_algorithm(spec: &str) -> Algorithm {
     }
 }
 
+/// Returns `v` if the graph has it, and otherwise exits through `usage`
+/// before a library assert can panic on it.
+fn check_vertex(role: &str, v: u32, n: usize) -> u32 {
+    if v as usize >= n {
+        usage(&format!("{role} {v} out of range (graph has {n} vertices)"));
+    }
+    v
+}
+
 fn cmd_bfs(opts: &HashMap<String, String>) {
     let graph = load_graph(opts);
-    let root: u32 = get(opts, "root", 0u32);
+    let root = check_vertex("root", get(opts, "root", 0u32), graph.num_vertices());
     let threads: usize = get(opts, "threads", 1usize);
     let algorithm = parse_algorithm(&get(opts, "algorithm", "single".to_string()));
     let mode_name = get(opts, "mode", "native".to_string());
@@ -456,10 +465,8 @@ fn read_sources(path: &str, n: usize) -> Vec<u32> {
     if sources.is_empty() {
         usage(&format!("{path} contains no vertex ids"));
     }
-    if let Some(&bad) = sources.iter().find(|&&s| s as usize >= n) {
-        usage(&format!(
-            "source {bad} out of range (graph has {n} vertices)"
-        ));
+    for &s in &sources {
+        check_vertex("source", s, n);
     }
     sources
 }
@@ -758,8 +765,9 @@ fn cmd_components(opts: &HashMap<String, String>) {
 
 fn cmd_stcon(opts: &HashMap<String, String>) {
     let graph = load_graph(opts);
-    let s: u32 = get(opts, "source", 0u32);
-    let t: u32 = get(opts, "target", 0u32);
+    let n = graph.num_vertices();
+    let s = check_vertex("source", get(opts, "source", 0u32), n);
+    let t = check_vertex("target", get(opts, "target", 0u32), n);
     let start = std::time::Instant::now();
     let result = st_connectivity(&graph, s, t);
     let seconds = start.elapsed().as_secs_f64();
@@ -1067,6 +1075,7 @@ fn cmd_model(opts: &HashMap<String, String>) {
     } else {
         Algorithm::SingleSocket
     };
+    let root = check_vertex("root", get(opts, "root", 0u32), graph.num_vertices());
     let traced = opts.contains_key("trace") || opts.contains_key("metrics");
     let result = BfsRunner::new(&graph)
         .algorithm(algorithm)
@@ -1075,7 +1084,7 @@ fn cmd_model(opts: &HashMap<String, String>) {
         .traced(traced)
         .reorder(parse_reorder(opts))
         .reorder_seed(get(opts, "reorder-seed", DEFAULT_REORDER_SEED))
-        .run(get(opts, "root", 0u32));
+        .run(root);
     println!(
         "{} @ {} threads ({} sockets): predicted {:.3} ms, {:.1} ME/s",
         model.spec.name,

@@ -1,9 +1,7 @@
 //! Consistency between the native executors, their deterministic
 //! virtual-thread twins, and the machine cost model.
 
-use multicore_bfs::core::algo::hybrid::{
-    bfs_hybrid, bfs_hybrid_deterministic, ForcedDirection, HybridOpts,
-};
+use multicore_bfs::core::algo::hybrid::{bfs_hybrid, bfs_hybrid_deterministic, ForcedDirection};
 use multicore_bfs::core::algo::level::{bfs, bfs_deterministic, VariantConfig};
 use multicore_bfs::core::algo::{NativeRun, ENQUEUE_BATCH};
 use multicore_bfs::gen::prelude::*;
@@ -134,9 +132,8 @@ fn hybrid_model_is_the_native_code_minus_batched_enqueue() {
             ForcedDirection::BottomUp,
             ForcedDirection::Alternate,
         ] {
-            let opts = HybridOpts::with_policy(policy);
-            let native = bfs_hybrid(g, 0, 1, opts);
-            let model = bfs_hybrid_deterministic(g, 0, 1, opts);
+            let native = bfs_hybrid(g, 0, 1, policy);
+            let model = bfs_hybrid_deterministic(g, 0, 1, policy);
             assert_model_is_native_minus(&native, &model, &format!("{name} {policy:?}"), |l, c| {
                 match l.direction {
                     Direction::TopDown => c.parent_writes.div_ceil(ENQUEUE_BATCH as u64),
