@@ -2,50 +2,49 @@
 //! amortization ("the normalized cost per vertex insertion is only 30 ns").
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mcbfs_sync::channel::{BatchBuffer, SocketChannel};
+use mcbfs_sync::channel::SocketChannel;
+
+/// Sends every element of `items` in `batch`-sized `try_send_batch` calls,
+/// retrying the part of a batch that did not fit until the consumer makes
+/// room.
+fn send_all<T: Copy>(ch: &SocketChannel<T>, items: &[T], batch: usize) {
+    for chunk in items.chunks(batch) {
+        let mut sent = ch.try_send_batch(chunk);
+        while sent < chunk.len() {
+            std::thread::yield_now();
+            sent += ch.try_send_batch(&chunk[sent..]);
+        }
+    }
+}
 
 fn bench_send_paths(c: &mut Criterion) {
     const ITEMS: usize = 8_192;
+    let items: Vec<(u32, u32)> = (0..ITEMS as u32).map(|i| (i, i + 1)).collect();
     let mut g = c.benchmark_group("socket_channel");
     g.sample_size(15);
     g.throughput(Throughput::Elements(ITEMS as u64));
 
-    g.bench_function("batched_send_recv_256", |b| {
-        let ch: SocketChannel<(u32, u32)> = SocketChannel::with_capacity(1 << 14);
-        let mut out = Vec::with_capacity(512);
-        b.iter(|| {
-            let mut buf = BatchBuffer::new(256);
-            for i in 0..ITEMS as u32 {
-                buf.push((i, i + 1), &ch);
-            }
-            buf.flush(&ch);
-            let mut drained = 0;
-            while drained < ITEMS {
-                out.clear();
-                drained += ch.recv_batch(&mut out, 512);
-            }
+    for (name, batch) in [("batched_send_recv_256", 256), ("unbatched_send_recv", 1)] {
+        g.bench_function(name, |b| {
+            let ch: SocketChannel<(u32, u32)> = SocketChannel::with_capacity(1 << 14);
+            let mut out = Vec::with_capacity(512);
+            b.iter(|| {
+                send_all(&ch, &items, batch);
+                let mut drained = 0;
+                while drained < ITEMS {
+                    out.clear();
+                    drained += ch.recv_batch(&mut out, 512);
+                }
+            });
         });
-    });
-    g.bench_function("unbatched_send_recv", |b| {
-        let ch: SocketChannel<(u32, u32)> = SocketChannel::with_capacity(1 << 14);
-        let mut out = Vec::with_capacity(512);
-        b.iter(|| {
-            for i in 0..ITEMS as u32 {
-                ch.send_one((i, i + 1));
-            }
-            let mut drained = 0;
-            while drained < ITEMS {
-                out.clear();
-                drained += ch.recv_batch(&mut out, 512);
-            }
-        });
-    });
+    }
     g.finish();
 }
 
 fn bench_cross_thread(c: &mut Criterion) {
     // Producer and consumer on separate threads: the real two-phase flow.
     const ITEMS: usize = 100_000;
+    let items: Vec<u64> = (0..ITEMS as u64).collect();
     let mut g = c.benchmark_group("socket_channel_cross_thread");
     g.sample_size(10);
     g.throughput(Throughput::Elements(ITEMS as u64));
@@ -53,13 +52,7 @@ fn bench_cross_thread(c: &mut Criterion) {
         b.iter(|| {
             let ch: SocketChannel<u64> = SocketChannel::with_capacity(1 << 12);
             std::thread::scope(|s| {
-                s.spawn(|| {
-                    let mut buf = BatchBuffer::new(256);
-                    for i in 0..ITEMS as u64 {
-                        buf.push(i, &ch);
-                    }
-                    buf.flush(&ch);
-                });
+                s.spawn(|| send_all(&ch, &items, 256));
                 s.spawn(|| {
                     let mut out = Vec::with_capacity(1 << 10);
                     let mut drained = 0;

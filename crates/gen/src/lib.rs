@@ -8,8 +8,8 @@
 //!   (§IV, Figs. 6 and 8).
 //! * [`rmat::RmatBuilder`] — R-MAT scale-free graphs with community
 //!   structure, sampled from a Kronecker product with the GTgraph default
-//!   parameters `(a, b, c, d) = (0.45, 0.15, 0.15, 0.25)` overridable to the
-//!   Graph500 `(0.57, 0.19, 0.19, 0.05)` (§IV, Figs. 7 and 9).
+//!   parameters `(a, b, c, d) = (0.45, 0.15, 0.15, 0.25)` (§IV, Figs. 7
+//!   and 9).
 //! * [`ssca2::Ssca2Builder`] — SSCA#2-style clustered graphs (cliques plus
 //!   sparse inter-clique links), the workload behind Fig. 10 and the
 //!   Bader–Madduri MTA-2 rows of Table III.
@@ -18,8 +18,9 @@
 //!
 //! All generators are deterministic given a seed, independent of thread
 //! count (parallel generation derives one RNG per output chunk from the
-//! master seed), and emit edge lists convertible to [`CsrGraph`] directly
-//! through [`GraphBuilder::build`].
+//! master seed), and emit edge lists that [`GraphBuilder::build`] inserts
+//! in both directions: every generated graph is undirected, as the paper's
+//! are.
 
 pub mod grid;
 pub mod rmat;
@@ -44,24 +45,18 @@ pub trait GraphBuilder {
     /// Generates the (directed) edge list.
     fn build_edges(&self) -> Vec<(VertexId, VertexId)>;
 
-    /// `true` if [`GraphBuilder::build`] should insert each edge in both
-    /// directions (the paper's graphs are all undirected).
-    fn symmetric(&self) -> bool {
-        true
-    }
-
-    /// Generates the graph and assembles the CSR structure — in parallel
-    /// above [`PARALLEL_BUILD_EDGE_THRESHOLD`] generated edges (identical
-    /// output either way; the large generator runs were dominated by the
-    /// serial CSR assembly, not by sampling).
+    /// Generates the graph, inserting each edge in both directions, and
+    /// assembles the CSR structure — in parallel above
+    /// [`PARALLEL_BUILD_EDGE_THRESHOLD`] generated edges (identical output
+    /// either way; the large generator runs were dominated by the serial
+    /// CSR assembly, not by sampling).
     fn build(&self) -> CsrGraph {
         let edges = self.build_edges();
         let parallel = edges.len() >= PARALLEL_BUILD_EDGE_THRESHOLD;
-        match (self.symmetric(), parallel) {
-            (true, true) => CsrGraph::from_edges_symmetric_parallel(self.num_vertices(), &edges),
-            (true, false) => CsrGraph::from_edges_symmetric(self.num_vertices(), &edges),
-            (false, true) => CsrGraph::from_edges_parallel(self.num_vertices(), &edges),
-            (false, false) => CsrGraph::from_edges(self.num_vertices(), &edges),
+        if parallel {
+            CsrGraph::from_edges_symmetric_parallel(self.num_vertices(), &edges)
+        } else {
+            CsrGraph::from_edges_symmetric(self.num_vertices(), &edges)
         }
     }
 }

@@ -8,10 +8,10 @@
 //! R-MAT's *higher* processing rates than uniform graphs (large frontiers
 //! amortize per-level costs).
 //!
-//! GTgraph's default parameters are `(0.45, 0.15, 0.15, 0.25)`; the
-//! Graph500 values `(0.57, 0.19, 0.19, 0.05)` are also provided. As in
-//! GTgraph, the quadrant probabilities are perturbed by ±10% noise at every
-//! level of the recursion to avoid exact self-similarity artifacts.
+//! The quadrant probabilities are GTgraph's defaults,
+//! `(0.45, 0.15, 0.15, 0.25)`, and as in GTgraph they are perturbed by ±10%
+//! noise at every level of the recursion to avoid exact self-similarity
+//! artifacts. Every edge is inserted in both directions.
 
 use crate::GraphBuilder;
 use mcbfs_graph::csr::VertexId;
@@ -34,29 +34,18 @@ pub struct RmatParams {
 }
 
 impl RmatParams {
-    /// GTgraph's default R-MAT parameters.
+    /// GTgraph's default R-MAT parameters, the ones every graph uses.
     pub const GTGRAPH: Self = Self {
         a: 0.45,
         b: 0.15,
         c: 0.15,
         d: 0.25,
     };
-
-    /// The Graph500 benchmark parameters.
-    pub const GRAPH500: Self = Self {
-        a: 0.57,
-        b: 0.19,
-        c: 0.19,
-        d: 0.05,
-    };
-
-    /// Validates that the four probabilities are non-negative and sum to 1
-    /// (within floating-point tolerance).
-    pub fn is_valid(&self) -> bool {
-        let sum = self.a + self.b + self.c + self.d;
-        (sum - 1.0).abs() < 1e-9 && self.a >= 0.0 && self.b >= 0.0 && self.c >= 0.0 && self.d >= 0.0
-    }
 }
+
+/// Per-level multiplicative noise amplitude on the quadrant probabilities
+/// (GTgraph-style).
+const NOISE: f64 = 0.1;
 
 /// Builder for R-MAT graphs with `2^scale` vertices and
 /// `avg_degree * 2^scale` generated edges.
@@ -75,10 +64,7 @@ impl RmatParams {
 pub struct RmatBuilder {
     scale: u32,
     avg_degree: usize,
-    params: RmatParams,
     seed: u64,
-    noise: f64,
-    symmetric: bool,
     permute: bool,
 }
 
@@ -90,45 +76,14 @@ impl RmatBuilder {
         Self {
             scale,
             avg_degree,
-            params: RmatParams::GTGRAPH,
             seed: 0xBADCAB,
-            noise: 0.1,
-            symmetric: true,
             permute: false,
         }
-    }
-
-    /// Sets the quadrant probabilities.
-    ///
-    /// # Panics
-    /// Panics when the parameters do not form a probability distribution.
-    pub fn params(mut self, params: RmatParams) -> Self {
-        assert!(
-            params.is_valid(),
-            "R-MAT parameters must sum to 1: {params:?}"
-        );
-        self.params = params;
-        self
     }
 
     /// Sets the RNG seed (default `0xBADCAB`).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Per-level multiplicative noise amplitude on the parameters
-    /// (default 0.1, GTgraph-style; 0 disables).
-    pub fn noise(mut self, noise: f64) -> Self {
-        assert!((0.0..0.5).contains(&noise));
-        self.noise = noise;
-        self
-    }
-
-    /// Chooses directed (`false`) vs. mirrored undirected (`true`, default)
-    /// edge insertion.
-    pub fn undirected(mut self, yes: bool) -> Self {
-        self.symmetric = yes;
         self
     }
 
@@ -159,15 +114,15 @@ impl RmatBuilder {
     fn sample_edge(&self, rng: &mut SmallRng) -> (VertexId, VertexId) {
         let mut u = 0u64;
         let mut v = 0u64;
+        let p = RmatParams::GTGRAPH;
         for _level in 0..self.scale {
             // Perturb the quadrant probabilities at every level.
-            let jitter = |p: f64, rng: &mut SmallRng| {
-                p * (1.0 + self.noise * (rng.gen::<f64>() * 2.0 - 1.0))
-            };
-            let a = jitter(self.params.a, rng);
-            let b = jitter(self.params.b, rng);
-            let c = jitter(self.params.c, rng);
-            let d = jitter(self.params.d, rng);
+            let jitter =
+                |p: f64, rng: &mut SmallRng| p * (1.0 + NOISE * (rng.gen::<f64>() * 2.0 - 1.0));
+            let a = jitter(p.a, rng);
+            let b = jitter(p.b, rng);
+            let c = jitter(p.c, rng);
+            let d = jitter(p.d, rng);
             let total = a + b + c + d;
             let r = rng.gen::<f64>() * total;
             let (du, dv) = if r < a {
@@ -189,10 +144,6 @@ impl RmatBuilder {
 impl GraphBuilder for RmatBuilder {
     fn num_vertices(&self) -> usize {
         1usize << self.scale
-    }
-
-    fn symmetric(&self) -> bool {
-        self.symmetric
     }
 
     fn build_edges(&self) -> Vec<(VertexId, VertexId)> {
@@ -226,7 +177,6 @@ impl GraphBuilder for RmatBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::degree_stats;
 
     #[test]
     fn deterministic_for_fixed_seed() {
@@ -247,47 +197,6 @@ mod tests {
         assert!(e
             .iter()
             .all(|&(u, v)| (u as usize) < 128 && (v as usize) < 128));
-    }
-
-    #[test]
-    fn gtgraph_and_graph500_params_valid() {
-        assert!(RmatParams::GTGRAPH.is_valid());
-        assert!(RmatParams::GRAPH500.is_valid());
-        assert!(!RmatParams {
-            a: 0.5,
-            b: 0.5,
-            c: 0.5,
-            d: 0.5
-        }
-        .is_valid());
-    }
-
-    #[test]
-    #[should_panic(expected = "sum to 1")]
-    fn invalid_params_rejected() {
-        let _ = RmatBuilder::new(4, 2).params(RmatParams {
-            a: 0.9,
-            b: 0.9,
-            c: 0.0,
-            d: 0.0,
-        });
-    }
-
-    #[test]
-    fn skewed_degree_distribution() {
-        // With Graph500 parameters the max degree should far exceed the
-        // average — the defining property of the family.
-        let g = RmatBuilder::new(12, 8)
-            .params(RmatParams::GRAPH500)
-            .seed(5)
-            .build();
-        let stats = degree_stats(&g);
-        assert!(
-            stats.max as f64 > 10.0 * stats.mean,
-            "max {} vs mean {}",
-            stats.max,
-            stats.mean
-        );
     }
 
     #[test]
@@ -337,11 +246,5 @@ mod tests {
     #[test]
     fn zero_scale_yields_empty() {
         assert!(RmatBuilder::new(0, 8).build_edges().is_empty());
-    }
-
-    #[test]
-    fn noise_zero_is_supported() {
-        let e = RmatBuilder::new(6, 4).noise(0.0).seed(1).build_edges();
-        assert_eq!(e.len(), 4 * 64);
     }
 }

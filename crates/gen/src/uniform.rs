@@ -25,7 +25,6 @@ pub struct UniformBuilder {
     n: usize,
     degree: usize,
     seed: u64,
-    symmetric: bool,
 }
 
 impl UniformBuilder {
@@ -35,20 +34,12 @@ impl UniformBuilder {
             n,
             degree,
             seed: 0xC0FFEE,
-            symmetric: true,
         }
     }
 
     /// Sets the RNG seed (default `0xC0FFEE`).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Chooses directed (`false`) vs. mirrored undirected (`true`, default)
-    /// edge insertion.
-    pub fn undirected(mut self, yes: bool) -> Self {
-        self.symmetric = yes;
         self
     }
 
@@ -61,10 +52,6 @@ impl UniformBuilder {
 impl GraphBuilder for UniformBuilder {
     fn num_vertices(&self) -> usize {
         self.n
-    }
-
-    fn symmetric(&self) -> bool {
-        self.symmetric
     }
 
     fn build_edges(&self) -> Vec<(VertexId, VertexId)> {
@@ -132,12 +119,6 @@ mod tests {
     fn zero_vertices_or_degree_yield_empty() {
         assert!(UniformBuilder::new(0, 8).build_edges().is_empty());
         assert!(UniformBuilder::new(8, 0).build_edges().is_empty());
-    }
-
-    #[test]
-    fn directed_build_has_exact_edges() {
-        let g = UniformBuilder::new(100, 5).undirected(false).build();
-        assert_eq!(g.num_edges(), 500);
     }
 
     #[test]

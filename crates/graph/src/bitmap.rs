@@ -197,7 +197,7 @@ impl AtomicBitmap {
     }
 
     /// Number of set bits (in-range bits only; stray bits a `set_word`
-    /// planted beyond `bits` are excluded, as in [`AtomicBitmap::iter_ones`]).
+    /// planted beyond `bits` are excluded, as in [`AtomicBitmap::iter_set_bits`]).
     pub fn count_ones(&self) -> usize {
         self.words
             .iter()
@@ -216,13 +216,6 @@ impl AtomicBitmap {
         } else {
             u64::MAX
         }
-    }
-
-    /// Iterator over the indices of set bits (quiescent snapshot). Stray
-    /// bits beyond `bits` in the final word are masked off up front, so the
-    /// iteration stops at `bits` without per-index range checks.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.iter_set_bits(0..self.num_words())
     }
 
     /// Iterator over the global indices of set bits within the storage-word
@@ -286,7 +279,7 @@ mod tests {
         let bm = AtomicBitmap::new(0);
         assert!(bm.is_empty());
         assert_eq!(bm.count_ones(), 0);
-        assert_eq!(bm.iter_ones().count(), 0);
+        assert_eq!(bm.iter_set_bits(0..bm.num_words()).count(), 0);
     }
 
     #[test]
@@ -339,23 +332,12 @@ mod tests {
     }
 
     #[test]
-    fn iter_ones_yields_sorted_indices() {
-        let bm = AtomicBitmap::new(300);
-        let set = [3usize, 64, 65, 190, 299];
-        for &b in &set {
-            bm.set_atomic(b);
-        }
-        let got: Vec<_> = bm.iter_ones().collect();
-        assert_eq!(got, set);
-    }
-
-    #[test]
     fn from_ones_sets_exactly_the_given_bits() {
         let set = [0usize, 7, 63, 64, 128, 129];
         let bm = AtomicBitmap::from_ones(130, set.iter().copied());
         assert_eq!(bm.len(), 130);
         assert_eq!(bm.count_ones(), set.len());
-        let got: Vec<_> = bm.iter_ones().collect();
+        let got: Vec<_> = bm.iter_set_bits(0..bm.num_words()).collect();
         assert_eq!(got, set);
         assert!(!bm.test(1) && !bm.test(65));
     }
@@ -385,16 +367,6 @@ mod tests {
         assert_eq!(bm.word_mask(2), 0b11);
         let full = AtomicBitmap::new(128);
         assert_eq!(full.word_mask(1), u64::MAX);
-    }
-
-    #[test]
-    fn iter_ones_ignores_stray_bits_past_len() {
-        // set_word can plant bits beyond `bits`; iter_ones must not yield
-        // them and count_ones-based consumers must see a consistent view.
-        let bm = AtomicBitmap::new(70);
-        bm.set_word(1, u64::MAX); // bits 64..128, only 64..70 in range
-        let got: Vec<_> = bm.iter_ones().collect();
-        assert_eq!(got, (64..70).collect::<Vec<_>>());
     }
 
     #[test]
@@ -430,7 +402,7 @@ mod tests {
         );
         assert_eq!(bm.iter_set_bits(1..2).collect::<Vec<_>>(), vec![64, 70]);
         assert_eq!(bm.iter_set_bits(2..2).count(), 0);
-        // Stray bits past `len` are masked off, as in iter_ones.
+        // Stray bits past `len` are masked off.
         let partial = AtomicBitmap::new(70);
         partial.set_word(1, u64::MAX);
         assert_eq!(

@@ -280,17 +280,6 @@ impl CsrGraph {
         }
         Self { offsets, targets }
     }
-
-    /// Degree histogram: `hist[d]` = number of vertices with out-degree `d`
-    /// (capped at `max_bucket`, larger degrees counted in the last bucket).
-    pub fn degree_histogram(&self, max_bucket: usize) -> Vec<usize> {
-        let mut hist = vec![0usize; max_bucket + 1];
-        for v in 0..self.num_vertices() as VertexId {
-            let d = self.degree(v).min(max_bucket);
-            hist[d] += 1;
-        }
-        hist
-    }
 }
 
 /// Expands an undirected edge list into both directions (self-loops once).
@@ -456,14 +445,6 @@ mod tests {
         let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
         let es: Vec<_> = g.edges().collect();
         assert_eq!(es, vec![(0, 1), (1, 2), (2, 0)]);
-    }
-
-    #[test]
-    fn degree_histogram_buckets() {
-        let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 0)]);
-        let hist = g.degree_histogram(2);
-        // degrees: v0=3 (capped into bucket 2), v1=1, v2=0, v3=0
-        assert_eq!(hist, vec![2, 1, 1]);
     }
 
     #[test]

@@ -49,15 +49,6 @@ pub fn induced_subgraph(graph: &CsrGraph, vertices: &[VertexId]) -> (CsrGraph, V
     (CsrGraph::from_edges(new_to_old.len(), &edges), new_to_old)
 }
 
-/// Merges parallel edges and removes self-loops, returning a simple graph.
-pub fn simplify(graph: &CsrGraph) -> CsrGraph {
-    let n = graph.num_vertices();
-    let mut edges: Vec<(VertexId, VertexId)> = graph.edges().filter(|&(u, v)| u != v).collect();
-    edges.sort_unstable();
-    edges.dedup();
-    CsrGraph::from_edges(n, &edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,15 +105,5 @@ mod tests {
         let (sub, map) = induced_subgraph(&g, &[]);
         assert_eq!(sub.num_vertices(), 0);
         assert!(map.is_empty());
-    }
-
-    #[test]
-    fn simplify_removes_loops_and_duplicates() {
-        let g = CsrGraph::from_edges(3, &[(0, 0), (0, 1), (0, 1), (1, 2), (2, 2)]);
-        let s = simplify(&g);
-        assert_eq!(s.num_edges(), 2);
-        assert_eq!(s.neighbors(0), &[1]);
-        assert_eq!(s.neighbors(1), &[2]);
-        assert_eq!(s.neighbors(2), &[] as &[VertexId]);
     }
 }

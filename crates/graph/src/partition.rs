@@ -25,7 +25,6 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.socket_of(5), 1);
 /// assert_eq!(p.socket_of(9), 3);
 /// assert_eq!(p.range(1), 3..6);
-/// assert_eq!(p.local_index(5), 2);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VertexPartition {
@@ -107,19 +106,6 @@ impl VertexPartition {
     pub fn len(&self, socket: usize) -> usize {
         self.range(socket).len()
     }
-
-    /// Index of `v` within its owning socket's block.
-    #[inline]
-    pub fn local_index(&self, v: VertexId) -> usize {
-        let s = self.socket_of(v);
-        v as usize - self.range(s).start
-    }
-
-    /// Largest block size (used to size per-socket queues).
-    #[inline]
-    pub fn max_block(&self) -> usize {
-        self.big
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +121,6 @@ mod tests {
         }
         assert_eq!(p.socket_of(0), 0);
         assert_eq!(p.socket_of(15), 3);
-        assert_eq!(p.max_block(), 4);
     }
 
     #[test]
@@ -196,7 +181,6 @@ mod tests {
                             s,
                             "n={n} sockets={sockets} v={v}"
                         );
-                        assert_eq!(p.local_index(v as VertexId), v - r.start);
                     }
                 }
                 assert_eq!(cursor, n);

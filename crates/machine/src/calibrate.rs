@@ -9,8 +9,7 @@
 //! predictions can be made for *this* machine, not just the Nehalems.
 
 use crate::memlat::{fetch_add_benchmark, random_read_benchmark};
-use crate::model::{CostParams, MachineModel};
-use crate::topology::MachineSpec;
+use crate::model::CostParams;
 
 /// How much work the calibration run performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,22 +89,6 @@ pub fn calibrate_host(effort: CalibrationEffort) -> CalibrationReport {
     }
 }
 
-/// A model of *this* machine: detected thread count, measured constants.
-pub fn host_model(effort: CalibrationEffort) -> MachineModel {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    // Without reliable topology probing, treat the host as one socket of
-    // `threads` single-SMT cores; users with known topologies can construct
-    // the spec directly.
-    let spec = MachineSpec::custom("calibrated host", 1, threads, 1);
-    let report = calibrate_host(effort);
-    MachineModel {
-        spec,
-        params: report.params,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,16 +113,5 @@ mod tests {
         assert!((0.1..=1.0).contains(&p.pipeline_efficiency));
         assert!(p.atomic_local_ns >= 1.0 && p.atomic_local_ns < 1_000.0);
         assert_eq!(report.latency_points.len(), 4);
-    }
-
-    #[test]
-    fn host_model_is_usable() {
-        let model = host_model(CalibrationEffort::Quick);
-        assert!(model.spec.total_threads() >= 1);
-        // The staircase answers queries.
-        let l_small = model.random_latency_ns(4 << 10);
-        let l_big = model.random_latency_ns(1 << 30);
-        assert!(l_small <= l_big);
-        assert!(model.fetch_add_rate(1) > 0.0);
     }
 }

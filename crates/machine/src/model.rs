@@ -262,21 +262,6 @@ impl MachineModel {
         self.pipeline_depth(batch) / (self.random_latency_ns(bytes) * 1e-9)
     }
 
-    /// Aggregate random-read rate for `threads` threads under the paper's
-    /// placement policy, honouring the per-socket outstanding-request cap.
-    pub fn random_read_rate_mt(&self, bytes: u64, batch: usize, threads: usize) -> f64 {
-        let threads = threads.max(1).min(self.spec.total_threads());
-        let lat = self.random_latency_ns(bytes) * 1e-9;
-        let mut total = 0.0;
-        for s in 0..self.spec.sockets_used(threads) {
-            let t_on_s = self.spec.threads_on_socket(s, threads);
-            let outstanding = (self.pipeline_depth(batch) * t_on_s as f64)
-                .min(self.spec.max_outstanding_per_socket as f64);
-            total += outstanding / lat;
-        }
-        total
-    }
-
     /// Cross-socket penalty factor on atomics when the targets are shared
     /// by `sockets_used` sockets.
     fn atomic_socket_penalty(&self, sockets_used: usize) -> f64 {
@@ -541,19 +526,6 @@ mod tests {
         assert_eq!(m.pipeline_depth(1), 1.0);
         assert!(m.pipeline_depth(16) <= 10.0 * 0.8 + 1e-9);
         assert_eq!(m.pipeline_depth(64), m.pipeline_depth(16));
-    }
-
-    #[test]
-    fn multithread_reads_cap_at_socket_limit() {
-        let m = ep();
-        // 4 threads * 8 effective < 50: scales linearly.
-        let r4 = m.random_read_rate_mt(8 << 20, 16, 4);
-        assert!((r4 / m.random_read_rate(8 << 20, 16) - 4.0).abs() < 0.1);
-        // 8 threads on one socket would want 64 outstanding; the EP socket
-        // caps at 50 — but placement splits them over 2 sockets, so it
-        // scales. Force the cap by comparing against a hypothetical.
-        let r16 = m.random_read_rate_mt(8 << 20, 16, 16);
-        assert!(r16 <= 2.0 * 50.0 / (m.random_latency_ns(8 << 20) * 1e-9) + 1.0);
     }
 
     #[test]

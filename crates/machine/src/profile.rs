@@ -132,15 +132,6 @@ impl LevelProfile {
         }
         acc
     }
-
-    /// The busiest thread's edge-scan count (load-balance diagnostic).
-    pub fn max_edges(&self) -> u64 {
-        self.threads
-            .iter()
-            .map(|t| t.edges_scanned)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// A complete per-level, per-thread profile of one BFS execution, together
@@ -182,11 +173,6 @@ impl WorkProfile {
     /// Number of BFS levels.
     pub fn num_levels(&self) -> usize {
         self.levels.len()
-    }
-
-    /// Total barrier episodes.
-    pub fn total_barriers(&self) -> u64 {
-        self.levels.iter().map(|l| l.barriers as u64).sum()
     }
 
     /// Compact per-level direction string, e.g. `"TTBBBT"` — one letter per
@@ -274,12 +260,11 @@ mod tests {
     }
 
     #[test]
-    fn level_profile_total_and_max() {
+    fn level_profile_total() {
         let mut l = LevelProfile::new(3, 2);
         l.threads[0] = sample_counts(4);
         l.threads[2] = sample_counts(8);
         assert_eq!(l.total().edges_scanned, 120);
-        assert_eq!(l.max_edges(), 80);
         assert_eq!(l.barriers, 2);
     }
 
@@ -301,7 +286,6 @@ mod tests {
             p.levels.push(l);
         }
         assert_eq!(p.num_levels(), 3);
-        assert_eq!(p.total_barriers(), 3);
         assert_eq!(p.total().vertices_scanned, 14);
         let series = p.bitmap_vs_atomics_series();
         assert_eq!(series, vec![(20, 2), (40, 4), (80, 8)]);

@@ -9,26 +9,19 @@
 //! overhead" — bringing the normalized cost per vertex insertion to ~30 ns
 //! on the paper's Nehalem systems.
 
-use crate::fastforward::{Consumer, FastForward, Full, Producer};
+use crate::fastforward::{Consumer, FastForward, Producer};
 use crate::ticket::TicketLock;
-use core::sync::atomic::{AtomicUsize, Ordering};
 
 use mcbfs_trace::{EventKind, SpanTimer};
-
-/// Default number of elements a [`BatchBuffer`] accumulates before flushing.
-///
-/// The paper does not publish the exact batch size; 256 elements of 8 bytes
-/// is 2 KB — a few cache lines per flush, large enough to amortize the two
-/// ticket-lock operations to well under the 30 ns/vertex the paper reports.
-pub const DEFAULT_BATCH: usize = 256;
 
 /// A multi-producer/multi-consumer channel built from a FastForward SPSC
 /// queue with a ticket lock on each endpoint.
 ///
-/// Sends and receives are batch-oriented. The channel never blocks a
-/// receiver: [`SocketChannel::recv_batch`] returns what is available. A
-/// sender spins when the ring is full (the level-synchronous BFS guarantees
-/// the consumer drains every level, so the wait is bounded).
+/// Sends and receives are batch-oriented and never block: a send delivers
+/// the prefix that fits in the ring and hands the rest back to the caller
+/// (Algorithm 3 spills it into an overflow lane), and a receive returns
+/// what is available. The channel keeps no count of its own, so the only
+/// state producers and consumers share is the ring's slots.
 ///
 /// # Examples
 ///
@@ -36,7 +29,7 @@ pub const DEFAULT_BATCH: usize = 256;
 /// use mcbfs_sync::channel::SocketChannel;
 ///
 /// let ch: SocketChannel<u64> = SocketChannel::with_capacity(1024);
-/// ch.send_batch(vec![1, 2, 3]);
+/// assert_eq!(ch.try_send_batch(&[1, 2, 3]), 3);
 /// let mut out = Vec::new();
 /// ch.recv_batch(&mut out, usize::MAX);
 /// assert_eq!(out, vec![1, 2, 3]);
@@ -44,12 +37,6 @@ pub const DEFAULT_BATCH: usize = 256;
 pub struct SocketChannel<T> {
     tx: TicketLock<Producer<T>>,
     rx: TicketLock<Consumer<T>>,
-    /// Exact count of elements sent but not yet received. Maintained with
-    /// one atomic per *batch* (not per element), so it does not reintroduce
-    /// per-element coherence traffic; used for idle detection.
-    pending: AtomicUsize,
-    /// Total batches sent (diagnostics for the batching ablation).
-    batches_sent: AtomicUsize,
 }
 
 impl<T> SocketChannel<T> {
@@ -60,64 +47,7 @@ impl<T> SocketChannel<T> {
         Self {
             tx: TicketLock::new(tx),
             rx: TicketLock::new(rx),
-            pending: AtomicUsize::new(0),
-            batches_sent: AtomicUsize::new(0),
         }
-    }
-
-    /// Sends every element of `batch`, taking the producer lock once.
-    ///
-    /// Spins while the ring is full; receivers are never blocked by this
-    /// (the consumer endpoint has its own lock).
-    pub fn send_batch<I: IntoIterator<Item = T>>(&self, batch: I) {
-        let send = SpanTimer::start();
-        let mut stalls = 0u64;
-        let mut tx = self.tx.lock();
-        let mut n = 0usize;
-        for v in batch {
-            let mut v = v;
-            let mut spins = 0u32;
-            loop {
-                match tx.push(v) {
-                    Ok(()) => break,
-                    Err(Full(back)) => {
-                        v = back;
-                        stalls += 1;
-                        spins += 1;
-                        if spins > 128 {
-                            // Oversubscribed host: the consumer needs CPU
-                            // time to drain before we can make progress.
-                            std::thread::yield_now();
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-            n += 1;
-        }
-        drop(tx);
-        if n > 0 {
-            self.pending.fetch_add(n, Ordering::Release);
-            self.batches_sent.fetch_add(1, Ordering::Relaxed);
-        }
-        send.finish(EventKind::ChannelSend, n as u64);
-        if send.is_armed() {
-            if stalls > 0 {
-                mcbfs_trace::instant(EventKind::ChannelStall, stalls);
-            }
-            mcbfs_trace::instant(
-                EventKind::ChannelOccupancy,
-                self.pending.load(Ordering::Relaxed) as u64,
-            );
-        }
-    }
-
-    /// Sends a single element (one lock acquisition per element). This is
-    /// the *unbatched* path, kept for the Fig. 5 ablation that demonstrates
-    /// why batching matters.
-    pub fn send_one(&self, value: T) {
-        self.send_batch(core::iter::once(value));
     }
 
     /// Sends as many elements of `items` as currently fit in the ring,
@@ -125,10 +55,15 @@ impl<T> SocketChannel<T> {
     /// prefix of `items`). Never spins — callers that must not block while
     /// their own socket's consumers are busy (phase 1 of Algorithm 3) use
     /// this and divert the remainder to an overflow buffer.
+    ///
+    /// Traced as a [`EventKind::ChannelSend`] span carrying the elements
+    /// sent, followed by a [`EventKind::ChannelStall`] instant carrying the
+    /// elements left over when some did not fit.
     pub fn try_send_batch(&self, items: &[T]) -> usize
     where
         T: Copy,
     {
+        let send = SpanTimer::start();
         let mut tx = self.tx.lock();
         let mut sent = 0;
         for &v in items {
@@ -138,9 +73,9 @@ impl<T> SocketChannel<T> {
             sent += 1;
         }
         drop(tx);
-        if sent > 0 {
-            self.pending.fetch_add(sent, Ordering::Release);
-            self.batches_sent.fetch_add(1, Ordering::Relaxed);
+        send.finish(EventKind::ChannelSend, sent as u64);
+        if send.is_armed() && sent < items.len() {
+            mcbfs_trace::instant(EventKind::ChannelStall, (items.len() - sent) as u64);
         }
         sent
     }
@@ -153,118 +88,26 @@ impl<T> SocketChannel<T> {
         let n = rx.pop_into(out, max);
         drop(rx);
         if n > 0 {
-            self.pending.fetch_sub(n, Ordering::Release);
             // Empty polls are not recorded: phase 2 of Algorithm 3 polls
             // in a loop and would flood the trace with no-op drains.
             recv.finish(EventKind::ChannelRecv, n as u64);
         }
         n
     }
-
-    /// Receives a single element, if one is available.
-    pub fn recv_one(&self) -> Option<T> {
-        let mut rx = self.rx.lock();
-        let v = rx.pop();
-        drop(rx);
-        if v.is_some() {
-            self.pending.fetch_sub(1, Ordering::Release);
-        }
-        v
-    }
-
-    /// `true` when every sent element has been received.
-    ///
-    /// Only meaningful at quiescent points (e.g. after a level barrier, when
-    /// no sender is active), which is exactly how Algorithm 3 uses it.
-    pub fn is_idle(&self) -> bool {
-        self.pending.load(Ordering::Acquire) == 0
-    }
-
-    /// Elements sent but not yet received (racy snapshot).
-    pub fn pending(&self) -> usize {
-        self.pending.load(Ordering::Acquire)
-    }
-
-    /// Number of `send_batch` calls that delivered at least one element.
-    pub fn batches_sent(&self) -> usize {
-        self.batches_sent.load(Ordering::Relaxed)
-    }
-}
-
-/// Per-thread accumulation buffer that flushes into a [`SocketChannel`] when
-/// it reaches its batch size.
-///
-/// Each worker thread owns one `BatchBuffer` per destination socket; at the
-/// end of a BFS level it calls [`BatchBuffer::flush`] so the channel holds
-/// everything before the barrier.
-pub struct BatchBuffer<T> {
-    buf: Vec<T>,
-    batch: usize,
-    /// Number of flushes performed (diagnostics).
-    flushes: usize,
-}
-
-impl<T> BatchBuffer<T> {
-    /// Creates a buffer that flushes every `batch` elements (minimum 1).
-    pub fn new(batch: usize) -> Self {
-        let batch = batch.max(1);
-        Self {
-            buf: Vec::with_capacity(batch),
-            batch,
-            flushes: 0,
-        }
-    }
-
-    /// Appends `value`, flushing into `channel` if the batch is now full.
-    #[inline]
-    pub fn push(&mut self, value: T, channel: &SocketChannel<T>) {
-        self.buf.push(value);
-        if self.buf.len() >= self.batch {
-            self.flush(channel);
-        }
-    }
-
-    /// Sends any buffered elements to `channel`.
-    pub fn flush(&mut self, channel: &SocketChannel<T>) {
-        if !self.buf.is_empty() {
-            channel.send_batch(self.buf.drain(..));
-            self.flushes += 1;
-        }
-    }
-
-    /// Elements currently buffered (not yet sent).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Configured batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch
-    }
-
-    /// Number of flushes performed so far.
-    pub fn flushes(&self) -> usize {
-        self.flushes
-    }
 }
 
 /// The full mesh of channels between `sockets` sockets: one
 /// [`SocketChannel`] per ordered (from, to) pair with `from != to`.
 ///
-/// `channels.to(s)` yields the channel whose *consumer* is socket `s` and is
-/// what a thread on socket `from` sends into via `send(from, to, ..)`.
+/// A thread on socket `from` sends into `channel(from, to)`, and socket
+/// `to` drains every `channel(from, to)` in phase 2 of a level.
 /// The paper allocates each socket's queue in that socket's local memory;
 /// here placement is captured by the index structure (and by the machine
 /// model, which charges remote-write costs for the producer side).
 pub struct ChannelMatrix<T> {
     sockets: usize,
-    /// Row-major `[from][to]`; the diagonal holds unused zero-capacity
-    /// channels to keep indexing branch-free.
+    /// Row-major `[from][to]`; the diagonal holds unused minimal channels
+    /// to keep indexing branch-free.
     channels: Vec<SocketChannel<T>>,
 }
 
@@ -279,11 +122,6 @@ impl<T> ChannelMatrix<T> {
         Self { sockets, channels }
     }
 
-    /// Number of sockets in the mesh.
-    pub fn sockets(&self) -> usize {
-        self.sockets
-    }
-
     /// The channel from socket `from` to socket `to`.
     ///
     /// # Panics
@@ -294,55 +132,33 @@ impl<T> ChannelMatrix<T> {
         assert!(from < self.sockets && to < self.sockets);
         &self.channels[from * self.sockets + to]
     }
-
-    /// Iterator over the channels that deliver *into* socket `to`
-    /// (everything socket `to` must drain in phase 2 of a level).
-    pub fn incoming(&self, to: usize) -> impl Iterator<Item = &SocketChannel<T>> {
-        let sockets = self.sockets;
-        (0..sockets)
-            .filter(move |&from| from != to)
-            .map(move |from| &self.channels[from * sockets + to])
-    }
-
-    /// `true` when every channel in the mesh is idle.
-    pub fn all_idle(&self) -> bool {
-        self.channels.iter().all(|c| c.is_idle())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     #[test]
     fn batch_roundtrip() {
         let ch = SocketChannel::with_capacity(16);
-        ch.send_batch(0..10u32);
-        assert_eq!(ch.pending(), 10);
+        let items: Vec<u32> = (0..10).collect();
+        assert_eq!(ch.try_send_batch(&items), 10);
         let mut out = Vec::new();
         assert_eq!(ch.recv_batch(&mut out, 100), 10);
-        assert_eq!(out, (0..10).collect::<Vec<_>>());
-        assert!(ch.is_idle());
+        assert_eq!(out, items);
+        assert_eq!(ch.recv_batch(&mut out, 100), 0);
     }
 
     #[test]
     fn recv_respects_max() {
         let ch = SocketChannel::with_capacity(16);
-        ch.send_batch(0..10u32);
+        let items: Vec<u32> = (0..10).collect();
+        ch.try_send_batch(&items);
         let mut out = Vec::new();
         assert_eq!(ch.recv_batch(&mut out, 3), 3);
-        assert_eq!(ch.pending(), 7);
-    }
-
-    #[test]
-    fn send_one_recv_one() {
-        let ch = SocketChannel::with_capacity(4);
-        assert_eq!(ch.recv_one(), None);
-        ch.send_one(42u8);
-        assert_eq!(ch.recv_one(), Some(42));
-        assert_eq!(ch.recv_one(), None);
+        assert_eq!(ch.recv_batch(&mut out, usize::MAX), 7);
     }
 
     #[test]
@@ -357,11 +173,14 @@ mod tests {
             for p in 0..PRODUCERS as u64 {
                 let ch = Arc::clone(&ch);
                 s.spawn(move || {
-                    let mut buf = BatchBuffer::new(64);
-                    for i in 0..PER {
-                        buf.push(p * PER + i, &ch);
+                    let items: Vec<u64> = (p * PER..(p + 1) * PER).collect();
+                    for batch in items.chunks(64) {
+                        let mut sent = ch.try_send_batch(batch);
+                        while sent < batch.len() {
+                            std::thread::yield_now();
+                            sent += ch.try_send_batch(&batch[sent..]);
+                        }
                     }
-                    buf.flush(&ch);
                 });
             }
             for _ in 0..CONSUMERS {
@@ -385,7 +204,7 @@ mod tests {
         });
         let total = PRODUCERS as u64 * PER;
         assert_eq!(sum.load(Ordering::SeqCst), total * (total - 1) / 2);
-        assert!(ch.is_idle());
+        assert_eq!(ch.recv_batch(&mut Vec::new(), usize::MAX), 0);
     }
 
     #[test]
@@ -394,7 +213,6 @@ mod tests {
         let items = [1u32, 2, 3, 4, 5, 6];
         let sent = ch.try_send_batch(&items);
         assert_eq!(sent, 4);
-        assert_eq!(ch.pending(), 4);
         // Nothing fits now.
         assert_eq!(ch.try_send_batch(&items[sent..]), 0);
         let mut out = Vec::new();
@@ -405,48 +223,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_buffer_flushes_at_capacity() {
-        let ch = SocketChannel::with_capacity(64);
-        let mut buf = BatchBuffer::new(4);
-        for i in 0..3u32 {
-            buf.push(i, &ch);
-        }
-        assert_eq!(buf.len(), 3);
-        assert_eq!(ch.pending(), 0);
-        buf.push(3, &ch);
-        assert!(buf.is_empty());
-        assert_eq!(ch.pending(), 4);
-        assert_eq!(buf.flushes(), 1);
-    }
-
-    #[test]
-    fn batch_buffer_flush_on_empty_is_noop() {
-        let ch: SocketChannel<u8> = SocketChannel::with_capacity(8);
-        let mut buf = BatchBuffer::new(4);
-        buf.flush(&ch);
-        assert_eq!(buf.flushes(), 0);
-        assert_eq!(ch.batches_sent(), 0);
-    }
-
-    #[test]
-    fn batch_size_minimum_is_one() {
-        let buf: BatchBuffer<u8> = BatchBuffer::new(0);
-        assert_eq!(buf.batch_size(), 1);
-    }
-
-    #[test]
     fn matrix_indexing_and_incoming() {
         let m: ChannelMatrix<u32> = ChannelMatrix::new(3, 8);
-        m.channel(0, 1).send_batch([1, 2]);
-        m.channel(2, 1).send_batch([3]);
-        assert!(!m.all_idle());
+        m.channel(0, 1).try_send_batch(&[1, 2]);
+        m.channel(2, 1).try_send_batch(&[3]);
         let mut got = Vec::new();
-        for ch in m.incoming(1) {
-            ch.recv_batch(&mut got, usize::MAX);
+        for from in [0, 2] {
+            m.channel(from, 1).recv_batch(&mut got, usize::MAX);
         }
         got.sort_unstable();
         assert_eq!(got, vec![1, 2, 3]);
-        assert!(m.all_idle());
+        assert_eq!(m.channel(1, 0).recv_batch(&mut got, usize::MAX), 0);
     }
 
     #[test]
@@ -454,20 +241,5 @@ mod tests {
     fn matrix_rejects_diagonal() {
         let m: ChannelMatrix<u32> = ChannelMatrix::new(2, 8);
         let _ = m.channel(1, 1);
-    }
-
-    #[test]
-    fn batching_reduces_lock_acquisitions() {
-        // The whole point of batching: same payload, far fewer channel ops.
-        let ch_batched = SocketChannel::with_capacity(1 << 12);
-        let ch_single = SocketChannel::with_capacity(1 << 12);
-        let mut buf = BatchBuffer::new(DEFAULT_BATCH);
-        for i in 0..1000u32 {
-            buf.push(i, &ch_batched);
-            ch_single.send_one(i);
-        }
-        buf.flush(&ch_batched);
-        assert!(ch_batched.batches_sent() <= 4);
-        assert_eq!(ch_single.batches_sent(), 1000);
     }
 }

@@ -14,7 +14,7 @@
 //! false sharing between adjacent slots, exactly as the original paper's
 //! `NULL`-sentinel layout does for pointer-sized payloads.
 
-use core::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicBool, Ordering};
 use crossbeam::utils::CachePadded;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -59,10 +59,6 @@ struct Slot<T> {
 pub struct FastForward<T> {
     slots: Box<[CachePadded<Slot<T>>]>,
     mask: usize,
-    /// Number of live elements is not tracked exactly (that would reintroduce
-    /// a shared counter); this approximate count exists for diagnostics and
-    /// is updated with relaxed ordering.
-    approx_len: AtomicUsize,
 }
 
 // SAFETY: the producer/consumer split guarantees at most one writer and one
@@ -87,7 +83,6 @@ impl<T> FastForward<T> {
         let q = Arc::new(FastForward {
             slots,
             mask: cap - 1,
-            approx_len: AtomicUsize::new(0),
         });
         (
             Producer {
@@ -101,11 +96,6 @@ impl<T> FastForward<T> {
     /// Capacity in slots.
     pub fn capacity(&self) -> usize {
         self.mask + 1
-    }
-
-    /// Approximate number of queued elements (diagnostic only).
-    pub fn approx_len(&self) -> usize {
-        self.approx_len.load(Ordering::Relaxed)
     }
 }
 
@@ -146,49 +136,7 @@ impl<T> Producer<T> {
         unsafe { (*slot.value.get()).write(value) };
         slot.full.store(true, Ordering::Release);
         self.tail = self.tail.wrapping_add(1);
-        self.queue.approx_len.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Enqueues every element of `batch`, spinning on a full queue.
-    ///
-    /// The BFS channels push vertex tuples in batches at level boundaries;
-    /// spinning is acceptable there because the consumer side is guaranteed
-    /// to drain within the level.
-    pub fn push_all<I: IntoIterator<Item = T>>(&mut self, batch: I) {
-        for v in batch {
-            let mut v = v;
-            let mut spins = 0u32;
-            loop {
-                match self.push(v) {
-                    Ok(()) => break,
-                    Err(Full(back)) => {
-                        v = back;
-                        spins += 1;
-                        if spins > 128 {
-                            std::thread::yield_now();
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Number of free slots visible to the producer right now (approximate:
-    /// the consumer may free more concurrently).
-    pub fn free_space(&self) -> usize {
-        let cap = self.queue.capacity();
-        let mut free = 0;
-        for i in 0..cap {
-            let slot = &self.queue.slots[(self.tail.wrapping_add(i)) & self.queue.mask];
-            if slot.full.load(Ordering::Acquire) {
-                break;
-            }
-            free += 1;
-        }
-        free
     }
 
     /// Capacity of the underlying ring.
@@ -216,7 +164,6 @@ impl<T> Consumer<T> {
         let value = unsafe { (*slot.value.get()).assume_init_read() };
         slot.full.store(false, Ordering::Release);
         self.head = self.head.wrapping_add(1);
-        self.queue.approx_len.fetch_sub(1, Ordering::Relaxed);
         Some(value)
     }
 
@@ -323,23 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn push_all_spins_until_delivered() {
-        let (mut tx, mut rx) = FastForward::with_capacity(4);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                tx.push_all(0..100);
-            });
-            s.spawn(move || {
-                let mut got = Vec::new();
-                while got.len() < 100 {
-                    rx.pop_into(&mut got, 8);
-                }
-                assert_eq!(got, (0..100).collect::<Vec<_>>());
-            });
-        });
-    }
-
-    #[test]
     fn drop_releases_queued_values() {
         // Detect leaks/double-drops with a drop counter.
         use std::sync::atomic::AtomicUsize;
@@ -360,17 +290,6 @@ mod tests {
             drop(rx.pop()); // one dropped here
         }
         assert_eq!(DROPS.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn free_space_reports_consumption() {
-        let (mut tx, mut rx) = FastForward::with_capacity(4);
-        assert_eq!(tx.free_space(), 4);
-        tx.push(1).unwrap();
-        tx.push(2).unwrap();
-        assert_eq!(tx.free_space(), 2);
-        rx.pop();
-        assert_eq!(tx.free_space(), 3);
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! The paper's *remote channel* is "a FastForward queue where both producers
 //! and consumers are protected on their respective side by a Ticket Lock",
 //! with **batched** insertion to amortize locking: that composite lives in
-//! [`channel::SocketChannel`], with the per-thread accumulation buffer in
-//! [`channel::BatchBuffer`].
+//! [`channel::SocketChannel`]. Its sends never block — what does not fit in
+//! the ring goes back to the caller, which spills it into an overflow lane —
+//! and neither it nor the queue keeps a shared count, so the only cache
+//! lines producers and consumers share are the ring's slots.
 //!
 //! The level-synchronous BFS additionally needs:
 //!
@@ -37,7 +39,7 @@ pub mod ticket;
 pub mod workq;
 
 pub use barrier::SpinBarrier;
-pub use channel::{BatchBuffer, SocketChannel};
+pub use channel::SocketChannel;
 pub use fastforward::FastForward;
 pub use ticket::TicketLock;
 pub use workq::SharedQueue;

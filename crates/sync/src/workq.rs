@@ -227,12 +227,6 @@ impl<T: Copy + Default> SharedQueue<T> {
         self.head.store(0, Ordering::Relaxed);
         self.tail.store(0, Ordering::Release);
     }
-
-    /// Rewinds only the dequeue cursor, allowing the committed contents to
-    /// be consumed again (used when one queue is scanned by two phases).
-    pub fn rewind_head(&self) {
-        self.head.store(0, Ordering::Release);
-    }
 }
 
 /// Why a producer's `try_push` did not enqueue.
@@ -479,11 +473,9 @@ mod tests {
     }
 
     #[test]
-    fn shared_queue_reset_and_rewind() {
+    fn shared_queue_reset() {
         let q: SharedQueue<u32> = SharedQueue::with_capacity(4);
         q.push_batch(&[1, 2]);
-        assert_eq!(q.take_chunk(4).unwrap(), &[1, 2]);
-        q.rewind_head();
         assert_eq!(q.take_chunk(4).unwrap(), &[1, 2]);
         q.reset();
         assert!(q.is_empty());

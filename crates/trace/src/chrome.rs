@@ -113,7 +113,7 @@ fn event_json(trace: &Trace, tid: usize, e: &TraceEvent) -> String {
         ),
         EventKind::ChannelStall => (
             e.kind.name().to_string(),
-            format!("{{\"retries\":{}}}", e.arg),
+            format!("{{\"spilled\":{}}}", e.arg),
         ),
         EventKind::BatchAdmit | EventKind::BatchExecute => (
             format!("{} ({} queries)", e.kind.name(), e.arg),

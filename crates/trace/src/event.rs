@@ -20,17 +20,19 @@ pub enum EventKind {
     LockWait = 2,
     /// Time a ticket lock was held (guard lifetime). `arg` = 0.
     LockHold = 3,
-    /// One batched push into an inter-socket channel, lock to unlock.
-    /// `arg` = tuples sent.
+    /// One batched push into an inter-socket channel
+    /// (`SocketChannel::try_send_batch`), lock to unlock. `arg` = tuples
+    /// that fit in the ring.
     ChannelSend = 4,
     /// One non-empty batched drain of an inter-socket channel.
     /// `arg` = tuples received.
     ChannelRecv = 5,
-    /// Instant: a send found the ring full and had to spin. `arg` = number
-    /// of full-queue retries observed during the batch.
+    /// Instant: a send found the ring full before its batch was through.
+    /// `arg` = tuples handed back to the caller for its overflow lane.
     ChannelStall = 6,
-    /// Instant: channel occupancy sampled after a send. `arg` = tuples
-    /// pending in the channel.
+    /// Instant: channel occupancy. Not emitted: channels keep no shared
+    /// count of pending tuples. The kind stays so discriminants and old
+    /// traces keep their meaning.
     ChannelOccupancy = 7,
     /// Frontier representation conversion in the hybrid algorithm
     /// (sparse→dense or dense→sparse), including its barrier. `arg` =

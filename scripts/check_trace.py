@@ -8,6 +8,8 @@ would read them: the Chrome file must load in Perfetto / chrome://tracing
 file must carry exactly one run header whose span count matches its level
 records. ``--expect-levels-match`` compares the level-span counts of two
 JSONL files — the native-vs-model parity check run in CI.
+``--expect-event NAME`` requires every ``--chrome`` file to hold at least
+one event named ``NAME`` (e.g. ``channel_send`` for a multi-socket run).
 
 Exit status 0 on success, 1 with a message on the first violation.
 """
@@ -26,7 +28,7 @@ def fail(msg):
     sys.exit(1)
 
 
-def check_chrome(path):
+def check_chrome(path, expect_events=()):
     with open(path) as f:
         try:
             doc = json.load(f)
@@ -56,6 +58,10 @@ def check_chrome(path):
                     fail(f"{path}: event {i} bad direction {args['direction']!r}")
     if level_spans == 0:
         fail(f"{path}: no level spans")
+    names = {ev["name"] for ev in events}
+    for name in expect_events:
+        if name not in names:
+            fail(f"{path}: no {name!r} event")
     print(f"check_trace: {path}: {len(events)} events, {level_spans} level spans")
     return level_spans
 
@@ -117,12 +123,16 @@ def main():
                     help="metrics JSONL file to validate (repeatable)")
     ap.add_argument("--expect-levels-match", nargs=2, metavar=("A", "B"),
                     help="two JSONL files whose level-span counts must agree")
+    ap.add_argument("--expect-event", action="append", default=[], metavar="NAME",
+                    help="event name every --chrome file must hold (repeatable)")
     args = ap.parse_args()
     if not (args.chrome or args.jsonl or args.expect_levels_match):
         ap.error("nothing to check")
+    if args.expect_event and not args.chrome:
+        ap.error("--expect-event needs a --chrome file")
 
     for path in args.chrome:
-        check_chrome(path)
+        check_chrome(path, args.expect_event)
     for path in args.jsonl:
         check_jsonl(path)
     if args.expect_levels_match:

@@ -3,7 +3,7 @@
 //! injection.
 
 use multicore_bfs::sync::barrier::SpinBarrier;
-use multicore_bfs::sync::channel::{BatchBuffer, ChannelMatrix, SocketChannel};
+use multicore_bfs::sync::channel::{ChannelMatrix, SocketChannel};
 use multicore_bfs::sync::pool::scoped_run;
 use multicore_bfs::sync::ticket::TicketLock;
 use multicore_bfs::sync::workq::SharedQueue;
@@ -12,24 +12,42 @@ use std::sync::Arc;
 
 #[test]
 fn two_phase_level_protocol_conserves_tuples() {
-    // Mimics one Algorithm 3 level: 2 "sockets" x 2 threads; phase 1 sends,
-    // barrier, phase 2 drains; repeat for several levels.
+    // Mimics one Algorithm 3 level: 2 "sockets" x 2 threads; phase 1 sends
+    // batches into the ring and spills what does not fit into the pair's
+    // overflow lane, barrier, phase 2 drains the ring and then the lane;
+    // repeat for several levels.
     const SOCKETS: usize = 2;
     const THREADS: usize = 4;
     const LEVELS: usize = 20;
     const PER_THREAD: usize = 500;
+    const BATCH: usize = 64;
     let links: ChannelMatrix<u64> = ChannelMatrix::new(SOCKETS, 1 << 10);
+    let overflows: Vec<TicketLock<Vec<u64>>> = (0..SOCKETS * SOCKETS)
+        .map(|_| TicketLock::new(Vec::new()))
+        .collect();
     let barrier = SpinBarrier::new(THREADS);
     let received = AtomicU64::new(0);
     scoped_run(THREADS, |tid| {
         let socket = tid / 2;
         let peer = 1 - socket;
-        for level in 0..LEVELS {
-            let mut buf = BatchBuffer::new(64);
-            for i in 0..PER_THREAD {
-                buf.push((level * PER_THREAD + i) as u64, links.channel(socket, peer));
+        let ship = |buf: &mut Vec<u64>| {
+            let sent = links.channel(socket, peer).try_send_batch(buf);
+            if sent < buf.len() {
+                overflows[socket * SOCKETS + peer]
+                    .lock()
+                    .extend_from_slice(&buf[sent..]);
             }
-            buf.flush(links.channel(socket, peer));
+            buf.clear();
+        };
+        for level in 0..LEVELS {
+            let mut buf = Vec::with_capacity(BATCH);
+            for i in 0..PER_THREAD {
+                buf.push((level * PER_THREAD + i) as u64);
+                if buf.len() == BATCH {
+                    ship(&mut buf);
+                }
+            }
+            ship(&mut buf);
             barrier.wait();
             let mut out = Vec::new();
             let ch = links.channel(peer, socket);
@@ -40,6 +58,8 @@ fn two_phase_level_protocol_conserves_tuples() {
                 }
                 received.fetch_add(out.len() as u64, Ordering::Relaxed);
             }
+            let spilled = core::mem::take(&mut *overflows[peer * SOCKETS + socket].lock());
+            received.fetch_add(spilled.len() as u64, Ordering::Relaxed);
             barrier.wait();
         }
     });
@@ -47,7 +67,11 @@ fn two_phase_level_protocol_conserves_tuples() {
         received.load(Ordering::Relaxed),
         (THREADS * LEVELS * PER_THREAD) as u64
     );
-    assert!(links.all_idle());
+    let mut left = Vec::new();
+    links.channel(0, 1).recv_batch(&mut left, usize::MAX);
+    links.channel(1, 0).recv_batch(&mut left, usize::MAX);
+    assert!(left.is_empty());
+    assert!(overflows.iter().all(|lane| lane.lock().is_empty()));
 }
 
 #[test]
@@ -59,22 +83,25 @@ fn channel_survives_capacity_one() {
     scoped_run(2, |tid| {
         if tid == 0 {
             for i in 0..ITEMS {
-                ch.send_one(i);
+                while ch.try_send_batch(&[i]) == 0 {
+                    std::thread::yield_now();
+                }
             }
         } else {
             let mut got = 0u32;
+            let mut out = Vec::new();
             while got < ITEMS {
-                match ch.recv_one() {
-                    Some(v) => {
-                        assert_eq!(v, got);
-                        got += 1;
-                    }
-                    None => std::thread::yield_now(),
+                out.clear();
+                if ch.recv_batch(&mut out, 1) == 0 {
+                    std::thread::yield_now();
+                    continue;
                 }
+                assert_eq!(out, [got]);
+                got += 1;
             }
         }
     });
-    assert!(ch.is_idle());
+    assert_eq!(ch.recv_batch(&mut Vec::new(), usize::MAX), 0);
 }
 
 #[test]

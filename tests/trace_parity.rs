@@ -13,7 +13,9 @@ use multicore_bfs::core::runner::{Algorithm, BfsResult, BfsRunner, ExecMode};
 use multicore_bfs::gen::prelude::*;
 use multicore_bfs::graph::csr::CsrGraph;
 use multicore_bfs::machine::model::MachineModel;
-use multicore_bfs::trace::{parse_line, to_chrome_json, to_jsonl, Record, Trace, SCHEMA};
+use multicore_bfs::trace::{
+    parse_line, to_chrome_json, to_jsonl, EventKind, Record, Trace, SCHEMA,
+};
 use std::sync::Mutex;
 
 static SESSION_LOCK: Mutex<()> = Mutex::new(());
@@ -164,4 +166,31 @@ fn level_metadata_matches_profile() {
     assert_eq!(trace.levels.len(), result.profile.num_levels());
     let scanned: u64 = trace.levels.iter().map(|l| l.edges_scanned).sum();
     assert_eq!(scanned, result.profile.total().edges_scanned);
+}
+
+#[test]
+fn multi_socket_run_traces_every_channel_hop() {
+    // Algorithm 3 ships every cross-socket hop through `try_send_batch`:
+    // what fits is a `ChannelSend`, the rest a `ChannelStall` spilled to
+    // the overflow lane, so the two together account for every hop.
+    let _guard = SESSION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let g = graph();
+    let result = traced_run(
+        &g,
+        Algorithm::MultiSocket { sockets: 2 },
+        2,
+        ExecMode::Native,
+    );
+    let trace = trace_of(&result);
+    assert_eq!(trace.dropped_events(), 0);
+    let events = || trace.threads.iter().flat_map(|t| &t.events);
+    let sends = events()
+        .filter(|e| e.kind == EventKind::ChannelSend)
+        .count();
+    assert!(sends > 0, "no channel send traced");
+    let shipped: u64 = events()
+        .filter(|e| matches!(e.kind, EventKind::ChannelSend | EventKind::ChannelStall))
+        .map(|e| e.arg)
+        .sum();
+    assert_eq!(shipped, result.stats.totals.channel_items);
 }
