@@ -121,9 +121,24 @@ impl Recorder {
 }
 
 /// Derives a [`BfsStats`] from a finished profile and measured time.
-/// `depth_histogram` starts empty; the runner fills it from the final
-/// (reorder-remapped) parent array.
+///
+/// `depth_histogram` is read off the per-level claim counts: level `L`'s
+/// `parent_writes` are exactly the vertices at depth `L + 1` (every
+/// executor counts successful claims only), the root is depth 0 and the
+/// last level claims none, so the histogram is `[1, claims(0), claims(1),
+/// …]` cut at the first zero. Counts do not depend on labels, so a
+/// reordered run needs no remapping. `vertices_visited` is the executor's
+/// own count (of the final parent array, in the level and hybrid
+/// executors), so `sum(depth_histogram) == vertices_visited` is a check.
 pub fn stats_from_profile(profile: &WorkProfile, seconds: f64, vertices_visited: u64) -> BfsStats {
+    let claims = profile
+        .levels
+        .iter()
+        .map(|level| level.total().parent_writes);
+    let depth_histogram: Vec<u64> = std::iter::once(1)
+        .chain(claims.take_while(|&c| c > 0))
+        .collect();
+    debug_assert_eq!(depth_histogram.iter().sum::<u64>(), vertices_visited);
     BfsStats {
         seconds,
         edges_traversed: profile.edges_traversed,
@@ -132,7 +147,7 @@ pub fn stats_from_profile(profile: &WorkProfile, seconds: f64, vertices_visited:
         threads: profile.threads,
         sockets: profile.sockets,
         totals: profile.total(),
-        depth_histogram: Vec::new(),
+        depth_histogram,
     }
 }
 
@@ -204,17 +219,18 @@ mod tests {
     #[test]
     fn stats_from_profile_copies_fields() {
         let rec = Recorder::new(1, 1, 1);
-        rec.deposit(
-            0,
-            vec![ThreadCounts {
-                edges_scanned: 7,
-                ..Default::default()
-            }],
-        );
+        let level = |edges_scanned, parent_writes| ThreadCounts {
+            edges_scanned,
+            parent_writes,
+            ..Default::default()
+        };
+        rec.deposit(0, vec![level(3, 3), level(4, 0)]);
         let profile = rec.into_profile(10, 2, true, 7);
         let stats = stats_from_profile(&profile, 0.5, 4);
-        assert_eq!(stats.levels, 1);
+        assert_eq!(stats.levels, 2);
         assert_eq!(stats.totals.edges_scanned, 7);
         assert_eq!(stats.me_per_s(), 14.0 / 1e6);
+        // The root, then each level's claims; the last level claims none.
+        assert_eq!(stats.depth_histogram, vec![1, 3]);
     }
 }

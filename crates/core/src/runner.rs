@@ -8,7 +8,6 @@ use crate::instrument::{stats_from_profile, BfsStats};
 use crate::observe;
 use mcbfs_graph::csr::{CsrGraph, VertexId};
 use mcbfs_graph::reorder::Reorder;
-use mcbfs_graph::validate::{depth_histogram, depths_from_parents};
 use mcbfs_machine::model::MachineModel;
 use mcbfs_machine::profile::WorkProfile;
 use mcbfs_trace::Trace;
@@ -240,7 +239,6 @@ impl<'g> BfsRunner<'g> {
                 r
             }
         };
-        result.stats.depth_histogram = depth_histogram(&depths_from_parents(&result.parents));
         if self.trace {
             mcbfs_trace::record_level_meta(observe::level_meta(&result.profile));
             result.trace = mcbfs_trace::finish();
@@ -289,7 +287,7 @@ impl<'g> BfsRunner<'g> {
 mod tests {
     use super::*;
     use mcbfs_gen::prelude::*;
-    use mcbfs_graph::validate::validate_bfs_tree;
+    use mcbfs_graph::validate::{depth_histogram, depths_from_parents, validate_bfs_tree};
 
     fn graph() -> CsrGraph {
         UniformBuilder::new(2_000, 6).seed(77).build()
@@ -366,15 +364,63 @@ mod tests {
     }
 
     #[test]
-    fn depth_histogram_populated_and_sums_to_visited() {
-        let g = graph();
-        let r = BfsRunner::new(&g).threads(2).run(0);
-        assert!(!r.stats.depth_histogram.is_empty());
-        assert_eq!(
-            r.stats.depth_histogram.iter().sum::<u64>(),
-            r.stats.vertices_visited
-        );
-        assert_eq!(r.stats.depth_histogram[0], 1); // the root alone at depth 0
+    fn depth_histogram_from_level_counts_matches_parent_depths() {
+        // The histogram is read off the per-level claim counts; it must be
+        // the one the parent array spells out, in every executor, with and
+        // without a reordering, and sum to the independently counted
+        // visited vertices.
+        let graphs = [
+            // Skewed and shallow, with a few vertices unreached from 17.
+            (RmatBuilder::new(10, 8).seed(9).build(), 17),
+            // Sparse and deeper (9 levels from 0).
+            (UniformBuilder::new(1_500, 2).seed(4).build(), 0),
+        ];
+        let algorithms = [
+            Algorithm::Sequential,
+            Algorithm::Simple,
+            Algorithm::SingleSocket,
+            Algorithm::MultiSocket { sockets: 2 },
+            Algorithm::hybrid(),
+            Algorithm::Hybrid {
+                policy: ForcedDirection::TopDown,
+            },
+            Algorithm::Hybrid {
+                policy: ForcedDirection::BottomUp,
+            },
+            Algorithm::Hybrid {
+                policy: ForcedDirection::Alternate,
+            },
+        ];
+        let model = ExecMode::model(MachineModel::nehalem_ep());
+        for (g, root) in &graphs {
+            for algo in algorithms {
+                for threads in [1, 4] {
+                    for (mode_name, mode) in [("native", &ExecMode::Native), ("model", &model)] {
+                        for reorder in [Reorder::None, Reorder::Degree] {
+                            let r = BfsRunner::new(g)
+                                .algorithm(algo)
+                                .threads(threads)
+                                .mode(mode.clone())
+                                .reorder(reorder)
+                                .run(*root);
+                            let case = format!("{algo:?} x{threads} {mode_name} {reorder}");
+                            let hist = &r.stats.depth_histogram;
+                            assert_eq!(
+                                *hist,
+                                depth_histogram(&depths_from_parents(&r.parents)),
+                                "{case}"
+                            );
+                            assert_eq!(hist[0], 1, "{case}"); // the root alone at depth 0
+                            assert_eq!(
+                                hist.iter().sum::<u64>(),
+                                r.stats.vertices_visited,
+                                "{case}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
