@@ -2,7 +2,7 @@
 //! native companion to the model-driven Fig. 5.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mcbfs_core::algo::hybrid::{bfs_hybrid, ForcedDirection};
+use mcbfs_core::algo::hybrid::ForcedDirection;
 use mcbfs_core::algo::level::{bfs, VariantConfig};
 use mcbfs_core::algo::sequential::bfs_sequential;
 use mcbfs_gen::prelude::*;
@@ -25,14 +25,15 @@ fn bench_algorithms(c: &mut Criterion) {
         ("alg1_simple_x2", VariantConfig::algorithm1()),
         ("alg2_single_socket_x2", VariantConfig::algorithm2()),
         ("alg3_multi_socket_2s_x2", VariantConfig::algorithm3(2)),
+        (
+            "hybrid_dirop_x2",
+            VariantConfig::hybrid(ForcedDirection::Auto),
+        ),
     ] {
         g.bench_function(name, |b| {
             b.iter(|| std::hint::black_box(bfs(&graph, 0, 2, config).visited));
         });
     }
-    g.bench_function("hybrid_dirop_x2", |b| {
-        b.iter(|| std::hint::black_box(bfs_hybrid(&graph, 0, 2, ForcedDirection::Auto).visited));
-    });
     g.finish();
 }
 

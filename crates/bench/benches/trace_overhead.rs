@@ -1,4 +1,4 @@
-//! Overhead guardrail for the tracing substrate: `bfs_hybrid` with no
+//! Overhead guardrail for the tracing substrate: the hybrid with no
 //! session active (instrumentation armed but every probe disabled by the
 //! relaxed `enabled()` check) versus a full capture session per run.
 //!

@@ -21,7 +21,7 @@
 use mcbfs_bench::cli::{Args, Mode};
 use mcbfs_bench::report::Report;
 use mcbfs_bench::workloads::{rate_cases, Family};
-use mcbfs_core::algo::hybrid::{bfs_hybrid, bfs_hybrid_deterministic, ForcedDirection};
+use mcbfs_core::algo::hybrid::ForcedDirection;
 use mcbfs_core::algo::level::{bfs, bfs_deterministic, VariantConfig};
 use mcbfs_core::runner::{Algorithm, BfsRunner};
 use mcbfs_gen::prelude::*;
@@ -88,7 +88,7 @@ fn main() {
         if args.mode.wants_native() || args.mode == Mode::Both {
             for &t in &threads {
                 let alg2 = bfs(&graph, 0, t, VariantConfig::algorithm2());
-                let hybrid = bfs_hybrid(&graph, 0, t, ForcedDirection::Auto);
+                let hybrid = bfs(&graph, 0, t, VariantConfig::hybrid(ForcedDirection::Auto));
                 report.push(
                     "edges_examined",
                     &format!("{family} alg2"),
@@ -133,7 +133,8 @@ fn main() {
             let model = MachineModel::nehalem_ep();
             for &t in &threads {
                 let alg2 = bfs_deterministic(&graph, 0, t, VariantConfig::algorithm2());
-                let hybrid = bfs_hybrid_deterministic(&graph, 0, t, ForcedDirection::Auto);
+                let hybrid =
+                    bfs_deterministic(&graph, 0, t, VariantConfig::hybrid(ForcedDirection::Auto));
                 let alg2_s = model.predict(&alg2.profile).seconds;
                 let hybrid_s = model.predict(&hybrid.profile).seconds;
                 report.push(

@@ -1,7 +1,7 @@
 //! Algorithms 1–3: one partitioned level-synchronous loop.
 //!
 //! The paper's three algorithms (§III) are one loop refined three times,
-//! and here they are one loop configured by a [`VariantConfig`] with four
+//! and here they are one loop configured by a [`VariantConfig`] with five
 //! policies:
 //!
 //! * **claim** — a compare-exchange on the parent array (Algorithm 1), or
@@ -22,21 +22,29 @@
 //! * **sockets** — the [`VertexPartition`]: each socket owns one block of
 //!   vertices, with its bitmap shard and frontier queues. Threads are split
 //!   into socket groups in id order; on a host with fewer sockets the groups
-//!   are logical and the machine model prices them as physical sockets.
+//!   are logical and the machine model prices them as physical sockets;
+//! * **direction** — every level top-down, as in the paper, or some levels
+//!   bottom-up, by Beamer's heuristic or forced: the direction-optimizing
+//!   [`hybrid`](super::hybrid), which holds the switch and the bottom-up
+//!   pieces. A level that changes direction converts the frontier first.
 //!
-//! A level is built from four pieces: scan one frontier vertex, probe and
-//! claim one neighbour, drain one inbox chunk, and flush a thread's
-//! buffers. [`bfs`] runs them on real threads; [`bfs_deterministic`], the
-//! model-mode executor, runs the same pieces on virtual threads on the
-//! calling thread.
+//! A top-down level is built from four pieces: scan one frontier vertex,
+//! probe and claim one neighbour, drain one inbox chunk, and flush a
+//! thread's buffers; a bottom-up level from one, a sweep over a share of the
+//! visited bitmap. [`bfs`] runs them on real threads; [`bfs_deterministic`],
+//! the model-mode executor, runs the same pieces on virtual threads on the
+//! calling thread. Both run every variant.
 
+use crate::algo::hybrid::{ForcedDirection, Switch, Tally};
 use crate::algo::parents::AtomicParents;
 use crate::algo::{NativeRun, DEQUEUE_CHUNK, ENQUEUE_BATCH};
 use crate::instrument::Recorder;
-use core::sync::atomic::{AtomicBool, Ordering};
+use core::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use crossbeam::utils::CachePadded;
 use mcbfs_graph::bitmap::{AtomicBitmap, ClaimOutcome};
 use mcbfs_graph::csr::{CsrGraph, VertexId, UNVISITED};
 use mcbfs_graph::partition::VertexPartition;
+use mcbfs_machine::profile::Direction::{BottomUp, TopDown};
 use mcbfs_machine::profile::{LevelProfile, ThreadCounts, WorkProfile};
 use mcbfs_sync::barrier::SpinBarrier;
 use mcbfs_sync::channel::ChannelMatrix;
@@ -84,6 +92,10 @@ pub struct VariantConfig {
     pub pipelined: bool,
     /// Virtual socket groups.
     pub sockets: usize,
+    /// Per-level direction: always top-down (Algorithms 1–3), or switching
+    /// to bottom-up levels by Beamer's heuristic or by force (the hybrid,
+    /// which needs one socket, the bitmap and chunked queues).
+    pub direction: ForcedDirection,
 }
 
 impl VariantConfig {
@@ -98,6 +110,7 @@ impl VariantConfig {
             batch: 1,
             pipelined: false,
             sockets: 1,
+            direction: ForcedDirection::TopDown,
         }
     }
 
@@ -112,6 +125,7 @@ impl VariantConfig {
             batch: 1,
             pipelined: true,
             sockets: 1,
+            direction: ForcedDirection::TopDown,
         }
     }
 
@@ -125,6 +139,7 @@ impl VariantConfig {
             batch: ENQUEUE_BATCH,
             pipelined: true,
             sockets: sockets.max(1),
+            direction: ForcedDirection::TopDown,
         }
     }
 
@@ -134,6 +149,16 @@ impl VariantConfig {
     pub fn algorithm2_multisocket(sockets: usize) -> Self {
         Self {
             sockets: sockets.max(1),
+            ..Self::algorithm2()
+        }
+    }
+
+    /// The direction-optimizing hybrid under `direction`: Algorithm 2's
+    /// state and top-down levels, plus bottom-up levels. `hybrid(TopDown)`
+    /// is [`VariantConfig::algorithm2`].
+    pub fn hybrid(direction: ForcedDirection) -> Self {
+        Self {
+            direction,
             ..Self::algorithm2()
         }
     }
@@ -150,7 +175,7 @@ fn socket_of_thread(tid: usize, sockets: usize, threads: usize) -> usize {
 }
 
 /// One socket's frontier queue.
-enum Frontier {
+pub(super) enum Frontier {
     /// Algorithm 1's FIFO: one lock round-trip per operation.
     Locked(LockedQueue<VertexId>),
     /// The chunked array of Algorithms 2–3.
@@ -208,13 +233,6 @@ impl Frontier {
         }
     }
 
-    fn is_empty(&self) -> bool {
-        match self {
-            Frontier::Locked(q) => q.is_empty(),
-            Frontier::Chunked(q) => q.is_empty(),
-        }
-    }
-
     /// Empties the queue once its level has consumed it.
     fn reset(&self) {
         match self {
@@ -237,25 +255,36 @@ pub(super) trait Sink {
 }
 
 /// The traversal state both executors drive: parents, one visited-bitmap
-/// shard and one double-buffered frontier per socket. Level L reads
-/// `queues[L % 2]` and writes `queues[(L + 1) % 2]`.
+/// shard and one double-buffered frontier per socket, plus the dense
+/// frontier pair of bottom-up levels. Level L reads index L % 2 of both
+/// frontier pairs and writes index (L + 1) % 2. The bottom-up pieces are an
+/// `impl` block in [`hybrid`](super::hybrid), so the fields they touch are
+/// visible there.
 pub(super) struct LevelState<'g> {
-    graph: &'g CsrGraph,
+    pub(super) graph: &'g CsrGraph,
     config: VariantConfig,
     partition: VertexPartition,
-    parents: AtomicParents,
+    pub(super) parents: AtomicParents,
     /// Empty when claims go to the parent array.
-    visited: Vec<AtomicBitmap>,
-    queues: [Vec<Frontier>; 2],
+    pub(super) visited: Vec<AtomicBitmap>,
+    pub(super) queues: [Vec<Frontier>; 2],
+    /// Zero bits long unless the direction switches.
+    pub(super) dense: [AtomicBitmap; 2],
 }
 
 impl<'g> LevelState<'g> {
-    /// `root` visited and in its socket's first frontier.
-    pub(super) fn new(graph: &'g CsrGraph, root: VertexId, mut config: VariantConfig) -> Self {
+    /// `root` visited and in its socket's first frontier, in both
+    /// representations when the direction switches.
+    fn new(graph: &'g CsrGraph, root: VertexId, mut config: VariantConfig) -> Self {
         let n = graph.num_vertices();
         assert!((root as usize) < n, "root {root} out of range 0..{n}");
         config.sockets = config.sockets.max(1);
         config.batch = config.batch.max(1);
+        let switches = config.direction != ForcedDirection::TopDown;
+        assert!(
+            !switches || (config.sockets == 1 && config.use_bitmap && !config.locked_queues),
+            "a switching direction needs one socket, the bitmap and chunked queues: {config:?}"
+        );
         let partition = VertexPartition::new(n, config.sockets);
         let frontiers = || -> Vec<Frontier> {
             (0..config.sockets)
@@ -274,6 +303,7 @@ impl<'g> LevelState<'g> {
                 Vec::new()
             },
             queues: [frontiers(), frontiers()],
+            dense: [0, 1].map(|_| AtomicBitmap::new(if switches { n } else { 0 })),
             partition,
         };
         st.parents.store(root, root);
@@ -282,20 +312,19 @@ impl<'g> LevelState<'g> {
             st.visited[socket].set_atomic(bit);
         }
         st.queues[0][socket].push(root);
+        if switches {
+            st.dense[0].set_atomic(root as usize);
+        }
         st
     }
 
-    /// The state of a one-socket variant with a bitmap and chunked queues,
-    /// such as [`VariantConfig::algorithm2`]: the parents, the visited
-    /// bitmap and the frontier at `parity`.
-    pub(super) fn single_socket(
-        &self,
-        parity: usize,
-    ) -> (&AtomicParents, &AtomicBitmap, &SharedQueue<VertexId>) {
-        match (&self.visited[..], &self.queues[parity][..]) {
-            ([visited], [Frontier::Chunked(queue)]) => (&self.parents, visited, queue),
-            _ => panic!("not a one-socket bitmap state with chunked queues"),
+    /// Empties the frontiers at `parity` once their level has consumed
+    /// them, including a stale copy a conversion left behind.
+    fn reset(&self, parity: usize) {
+        for q in &self.queues[parity] {
+            q.reset();
         }
+        self.dense[parity].clear();
     }
 
     /// The socket owning `v` and `v`'s bit in that socket's shard.
@@ -371,13 +400,7 @@ impl<'g> LevelState<'g> {
     /// Native phase 1 for a thread of socket `s`: scans the shares of its
     /// frontier at `parity` this thread takes, until the frontier runs dry.
     #[inline]
-    pub(super) fn scan_share(
-        &self,
-        s: usize,
-        parity: usize,
-        counts: &mut ThreadCounts,
-        sink: &mut impl Sink,
-    ) {
+    fn scan_share(&self, s: usize, parity: usize, counts: &mut ThreadCounts, sink: &mut impl Sink) {
         self.queues[parity][s].for_each_share(counts, |u, counts| self.scan(s, u, counts, sink));
     }
 
@@ -400,7 +423,7 @@ impl<'g> LevelState<'g> {
     /// lowest id), and each thread then pays the dequeue atomics of the
     /// vertices it took — one each with locked queues, one per
     /// [`DEQUEUE_CHUNK`] otherwise.
-    pub(super) fn scan_team(
+    fn scan_team(
         &self,
         s: usize,
         parity: usize,
@@ -490,12 +513,7 @@ impl<'g> LevelState<'g> {
         2 + self.config.two_phase() as u32
     }
 
-    pub(super) fn into_run(
-        self,
-        levels: Vec<LevelProfile>,
-        threads: usize,
-        seconds: f64,
-    ) -> NativeRun {
+    fn into_run(self, levels: Vec<LevelProfile>, threads: usize, seconds: f64) -> NativeRun {
         let n = self.graph.num_vertices() as u64;
         let config = self.config;
         let profile = WorkProfile {
@@ -528,7 +546,7 @@ impl<'g> LevelState<'g> {
 /// queues), and hops gather per destination into channel batches. A batch
 /// goes into the bounded ring toward its owner, and what does not fit while
 /// the owner is still scanning into that pair's overflow lane.
-pub(super) struct Buffers<'a> {
+struct Buffers<'a> {
     next: &'a [Frontier],
     links: &'a ChannelMatrix<Hop>,
     overflows: &'a [TicketLock<Vec<Hop>>],
@@ -568,7 +586,7 @@ impl Sink for Buffers<'_> {
 impl<'a> Buffers<'a> {
     /// Empty buffers for a thread of `socket`, writing the frontiers at
     /// index 1 first.
-    pub(super) fn new(
+    fn new(
         st: &'a LevelState,
         links: &'a ChannelMatrix<Hop>,
         overflows: &'a [TicketLock<Vec<Hop>>],
@@ -586,7 +604,7 @@ impl<'a> Buffers<'a> {
     }
 
     /// Points discoveries at the frontiers a level reading `parity` writes.
-    pub(super) fn start_level(&mut self, st: &'a LevelState, parity: usize) {
+    fn start_level(&mut self, st: &'a LevelState, parity: usize) {
         self.next = &st.queues[1 - parity];
     }
 
@@ -612,7 +630,7 @@ impl<'a> Buffers<'a> {
     }
 
     /// Appends every partly filled discovery buffer (end of the level).
-    pub(super) fn flush_local(&mut self, counts: &mut ThreadCounts) {
+    fn flush_local(&mut self, counts: &mut ThreadCounts) {
         for (buf, next) in self.local.iter_mut().zip(self.next) {
             if let Frontier::Chunked(q) = next {
                 if !buf.is_empty() {
@@ -643,71 +661,118 @@ pub fn bfs(graph: &CsrGraph, root: VertexId, threads: usize, config: VariantConf
         .map(|_| TicketLock::new(Vec::new()))
         .collect();
     let barrier = SpinBarrier::new(threads);
+    let switch = Switch::new(graph, root, config.direction);
+    let first_dir = switch.initial();
+    let switch = TicketLock::new(switch);
     let done = AtomicBool::new(false);
+    // The leader's pick for the next level, read after the barrier that
+    // follows its store, which orders the two.
+    let next_dir = AtomicU8::new(first_dir as u8);
+    // Per-thread discovery tallies of a level (n_f and m_f), summed by the
+    // leader after the barrier that follows the stores, which orders them.
+    let found_count: Vec<CachePadded<AtomicU64>> =
+        (0..threads).map(|_| Default::default()).collect();
+    let found_edges: Vec<CachePadded<AtomicU64>> =
+        (0..threads).map(|_| Default::default()).collect();
     let recorder = Recorder::new(threads, sockets, st.barriers_per_level());
 
     let start = Instant::now();
     scoped_run(threads, |tid| {
         mcbfs_trace::register_worker(tid);
         let s = socket_of_thread(tid, sockets, threads);
-        let mut sink = Buffers::new(&st, &links, &overflows, s);
+        let buffers = Buffers::new(&st, &links, &overflows, s);
+        let mut sink = Tally::new(graph, config.direction, buffers);
         let mut scratch: Vec<Hop> = Vec::with_capacity(DRAIN_CHUNK);
         let mut series: Vec<ThreadCounts> = Vec::new();
         let mut parity = 0usize;
+        let mut dir = first_dir;
+        // Conversion work between levels is charged to the level it
+        // prepares, carried over in this accumulator.
+        let mut carry = ThreadCounts::default();
         loop {
             let level_index = series.len() as u64;
             let level_span = SpanTimer::start();
-            let mut counts = ThreadCounts::default();
-            sink.start_level(&st, parity);
+            let mut counts = core::mem::take(&mut carry);
+            let m_f = if dir == TopDown {
+                sink.inner.start_level(&st, parity);
 
-            // Phase 1: scan this socket's frontier.
-            st.scan_share(s, parity, &mut counts, &mut sink);
+                // Phase 1: scan this socket's frontier.
+                st.scan_share(s, parity, &mut counts, &mut sink);
 
-            // Phase 2: claim what the other sockets sent here.
-            if config.two_phase() {
-                sink.flush_remote(&mut counts);
-                barrier.wait();
-                // Each channel in send order, then its overflow lane, which
-                // whichever of the socket's threads arrives first takes whole.
-                for from in (0..sockets).filter(|&from| from != s) {
-                    let channel = links.channel(from, s);
-                    while channel.recv_batch(&mut scratch, DRAIN_CHUNK) > 0 {
-                        st.drain(s, &scratch, &mut counts, &mut sink);
-                        scratch.clear();
+                // Phase 2: claim what the other sockets sent here.
+                if config.two_phase() {
+                    sink.inner.flush_remote(&mut counts);
+                    barrier.wait();
+                    // Each channel in send order, then its overflow lane,
+                    // which whichever of the socket's threads arrives first
+                    // takes whole.
+                    for from in (0..sockets).filter(|&from| from != s) {
+                        let channel = links.channel(from, s);
+                        while channel.recv_batch(&mut scratch, DRAIN_CHUNK) > 0 {
+                            st.drain(s, &scratch, &mut counts, &mut sink);
+                            scratch.clear();
+                        }
+                        let spilled = core::mem::take(&mut *overflows[from * sockets + s].lock());
+                        st.drain(s, &spilled, &mut counts, &mut sink);
                     }
-                    let spilled = core::mem::take(&mut *overflows[from * sockets + s].lock());
-                    st.drain(s, &spilled, &mut counts, &mut sink);
                 }
-            }
-            sink.flush_local(&mut counts);
+                sink.inner.flush_local(&mut counts);
+                sink.take_found_edges()
+            } else {
+                st.sweep_bottom_up(parity, tid, threads, &mut counts)
+            };
+            found_count[tid].store(counts.parent_writes, Ordering::Relaxed);
+            found_edges[tid].store(m_f, Ordering::Relaxed);
             series.push(counts);
 
             if barrier.wait() {
-                // Leader: decide termination, recycle the consumed queues.
-                let next_empty = st.queues[1 - parity].iter().all(Frontier::is_empty);
-                done.store(next_empty, Ordering::Release);
-                for q in &st.queues[parity] {
-                    q.reset();
+                // Leader: sum the tallies, decide termination and the next
+                // direction, recycle the consumed frontiers.
+                let n_f: u64 = found_count.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+                let m_f: u64 = found_edges.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+                let decided = switch.lock().next(dir, n_f, m_f);
+                next_dir.store(decided as u8, Ordering::Relaxed);
+                done.store(n_f == 0, Ordering::Release);
+                st.reset(parity);
+                if decided != dir && n_f != 0 {
+                    mcbfs_trace::instant(EventKind::DirectionSwitch, decided as u64);
                 }
             }
             barrier.wait();
             level_span.finish(EventKind::Level, level_index);
-            parity = 1 - parity;
             if done.load(Ordering::Acquire) {
                 break;
             }
+            let decided = if next_dir.load(Ordering::Relaxed) == BottomUp as u8 {
+                BottomUp
+            } else {
+                TopDown
+            };
+            // The next frontier sits at index 1-parity in the representation
+            // `dir` built; convert when `decided` reads the other one. All
+            // threads compute the same predicate, so the extra barrier stays
+            // uniform.
+            if dir != decided {
+                let convert_span = SpanTimer::start();
+                carry = st.convert(1 - parity, decided, tid, threads);
+                barrier.wait();
+                convert_span.finish(EventKind::Convert, decided as u64);
+            }
+            parity = 1 - parity;
+            dir = decided;
         }
         recorder.deposit(tid, series);
         mcbfs_trace::flush_thread();
     });
     let seconds = start.elapsed().as_secs_f64();
-    st.into_run(recorder.into_levels(), threads, seconds)
+    let run = st.into_run(recorder.into_levels(), threads, seconds);
+    switch.into_inner().stamp(run)
 }
 
 /// The deterministic driver's sink: discoveries go straight to the owner's
 /// next queue and hops straight to the owner's inbox, in send order. Channel
 /// batches are counted per (virtual thread, destination), not formed.
-pub(super) struct Direct<'a> {
+struct Direct<'a> {
     next: &'a [Frontier],
     inbox: Vec<Vec<Hop>>,
     /// Hops since the last batch, per virtual thread and destination.
@@ -740,7 +805,7 @@ impl Sink for Direct<'_> {
 impl<'a> Direct<'a> {
     /// An empty sink for `threads` virtual threads at a level that reads
     /// the frontiers at `parity`.
-    pub(super) fn new(st: &'a LevelState, parity: usize, threads: usize) -> Self {
+    fn new(st: &'a LevelState, parity: usize, threads: usize) -> Self {
         Self {
             next: &st.queues[1 - parity],
             inbox: vec![Vec::new(); st.config.sockets],
@@ -760,8 +825,8 @@ fn least_loaded(load: &[u64]) -> usize {
 
 /// Runs [`bfs`] as `threads` deterministic virtual threads (at least one
 /// per socket) on the calling thread — the model-mode executor. Each level
-/// calls the same scan, claim and drain pieces as the native threads, on a
-/// fixed schedule:
+/// calls the same scan, claim, drain, sweep and conversion pieces and the
+/// same direction switch as the native threads, on a fixed schedule:
 ///
 /// * phase 1 goes socket by socket; each vertex of a socket's frontier
 ///   goes, in queue order, to the least-loaded virtual thread of that
@@ -776,14 +841,17 @@ fn least_loaded(load: &[u64]) -> usize {
 ///   filled batch at the end of phase 1;
 /// * phase 2 drains each socket's inbox in send order, 64 hops at a time,
 ///   each chunk to the least-loaded thread of the socket (its load grows by
-///   the chunk length).
+///   the chunk length);
+/// * bottom-up sweeps and frontier conversions use the native per-thread
+///   shares.
 ///
 /// Parents and profile are deterministic; `seconds` is `0.0` (callers price
 /// the profile with a machine model). At one thread per socket, with all
-/// discoveries local (Algorithms 1–3), the run equals a native one except
-/// in `atomic_ops`, where native also pays one `LockedEnqueue` per
-/// discovery with locked queues, or ⌈`parent_writes` / [`ENQUEUE_BATCH`]⌉
-/// enqueue reservations with chunked ones.
+/// discoveries local (Algorithms 1–3 and the hybrid), the run equals a
+/// native one except in `atomic_ops` on top-down levels, where native also
+/// pays one `LockedEnqueue` per discovery with locked queues, or
+/// ⌈`parent_writes` / [`ENQUEUE_BATCH`]⌉ enqueue reservations with chunked
+/// ones.
 pub fn bfs_deterministic(
     graph: &CsrGraph,
     root: VertexId,
@@ -791,7 +859,8 @@ pub fn bfs_deterministic(
     config: VariantConfig,
 ) -> NativeRun {
     let st = LevelState::new(graph, root, config);
-    let sockets = st.config.sockets;
+    let config = st.config;
+    let sockets = config.sockets;
     let threads = threads.max(sockets);
     let teams: Vec<Vec<usize>> = (0..sockets)
         .map(|s| {
@@ -800,34 +869,58 @@ pub fn bfs_deterministic(
                 .collect()
         })
         .collect();
+    let mut switch = Switch::new(graph, root, config.direction);
+    let mut dir = switch.initial();
     let mut levels: Vec<LevelProfile> = Vec::new();
+    let mut carry = vec![ThreadCounts::default(); threads];
     let mut parity = 0usize;
-    while st.queues[parity].iter().any(|q| !q.is_empty()) {
+    loop {
         let mut level = LevelProfile::new(threads, st.barriers_per_level());
-        let mut sink = Direct::new(&st, parity, threads);
-        for (s, team) in teams.iter().enumerate() {
-            st.scan_team(s, parity, team, &mut level.threads, &mut sink);
-        }
-        for (counts, fills) in level.threads.iter_mut().zip(&sink.fill) {
-            counts.channel_batches += fills.iter().filter(|&&f| f > 0).count() as u64;
-        }
-        for (s, team) in teams.iter().enumerate() {
-            let hops = core::mem::take(&mut sink.inbox[s]);
-            let mut load = vec![0u64; team.len()];
-            for chunk in hops.chunks(DRAIN_CHUNK) {
-                let w = least_loaded(&load);
-                load[w] += chunk.len() as u64;
-                sink.run_as(team[w]);
-                st.drain(s, chunk, &mut level.threads[team[w]], &mut sink);
+        level.threads = carry;
+        let m_f = if dir == TopDown {
+            let direct = Direct::new(&st, parity, threads);
+            let mut sink = Tally::new(graph, config.direction, direct);
+            for (s, team) in teams.iter().enumerate() {
+                st.scan_team(s, parity, team, &mut level.threads, &mut sink);
             }
-        }
-        for q in &st.queues[parity] {
-            q.reset();
-        }
+            for (counts, fills) in level.threads.iter_mut().zip(&sink.inner.fill) {
+                counts.channel_batches += fills.iter().filter(|&&f| f > 0).count() as u64;
+            }
+            for (s, team) in teams.iter().enumerate() {
+                let hops = core::mem::take(&mut sink.inner.inbox[s]);
+                let mut load = vec![0u64; team.len()];
+                for chunk in hops.chunks(DRAIN_CHUNK) {
+                    let w = least_loaded(&load);
+                    load[w] += chunk.len() as u64;
+                    sink.run_as(team[w]);
+                    st.drain(s, chunk, &mut level.threads[team[w]], &mut sink);
+                }
+            }
+            sink.take_found_edges()
+        } else {
+            let sweep = |(tid, counts)| st.sweep_bottom_up(parity, tid, threads, counts);
+            level.threads.iter_mut().enumerate().map(sweep).sum()
+        };
+        let n_f = level.total().parent_writes;
         levels.push(level);
+        let decided = switch.next(dir, n_f, m_f);
+        st.reset(parity);
+        if n_f == 0 {
+            break;
+        }
+        carry = (0..threads)
+            .map(|tid| {
+                if decided == dir {
+                    ThreadCounts::default()
+                } else {
+                    st.convert(1 - parity, decided, tid, threads)
+                }
+            })
+            .collect();
         parity = 1 - parity;
+        dir = decided;
     }
-    st.into_run(levels, threads, 0.0)
+    switch.stamp(st.into_run(levels, threads, 0.0))
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@ pub mod sequential;
 use mcbfs_graph::csr::VertexId;
 use mcbfs_machine::profile::WorkProfile;
 
-/// Result of a native (real-thread) BFS execution, or of a virtual-thread
-/// twin ([`level::bfs_deterministic`], [`hybrid::bfs_hybrid_deterministic`]).
+/// Result of a native (real-thread) BFS execution, or of its virtual-thread
+/// twin ([`level::bfs_deterministic`], for every variant the level loop runs).
 #[derive(Debug, Clone)]
 pub struct NativeRun {
     /// Parent array (`parents[root] == root`, unreached = `UNVISITED`).

@@ -21,9 +21,9 @@
 //!   separated by barriers.
 //!
 //! The Fig. 5 ablations are the same loop with single policies switched.
-//! The direction-optimizing [`algo::hybrid`] is that loop's Algorithm 2
-//! state plus bottom-up sweep levels: its top-down levels run
-//! [`algo::level`]'s scan and claims. With the MS-BFS kernel of
+//! So is the direction-optimizing [`algo::hybrid`]: its direction policy
+//! ([`algo::level::VariantConfig::direction`]) adds bottom-up sweep levels
+//! to Algorithm 2, in the same loop. With the MS-BFS kernel of
 //! `mcbfs-query`, that makes two parallel BFS kernels in the workspace.
 //! Every algorithm has two executors that run the same per-level code:
 //!
@@ -35,11 +35,10 @@
 //!   per-level per-thread operation counts that the machine cost model
 //!   ([`mcbfs_machine::model::MachineModel`]) prices. This is how the
 //!   paper's 16-thread EP and 64-thread EX figures are reproduced on hosts
-//!   without that hardware. Algorithms 1–3 use
-//!   [`algo::level::bfs_deterministic`], the direction-optimizing
-//!   [`algo::hybrid`] uses [`algo::hybrid::bfs_hybrid_deterministic`], and
-//!   the MS-BFS kernel of `mcbfs-query` (which the shard workers also run)
-//!   uses `msbfs::ms_bfs_deterministic`.
+//!   without that hardware. Algorithms 1–3 and the hybrid use
+//!   [`algo::level::bfs_deterministic`] (the native one is
+//!   [`algo::level::bfs`]), and the MS-BFS kernel of `mcbfs-query` (which
+//!   the shard workers also run) uses `msbfs::ms_bfs_deterministic`.
 //!
 //! [`runner::BfsRunner`] is the front door; [`throughput`] adds the
 //! multi-instance SSCA#2-style mode of Fig. 10, and [`components`] the

@@ -1,7 +1,7 @@
 //! The front door: configure an algorithm, an executor and a thread count,
 //! then run BFS.
 
-use crate::algo::hybrid::{bfs_hybrid, bfs_hybrid_deterministic, ForcedDirection};
+use crate::algo::hybrid::ForcedDirection;
 use crate::algo::level::{bfs, bfs_deterministic, VariantConfig};
 use crate::algo::sequential::bfs_sequential;
 use crate::instrument::{stats_from_profile, BfsStats};
@@ -31,9 +31,9 @@ pub enum Algorithm {
         /// Number of socket groups.
         sockets: usize,
     },
-    /// Direction-optimizing extension: Algorithm 2's levels, run by the
-    /// same scan and claims as [`Algorithm::SingleSocket`], plus bottom-up
-    /// sweep levels over the dense frontier bitmap.
+    /// Direction-optimizing extension: Algorithm 2's levels plus bottom-up
+    /// sweep levels over the dense frontier bitmap, in the same level loop
+    /// ([`VariantConfig::hybrid`]).
     Hybrid {
         /// Per-level direction policy (heuristic or forced).
         policy: ForcedDirection,
@@ -48,14 +48,15 @@ impl Algorithm {
         }
     }
 
-    /// The [`VariantConfig`] of Algorithms 1–3; `None` for the sequential
-    /// search and the hybrid, which have executors of their own.
+    /// The level loop's [`VariantConfig`]; `None` for the sequential
+    /// search, which has an executor of its own.
     pub fn variant_config(&self) -> Option<VariantConfig> {
         match *self {
             Algorithm::Simple => Some(VariantConfig::algorithm1()),
             Algorithm::SingleSocket => Some(VariantConfig::algorithm2()),
             Algorithm::MultiSocket { sockets } => Some(VariantConfig::algorithm3(sockets)),
-            Algorithm::Sequential | Algorithm::Hybrid { .. } => None,
+            Algorithm::Hybrid { policy } => Some(VariantConfig::hybrid(policy)),
+            Algorithm::Sequential => None,
         }
     }
 }
@@ -249,17 +250,13 @@ impl<'g> BfsRunner<'g> {
     fn run_inner(&self, graph: &CsrGraph, root: VertexId) -> BfsResult {
         let native = matches!(self.mode, ExecMode::Native);
         let threads = self.threads;
-        let run = match (self.algorithm, self.algorithm.variant_config()) {
-            (_, Some(config)) if native => bfs(graph, root, threads, config),
-            (_, Some(config)) => bfs_deterministic(graph, root, threads, config),
-            (Algorithm::Hybrid { policy }, _) if native => bfs_hybrid(graph, root, threads, policy),
-            (Algorithm::Hybrid { policy }, _) => {
-                bfs_hybrid_deterministic(graph, root, threads, policy)
-            }
-            _ if native => bfs_sequential(graph, root),
+        let run = match self.algorithm.variant_config() {
+            Some(config) if native => bfs(graph, root, threads, config),
+            Some(config) => bfs_deterministic(graph, root, threads, config),
+            None if native => bfs_sequential(graph, root),
             // The sequential search has no model of its own: model mode
             // prices Algorithm 2 on one thread.
-            _ => bfs_deterministic(graph, root, 1, VariantConfig::algorithm2()),
+            None => bfs_deterministic(graph, root, 1, VariantConfig::algorithm2()),
         };
         let seconds = match &self.mode {
             ExecMode::Native => run.seconds,

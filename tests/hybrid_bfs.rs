@@ -4,7 +4,7 @@
 //! counters), while still producing a valid BFS tree and reporting its
 //! per-level direction decisions.
 
-use multicore_bfs::core::algo::hybrid::{bfs_hybrid, ForcedDirection};
+use multicore_bfs::core::algo::hybrid::ForcedDirection;
 use multicore_bfs::core::algo::level::{bfs, VariantConfig};
 use multicore_bfs::core::runner::{Algorithm, BfsRunner, ExecMode};
 use multicore_bfs::gen::prelude::*;
@@ -16,7 +16,7 @@ use multicore_bfs::machine::profile::Direction;
 fn rmat_scale16_hybrid_examines_at_most_half_the_edges() {
     let g = RmatBuilder::new(16, 8).seed(1).build();
     let root = 0;
-    let hybrid = bfs_hybrid(&g, root, 4, ForcedDirection::Auto);
+    let hybrid = bfs(&g, root, 4, VariantConfig::hybrid(ForcedDirection::Auto));
     let topdown = bfs(&g, root, 4, VariantConfig::algorithm2());
 
     // Same traversal, so the workload must be comparable.
@@ -53,13 +53,13 @@ fn rmat_scale16_hybrid_examines_at_most_half_the_edges() {
 #[test]
 fn forced_policies_agree_on_the_reachable_set() {
     let g = RmatBuilder::new(13, 8).seed(3).build();
-    let reference = bfs_hybrid(&g, 0, 4, ForcedDirection::Auto);
+    let reference = bfs(&g, 0, 4, VariantConfig::hybrid(ForcedDirection::Auto));
     for policy in [
         ForcedDirection::TopDown,
         ForcedDirection::BottomUp,
         ForcedDirection::Alternate,
     ] {
-        let run = bfs_hybrid(&g, 0, 4, policy);
+        let run = bfs(&g, 0, 4, VariantConfig::hybrid(policy));
         validate_bfs_tree(&g, 0, &run.parents).unwrap_or_else(|e| panic!("{policy:?}: {e}"));
         assert_eq!(run.visited, reference.visited, "{policy:?}");
     }
@@ -67,7 +67,7 @@ fn forced_policies_agree_on_the_reachable_set() {
 
 #[test]
 fn model_mode_schedules_bottom_up_levels() {
-    // Model mode runs the hybrid's own per-level code and direction switch
+    // Model mode runs the level loop's per-level code and direction switch
     // on virtual threads, so it reports the native direction schedule.
     let g = RmatBuilder::new(12, 8).seed(5).build();
     let native = BfsRunner::new(&g)

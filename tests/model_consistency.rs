@@ -1,7 +1,7 @@
 //! Consistency between the native executors, their deterministic
 //! virtual-thread twins, and the machine cost model.
 
-use multicore_bfs::core::algo::hybrid::{bfs_hybrid, bfs_hybrid_deterministic, ForcedDirection};
+use multicore_bfs::core::algo::hybrid::ForcedDirection;
 use multicore_bfs::core::algo::level::{bfs, bfs_deterministic, VariantConfig};
 use multicore_bfs::core::algo::{NativeRun, ENQUEUE_BATCH};
 use multicore_bfs::gen::prelude::*;
@@ -91,13 +91,14 @@ fn simulated_channel_traffic_matches_native_multi_socket() {
 
 #[test]
 fn level_model_is_the_native_code_minus_enqueue_charges() {
-    // At one thread per socket Algorithms 1-3 have no races: every claim on
+    // At one thread per socket the level loop has no races: every claim on
     // a socket's state comes from that socket's one thread, in frontier
-    // order in phase 1 and in send order in phase 2. The model-mode twin
-    // (the same per-level code on virtual threads) must match the native
-    // run exactly, except that native also charges for enqueueing each
-    // discovery: one LockedEnqueue each with locked queues, one reservation
-    // per ENQUEUE_BATCH with chunked ones.
+    // order in phase 1, in send order in phase 2, and in word order in a
+    // bottom-up sweep. The model-mode twin (the same per-level code on
+    // virtual threads) must match the native run exactly, except that a
+    // native top-down level also charges for enqueueing each discovery: one
+    // LockedEnqueue each with locked queues, one reservation per
+    // ENQUEUE_BATCH with chunked ones. A bottom-up sweep enqueues nothing.
     for (name, g) in &consistency_graphs() {
         for config in [
             VariantConfig::algorithm1(),
@@ -107,12 +108,11 @@ fn level_model_is_the_native_code_minus_enqueue_charges() {
         ] {
             let native = bfs(g, 0, config.sockets, config);
             let model = bfs_deterministic(g, 0, config.sockets, config);
-            assert_model_is_native_minus(&native, &model, &format!("{name} {config:?}"), |_, c| {
-                if config.locked_queues {
-                    c.parent_writes
-                } else {
-                    c.parent_writes.div_ceil(ENQUEUE_BATCH as u64)
-                }
+            let what = format!("{name} {config:?}");
+            assert_model_is_native_minus(&native, &model, &what, |l, c| match l.direction {
+                Direction::BottomUp => 0,
+                Direction::TopDown if config.locked_queues => c.parent_writes,
+                Direction::TopDown => c.parent_writes.div_ceil(ENQUEUE_BATCH as u64),
             });
         }
     }
@@ -121,10 +121,11 @@ fn level_model_is_the_native_code_minus_enqueue_charges() {
 #[test]
 fn hybrid_model_is_the_native_code_minus_batched_enqueue() {
     // At one thread the native hybrid has no races, so its model-mode twin
-    // (the same per-level code on one virtual thread) must match it
-    // exactly. The one difference is the discovery sink: native appends to
-    // the next queue in ENQUEUE_BATCH-sized reservations, one atomic each,
-    // where the model pushes every discovery directly.
+    // (the same level loop on one virtual thread) must match it exactly.
+    // The one difference is the discovery sink: a native top-down level
+    // appends to the next queue in ENQUEUE_BATCH-sized reservations, one
+    // atomic each, where the model pushes every discovery directly. A
+    // bottom-up sweep enqueues nothing.
     for (name, g) in &consistency_graphs() {
         for policy in [
             ForcedDirection::Auto,
@@ -132,8 +133,9 @@ fn hybrid_model_is_the_native_code_minus_batched_enqueue() {
             ForcedDirection::BottomUp,
             ForcedDirection::Alternate,
         ] {
-            let native = bfs_hybrid(g, 0, 1, policy);
-            let model = bfs_hybrid_deterministic(g, 0, 1, policy);
+            let config = VariantConfig::hybrid(policy);
+            let native = bfs(g, 0, 1, config);
+            let model = bfs_deterministic(g, 0, 1, config);
             assert_model_is_native_minus(&native, &model, &format!("{name} {policy:?}"), |l, c| {
                 match l.direction {
                     Direction::TopDown => c.parent_writes.div_ceil(ENQUEUE_BATCH as u64),

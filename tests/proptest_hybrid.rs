@@ -6,7 +6,8 @@
 //! frontier neighbour in adjacency order, not first claimer), so this pins
 //! down exactly the invariant that must survive the direction switches.
 
-use multicore_bfs::core::algo::hybrid::{bfs_hybrid, ForcedDirection};
+use multicore_bfs::core::algo::hybrid::ForcedDirection;
+use multicore_bfs::core::algo::level::{bfs, VariantConfig};
 use multicore_bfs::gen::prelude::*;
 use multicore_bfs::graph::csr::{CsrGraph, UNVISITED};
 use multicore_bfs::graph::validate::{sequential_levels, validate_bfs_tree};
@@ -62,7 +63,7 @@ proptest! {
             ForcedDirection::Alternate,
         ] {
             for threads in [1usize, 2, 4] {
-                let run = bfs_hybrid(&g, root, threads, policy);
+                let run = bfs(&g, root, threads, VariantConfig::hybrid(policy));
                 validate_bfs_tree(&g, root, &run.parents)
                     .unwrap_or_else(|e| panic!("{policy:?} x{threads}: {e}"));
                 for (v, &ref_depth) in reference.iter().enumerate() {

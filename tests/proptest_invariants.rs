@@ -2,6 +2,7 @@
 //! must produce a valid BFS tree with the correct reachable set, the IO
 //! layer must round-trip, and the partition must tile.
 
+use multicore_bfs::core::algo::hybrid::ForcedDirection;
 use multicore_bfs::core::algo::level::{bfs, bfs_deterministic, VariantConfig};
 use multicore_bfs::core::runner::{Algorithm, BfsRunner};
 use multicore_bfs::graph::csr::{CsrGraph, VertexId};
@@ -31,6 +32,7 @@ proptest! {
             Algorithm::Simple,
             Algorithm::SingleSocket,
             Algorithm::MultiSocket { sockets: 2 },
+            Algorithm::hybrid(),
         ] {
             let r = BfsRunner::new(&graph).algorithm(algo).threads(threads).run(root);
             let info = validate_bfs_tree(&graph, root, &r.parents)
@@ -51,6 +53,9 @@ proptest! {
             VariantConfig::algorithm3(2),
             VariantConfig::algorithm3(3),
             VariantConfig::algorithm2_multisocket(2),
+            VariantConfig::hybrid(ForcedDirection::Auto),
+            VariantConfig::hybrid(ForcedDirection::BottomUp),
+            VariantConfig::hybrid(ForcedDirection::Alternate),
         ] {
             let sim = bfs_deterministic(&graph, root, threads, config);
             let native = bfs(&graph, root, threads, config);

@@ -74,6 +74,23 @@ fn native_and_model_emit_same_level_spans() {
         assert_eq!(nt.levels.len(), mt.levels.len());
         assert_eq!(nt.dropped_events(), 0);
         assert_eq!(mt.dropped_events(), 0);
+        // One direction switch per change of direction between levels, in
+        // both executors; a top-down-only run converts no frontier.
+        for (run, trace) in [(&native, nt), (&model, mt)] {
+            let count = |kind| {
+                let events = trace.threads.iter().flat_map(|t| &t.events);
+                events.filter(|e| e.kind == kind).count()
+            };
+            let dirs = run.profile.direction_string();
+            let changes = dirs.as_bytes().windows(2).filter(|w| w[0] != w[1]).count();
+            let what = format!("{algorithm:?} {} {dirs}", trace.meta.mode);
+            assert_eq!(count(EventKind::DirectionSwitch), changes, "{what}");
+            if algorithm == Algorithm::hybrid() {
+                assert!(changes > 0, "{what}: the hybrid never switched");
+            } else {
+                assert_eq!(count(EventKind::Convert), 0, "{what}");
+            }
+        }
     }
 }
 
