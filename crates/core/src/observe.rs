@@ -40,9 +40,12 @@ pub fn level_meta(profile: &WorkProfile) -> Vec<LevelMeta> {
 /// span covering the level, and threads with less work than the critical
 /// path get a [`EventKind::BarrierWait`] span for their idle tail —
 /// exactly the load-imbalance picture the paper's barrier analysis draws.
-/// Virtual thread 0 also gets an [`EventKind::DirectionSwitch`] instant at
-/// the start of each level whose direction differs from its predecessor's,
-/// where a native run's leader records one.
+/// At the start of each level whose direction differs from its
+/// predecessor's, every virtual thread gets an [`EventKind::Convert`] span,
+/// as each native thread records one for its share of the frontier
+/// conversion, and virtual thread 0 also gets the
+/// [`EventKind::DirectionSwitch`] instant a native run's leader records.
+/// The model prices the conversion inside the level, so the span is empty.
 pub fn inject_model_timeline(profile: &WorkProfile, level_seconds: &[f64]) {
     if !mcbfs_trace::enabled() {
         return;
@@ -52,13 +55,17 @@ pub fn inject_model_timeline(profile: &WorkProfile, level_seconds: &[f64]) {
         let mut events = Vec::with_capacity(profile.levels.len() * 2);
         let mut cursor = 0u64;
         for (l, level) in profile.levels.iter().enumerate() {
-            if tid == 0 && l > 0 && profile.levels[l - 1].direction != level.direction {
-                events.push(TraceEvent {
+            if l > 0 && profile.levels[l - 1].direction != level.direction {
+                let at = |kind| TraceEvent {
                     start_ns: cursor,
                     dur_ns: 0,
-                    kind: EventKind::DirectionSwitch,
+                    kind,
                     arg: level.direction as u64,
-                });
+                };
+                if tid == 0 {
+                    events.push(at(EventKind::DirectionSwitch));
+                }
+                events.push(at(EventKind::Convert));
             }
             let level_ns = level_seconds
                 .get(l)

@@ -16,7 +16,7 @@
 //! separately from service time), and [`QueryBatcher::close`] drains-then-stops
 //! for graceful shutdown.
 
-use crate::engine::Query;
+use crate::engine::{BatchReport, Query};
 use crate::msbfs::MAX_SOURCES;
 use mcbfs_sync::workq::{ContinuousQueue, PushError};
 use mcbfs_trace::{EventKind, TraceEvent};
@@ -216,6 +216,83 @@ impl QueryBatcher {
     }
 }
 
+/// Serves `queries` offline, the throughput mode of `core::throughput`
+/// with waves in place of whole searches: admits them through a
+/// [`QueryBatcher`] (no age deadline), gives wave `w` to dispatcher
+/// `w % dispatchers` (the caller's thread when there is one, scoped
+/// threads otherwise), and runs each through `execute_wave`, which returns
+/// a one-wave report. Each query's latency is its queue time plus its
+/// dispatcher's running sum of wave seconds, and the makespan is the
+/// largest latency, so the slowest dispatcher sets it. Waves come back in
+/// wave order, outcomes in submission order.
+pub fn run_batch(
+    queries: &[Query],
+    max_batch: usize,
+    dispatchers: usize,
+    execute_wave: impl Fn(&[Admitted]) -> BatchReport + Sync,
+) -> BatchReport {
+    let batcher = QueryBatcher::new(
+        BatcherOpts {
+            max_batch,
+            max_wait: Duration::ZERO,
+        },
+        queries.len().max(1),
+    );
+    for &q in queries {
+        batcher.submit(q);
+    }
+    let waves = batcher.drain();
+    let dispatchers = dispatchers.clamp(1, waves.len().max(1));
+    let dispatch = |d: usize| -> Vec<BatchReport> {
+        let mut clock = 0.0f64;
+        let reports = (d..waves.len()).step_by(dispatchers).map(|w| {
+            let mut report = execute_wave(&waves[w]);
+            for stats in &mut report.waves {
+                clock += stats.seconds;
+                stats.wave = w;
+                stats.socket = d;
+            }
+            for o in &mut report.outcomes {
+                o.wave = w;
+                o.latency_seconds = o.queue_seconds + clock;
+            }
+            report
+        });
+        reports.collect()
+    };
+    let reports = if dispatchers == 1 {
+        dispatch(0)
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..dispatchers)
+                .map(|d| {
+                    s.spawn(move || {
+                        let reports = dispatch(d);
+                        mcbfs_trace::flush_thread();
+                        reports
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("wave dispatcher"))
+                .collect()
+        })
+    };
+    let mut batch = BatchReport::default();
+    for report in reports {
+        batch.outcomes.extend(report.outcomes);
+        batch.waves.extend(report.waves);
+    }
+    batch.waves.sort_by_key(|s| s.wave);
+    batch.outcomes.sort_by_key(|o| o.id);
+    batch.seconds = batch
+        .outcomes
+        .iter()
+        .fold(0.0, |a, o| a.max(o.latency_seconds));
+    batch
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,5 +428,43 @@ mod tests {
         // Tickets are dense, and waves preserve strict ticket order even
         // under concurrent submission — no sort needed.
         assert_eq!(ids(&waves), (0..400).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn run_batch_schedules_waves_round_robin_on_running_clocks() {
+        // Wave w of [0,1] [2,3] [4,5] [6] takes 2w + 1 seconds, and its
+        // queries report 0.5 s of queue time.
+        let execute_wave = |wave: &[Admitted]| {
+            let seconds = wave[0].id as f64 + 1.0;
+            let depths = vec![vec![0]; wave.len()];
+            let (mut outcomes, stats) =
+                crate::engine::wave_outcomes(9, wave, depths, None, |_, _| 1, 1, seconds);
+            for o in &mut outcomes {
+                o.queue_seconds = 0.5;
+            }
+            BatchReport {
+                outcomes,
+                seconds,
+                waves: vec![stats],
+                trace: None,
+            }
+        };
+        let queries: Vec<Query> = (0..7).map(|_| q(0)).collect();
+        // One dispatcher: 1, 1+3, 1+3+5, 1+3+5+7.
+        let serial = run_batch(&queries, 2, 1, execute_wave);
+        let latency: Vec<f64> = serial.outcomes.iter().map(|o| o.latency_seconds).collect();
+        assert_eq!(latency, [1.5, 1.5, 4.5, 4.5, 9.5, 9.5, 16.5]);
+        assert_eq!(serial.seconds, 16.5);
+        // Two dispatchers: waves 0 and 2 on one (1, 1+5), 1 and 3 on the
+        // other (3, 3+7); the second sets the makespan.
+        let pair = run_batch(&queries, 2, 2, execute_wave);
+        let latency: Vec<f64> = pair.outcomes.iter().map(|o| o.latency_seconds).collect();
+        assert_eq!(latency, [1.5, 1.5, 3.5, 3.5, 6.5, 6.5, 10.5]);
+        assert_eq!(pair.seconds, 10.5);
+        let placed: Vec<(usize, usize)> = pair.waves.iter().map(|w| (w.wave, w.socket)).collect();
+        assert_eq!(placed, [(0, 0), (1, 1), (2, 0), (3, 1)]);
+        let waves: Vec<usize> = pair.outcomes.iter().map(|o| o.wave).collect();
+        assert_eq!(waves, [0, 0, 1, 1, 2, 2, 3]);
+        assert_eq!(pair.total_edges(), 7);
     }
 }

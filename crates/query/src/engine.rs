@@ -5,25 +5,22 @@
 //! kernel ([`crate::msbfs`]) — or falls back to the paper's single-search
 //! algorithms for singleton waves, where MS-BFS has no sharing to exploit.
 //! Wave dispatch generalizes `core::throughput`: with `sockets > 1`,
-//! concurrent dispatchers each drive their own wave on their own thread
-//! group — the multi-instance regime of the paper's Fig. 10, with waves in
-//! place of whole independent benchmark instances.
+//! [`run_batch`] hands the waves round-robin to concurrent dispatchers,
+//! each driving its waves on its own thread group — the multi-instance
+//! regime of the paper's Fig. 10, with waves in place of whole independent
+//! benchmark instances.
 //!
 //! Execution is mode-polymorphic like `BfsRunner`: native waves measure
 //! wall-clock, model waves run the deterministic executor and price the
 //! resulting profiles with a [`MachineModel`] — so a batched serving
 //! experiment is exactly reproducible on this host.
 
-use crate::batcher::{Admitted, BatcherOpts, QueryBatcher};
-use crate::msbfs::{ms_bfs, ms_bfs_deterministic, MsBfsRun, RawMsBfs, MAX_SOURCES};
-use mcbfs_core::runner::{Algorithm, BfsResult, BfsRunner, ExecMode};
+use crate::batcher::{run_batch, Admitted};
+use crate::msbfs::{ms_bfs, ms_bfs_deterministic, MsBfsRun, MAX_SOURCES};
+use mcbfs_core::runner::{Algorithm, BfsRunner, ExecMode};
 use mcbfs_graph::csr::{CsrGraph, VertexId};
 use mcbfs_graph::validate::{depth_histogram, depths_from_parents, reachable_edges};
-use mcbfs_sync::pool::scoped_run;
-use mcbfs_sync::ticket::TicketLock;
 use mcbfs_trace::{EventKind, SpanTimer, Trace};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
 /// One admitted query. `Copy + Default` so it can ride the
 /// `sync::workq::ContinuousQueue` admission ring.
@@ -144,8 +141,8 @@ pub struct QueryOutcome {
     /// Index of the wave that served it.
     pub wave: usize,
     /// Seconds from **submission** to this query's wave completing:
-    /// `queue_seconds` plus the dispatch wait and execution (wall-clock
-    /// native, predicted in model mode).
+    /// `queue_seconds` plus the running sum of wave seconds on its
+    /// dispatcher (kernel wall-clock native, predicted in model mode).
     pub latency_seconds: f64,
     /// Seconds spent queued in the batcher, submission to wave seal.
     pub queue_seconds: f64,
@@ -184,8 +181,11 @@ pub struct BatchReport {
     pub outcomes: Vec<QueryOutcome>,
     /// Per-wave execution records in wave order.
     pub waves: Vec<WaveStats>,
-    /// Makespan of the whole batch (wall-clock native; in model mode the
-    /// slowest socket group's serial schedule, as in `core::throughput`).
+    /// Makespan of the whole batch: the largest per-query latency, so the
+    /// slowest dispatcher's serial schedule, as in `core::throughput`.
+    /// Natively it counts kernels and queue time, not admission, dispatcher
+    /// start-up or result assembly. A one-wave report from an executor
+    /// holds that wave's seconds.
     pub seconds: f64,
     /// Collected events when tracing was enabled (and compiled in).
     pub trace: Option<Trace>,
@@ -208,16 +208,6 @@ impl BatchReport {
         let lat: Vec<f64> = self.outcomes.iter().map(|o| o.latency_seconds).collect();
         crate::stats::nearest_rank_quantile(&lat, q)
     }
-}
-
-/// Kernel output of one wave before result assembly. The native dispatcher
-/// collects these inside the serving clock and assembles outcomes after it
-/// stops.
-enum WaveKernel<'g> {
-    /// A 2+-query wave served by the multi-source kernel.
-    Ms(RawMsBfs<'g>),
-    /// A singleton wave served by the fallback single-search algorithm.
-    Single(BfsResult),
 }
 
 /// Builder-style batched query engine.
@@ -275,9 +265,11 @@ impl<'g> QueryEngine<'g> {
         self
     }
 
-    /// Concurrent wave dispatchers (socket groups), each `threads` wide —
-    /// the throughput-mode generalization. Model mode schedules waves
-    /// round-robin over the groups and reports the slowest group.
+    /// Concurrent wave dispatchers (socket groups) for
+    /// [`QueryEngine::execute`], each `threads` wide — the throughput-mode
+    /// generalization. Waves go round-robin over the groups, and the
+    /// slowest group sets the makespan. A served wave runs on the
+    /// scheduler's thread, so this has no effect on serving.
     pub fn sockets(mut self, sockets: usize) -> Self {
         self.sockets = sockets.max(1);
         self
@@ -304,8 +296,9 @@ impl<'g> QueryEngine<'g> {
         self
     }
 
-    /// Serves one batch: admits `queries` through the batcher, executes the
-    /// sealed waves, and reports per-query outcomes in submission order.
+    /// Serves one batch: [`run_batch`] admits `queries` and runs the sealed
+    /// waves on `sockets` dispatchers through [`QueryEngine::execute_wave`];
+    /// outcomes come back in submission order.
     pub fn execute(&self, queries: &[Query]) -> BatchReport {
         if self.trace {
             mcbfs_trace::start(mcbfs_trace::RunMeta {
@@ -324,25 +317,9 @@ impl<'g> QueryEngine<'g> {
             });
             mcbfs_trace::register_worker(0);
         }
-        // The batch clock starts before admission so the reported makespan
-        // bounds every per-query latency (which counts queue time).
-        let start = Instant::now();
-        let batcher = QueryBatcher::new(
-            BatcherOpts {
-                max_batch: self.max_batch,
-                max_wait: Duration::ZERO,
-            },
-            queries.len().max(1),
-        );
-        for &q in queries {
-            batcher.submit(q);
-        }
-        let waves = batcher.drain();
-        let mut report = match &self.mode {
-            ExecMode::Native => self.execute_native(&waves, start),
-            ExecMode::Model(_) => self.execute_model(&waves),
-        };
-        report.outcomes.sort_by_key(|o| o.id);
+        let mut report = run_batch(queries, self.max_batch, self.sockets, |wave| {
+            self.execute_wave(wave)
+        });
         if self.trace {
             mcbfs_trace::flush_thread();
             report.trace = mcbfs_trace::finish();
@@ -350,165 +327,72 @@ impl<'g> QueryEngine<'g> {
         report
     }
 
-    /// Executes one externally-sealed wave — the serving path, where the
-    /// caller owns the [`QueryBatcher`] and seals waves under its own
-    /// deadline policy. Runs the exact same kernel and result assembly as
-    /// the offline [`QueryEngine::execute`], so wire answers match offline
-    /// answers by construction. `queue_seconds` flows from each
-    /// [`Admitted::queued`]; outcomes come back in ticket order.
+    /// Executes one sealed wave on the calling thread: the traversal
+    /// (MS-BFS for 2+ queries, the fallback algorithm for singletons)
+    /// inside a [`EventKind::BatchExecute`] span and the serving clock,
+    /// then grid extraction, answers and statistics outside both. The
+    /// serving scheduler and the offline [`QueryEngine::execute`] both run
+    /// it, so wire answers match offline answers by construction.
+    /// Outcomes come back in wave order, each with its queue time (zero in
+    /// model mode, which prices only the modelled schedule) and the wave's
+    /// seconds as service time.
     pub fn execute_wave(&self, wave: &[Admitted]) -> BatchReport {
-        let start = Instant::now();
-        let waves = [wave.to_vec()];
-        let mut report = match &self.mode {
-            ExecMode::Native => self.execute_native(&waves, start),
-            ExecMode::Model(_) => self.execute_model(&waves),
-        };
-        report.outcomes.sort_by_key(|o| o.id);
-        report
-    }
-
-    /// Native dispatch: `sockets` concurrent dispatchers claim waves from a
-    /// shared cursor (one dispatcher ≙ one socket group of
-    /// `core::throughput`); latency is the query's batcher queue time plus
-    /// wall-clock from batch start to its wave completing.
-    fn execute_native(&self, waves: &[Vec<Admitted>], start: Instant) -> BatchReport {
-        let cursor = AtomicUsize::new(0);
-        // (wave, socket, latency, kernel): only kernels run inside the
-        // serving clock; extraction and statistics happen after the join.
-        type Collected<'g> = Vec<(usize, usize, f64, WaveKernel<'g>)>;
-        let collected: TicketLock<Collected<'g>> = TicketLock::new(Vec::new());
-        // Dispatch-relative clock for per-wave completion; `start` (the
-        // batch epoch, pre-admission) bounds the reported makespan so
-        // `latency_seconds <= seconds` holds even with queue time counted.
-        let exec_start = Instant::now();
-        scoped_run(self.sockets.min(waves.len().max(1)), |socket| {
-            loop {
-                let w = cursor.fetch_add(1, Ordering::Relaxed);
-                if w >= waves.len() {
-                    break;
-                }
-                let timer = SpanTimer::start();
-                let kernel = self.run_wave_kernel(&waves[w]);
-                timer.finish(EventKind::BatchExecute, waves[w].len() as u64);
-                let latency = exec_start.elapsed().as_secs_f64();
-                collected.lock().push((w, socket, latency, kernel));
-            }
-            mcbfs_trace::flush_thread();
-        });
-        let seconds = start.elapsed().as_secs_f64();
-        let mut done = collected.into_inner();
-        done.sort_by_key(|&(w, ..)| w);
-        let mut report = BatchReport {
-            seconds,
-            ..BatchReport::default()
-        };
-        for (w, socket, latency, kernel) in done {
-            let (mut outcomes, mut stats) = self.assemble_wave(w, &waves[w], kernel);
-            stats.socket = socket;
-            for o in &mut outcomes {
-                o.service_seconds = stats.seconds;
-                o.latency_seconds = o.queue_seconds + latency;
-            }
-            report.outcomes.extend(outcomes);
-            report.waves.push(stats);
-        }
-        report
-    }
-
-    /// Model dispatch: waves run the deterministic executor in wave order
-    /// (each priced inside [`QueryEngine::run_wave`]) and are scheduled
-    /// round-robin onto the socket groups; a query's latency is its group's
-    /// cumulative schedule.
-    fn execute_model(&self, waves: &[Vec<Admitted>]) -> BatchReport {
-        let mut socket_clock = vec![0.0f64; self.sockets];
-        let mut report = BatchReport::default();
-        for (w, wave) in waves.iter().enumerate() {
-            let timer = SpanTimer::start();
-            let (mut outcomes, mut stats) = self.run_wave(w, wave);
-            timer.finish(EventKind::BatchExecute, wave.len() as u64);
-            let socket = w % self.sockets;
-            stats.socket = socket;
-            socket_clock[socket] += stats.seconds;
-            for o in &mut outcomes {
-                // Model mode is deterministic: price only the modeled
-                // schedule, not the wall-clock batcher queue time.
-                o.queue_seconds = 0.0;
-                o.service_seconds = stats.seconds;
-                o.latency_seconds = socket_clock[socket];
-            }
-            report.outcomes.extend(outcomes);
-            report.waves.push(stats);
-        }
-        report.seconds = socket_clock.iter().fold(0.0, |a, &b| a.max(b));
-        report
-    }
-
-    /// Executes one sealed wave: MS-BFS for 2+ queries, the fallback
-    /// algorithm for singletons.
-    fn run_wave(&self, w: usize, wave: &[Admitted]) -> (Vec<QueryOutcome>, WaveStats) {
-        let kernel = self.run_wave_kernel(wave);
-        self.assemble_wave(w, wave, kernel)
-    }
-
-    /// The timed part of a wave: just the traversal, no result extraction.
-    fn run_wave_kernel(&self, wave: &[Admitted]) -> WaveKernel<'g> {
-        if wave.len() == 1 {
-            let result = BfsRunner::new(self.graph)
+        let timer = SpanTimer::start();
+        let (depths, parents, levels, seconds) = if let [single] = wave {
+            let r = BfsRunner::new(self.graph)
                 .algorithm(self.fallback)
                 .threads(self.threads)
                 .mode(self.mode.clone())
-                .run(wave[0].query.source());
-            return WaveKernel::Single(result);
-        }
-        let sources: Vec<VertexId> = wave.iter().map(|a| a.query.source()).collect();
-        let record_parents = wave.iter().any(|a| a.query.wants_parents());
-        WaveKernel::Ms(match &self.mode {
-            ExecMode::Native => ms_bfs(self.graph, &sources, self.threads, record_parents),
-            ExecMode::Model(_) => {
-                ms_bfs_deterministic(self.graph, &sources, self.threads, record_parents)
-            }
-        })
-    }
-
-    /// The untimed part: grid extraction, per-query answers, statistics.
-    fn assemble_wave(
-        &self,
-        w: usize,
-        wave: &[Admitted],
-        kernel: WaveKernel<'g>,
-    ) -> (Vec<QueryOutcome>, WaveStats) {
+                .run(single.query.source());
+            timer.finish(EventKind::BatchExecute, 1);
+            let depths = depths_from_parents(&r.parents);
+            let parents = single.query.wants_parents().then(|| vec![r.parents]);
+            (
+                vec![depths],
+                parents,
+                r.stats.levels as usize,
+                r.stats.seconds,
+            )
+        } else {
+            let sources: Vec<VertexId> = wave.iter().map(|a| a.query.source()).collect();
+            let record_parents = wave.iter().any(|a| a.query.wants_parents());
+            let raw = match &self.mode {
+                ExecMode::Native => ms_bfs(self.graph, &sources, self.threads, record_parents),
+                ExecMode::Model(_) => {
+                    ms_bfs_deterministic(self.graph, &sources, self.threads, record_parents)
+                }
+            };
+            timer.finish(EventKind::BatchExecute, wave.len() as u64);
+            let native_seconds = raw.seconds;
+            let MsBfsRun {
+                depths,
+                parents,
+                profile,
+                levels,
+                ..
+            } = raw.finish();
+            let seconds = match &self.mode {
+                ExecMode::Native => native_seconds,
+                ExecMode::Model(model) => model.predict(&profile).seconds,
+            };
+            (depths, parents, levels, seconds)
+        };
         let edges_of = |_: usize, depths: &[u32]| reachable_edges(self.graph, depths);
-        match kernel {
-            WaveKernel::Single(r) => {
-                let depths = depths_from_parents(&r.parents);
-                let parents = wave[0].query.wants_parents().then(|| vec![r.parents]);
-                let (outcomes, mut stats) = wave_outcomes(
-                    w,
-                    wave,
-                    vec![depths],
-                    parents,
-                    edges_of,
-                    r.stats.levels as usize,
-                    r.stats.seconds,
-                );
-                stats.fallback = true;
-                (outcomes, stats)
+        let (mut outcomes, mut stats) =
+            wave_outcomes(0, wave, depths, parents, edges_of, levels, seconds);
+        stats.fallback = wave.len() == 1;
+        for o in &mut outcomes {
+            if let ExecMode::Model(_) = self.mode {
+                o.queue_seconds = 0.0;
             }
-            WaveKernel::Ms(raw) => {
-                let native_seconds = raw.seconds;
-                let MsBfsRun {
-                    depths,
-                    parents,
-                    profile,
-                    levels,
-                    ..
-                } = raw.finish();
-                let seconds = match &self.mode {
-                    ExecMode::Native => native_seconds,
-                    ExecMode::Model(model) => model.predict(&profile).seconds,
-                };
-                wave_outcomes(w, wave, depths, parents, edges_of, levels, seconds)
-            }
+            o.service_seconds = stats.seconds;
+            o.latency_seconds = o.queue_seconds + stats.seconds;
+        }
+        BatchReport {
+            outcomes,
+            seconds: stats.seconds,
+            waves: vec![stats],
+            trace: None,
         }
     }
 }

@@ -13,8 +13,9 @@
 //! and a deterministic model-mode path prices batched runs on the machine
 //! model so serving experiments reproduce exactly on any host.
 //!
-//! Layering: `engine` (waves, dispatch, results) sits on `msbfs` (the
-//! kernel) and `batcher` (admission over `sync::workq`); `stats` flattens
+//! Layering: `engine` (waves and results) sits on `msbfs` (the kernel)
+//! and `batcher` (admission over `sync::workq`, and `run_batch`, the
+//! offline wave dispatch every executor shares); `stats` flattens
 //! reports for `--stats-json`; `kernel` is the batched twin of the
 //! Graph500-style kernel in `core`.
 
@@ -24,7 +25,7 @@ pub mod kernel;
 pub mod msbfs;
 pub mod stats;
 
-pub use batcher::{AdmitError, Admitted, BatcherOpts, QueryBatcher};
+pub use batcher::{run_batch, AdmitError, Admitted, BatcherOpts, QueryBatcher};
 pub use engine::{
     wave_outcomes, BatchReport, Query, QueryEngine, QueryOutcome, QueryResult, WaveStats,
 };

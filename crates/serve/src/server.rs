@@ -41,7 +41,9 @@ pub struct ServeOpts {
     pub addr: String,
     /// Worker threads per wave (0 = the engine's default).
     pub threads: usize,
-    /// Concurrent wave dispatchers (socket groups).
+    /// Has no effect on serving: the scheduler executes one wave at a time
+    /// on its own thread. Kept for callers that build a `QueryEngine` with
+    /// `.sockets(..)` from these options.
     pub sockets: usize,
     /// Queries per wave (clamped to the kernel width, 64).
     pub max_batch: usize,
@@ -197,9 +199,7 @@ pub fn serve<F: FnOnce(SocketAddr)>(
     shutdown: &ShutdownHandle,
     on_ready: F,
 ) -> std::io::Result<ServerStats> {
-    let mut engine = QueryEngine::new(graph)
-        .max_batch(opts.max_batch)
-        .sockets(opts.sockets.max(1));
+    let mut engine = QueryEngine::new(graph).max_batch(opts.max_batch);
     if opts.threads > 0 {
         engine = engine.threads(opts.threads);
     }

@@ -16,6 +16,12 @@
 //! the exchange term ([`MachineModel::exchange_seconds`] over the
 //! level's frames and bytes) — the 1D-decomposition cost shape of
 //! distributed BFS (Buluç & Madduri), with the router as the only link.
+//!
+//! The offline [`ShardedEngine::execute`] is `mcbfs_query::run_batch` on
+//! one dispatcher, the driver `QueryEngine::execute` uses too: waves run
+//! one after another, a query's latency is its queue time plus the wave
+//! seconds up to and including its own wave, and the makespan is the
+//! largest latency.
 
 use crate::exchange::{bad_data, Cluster, ExchangeLog, ShardLink};
 use crate::swire::{self, ShardFrame};
@@ -23,16 +29,15 @@ use crate::worker::{handle_frame, Wave};
 use mcbfs_graph::csr::CsrGraph;
 use mcbfs_graph::shard::CsrShard;
 use mcbfs_machine::model::MachineModel;
-use mcbfs_query::{Admitted, BatchReport, BatcherOpts, Query, QueryBatcher};
+use mcbfs_query::{run_batch, Admitted, BatchReport, Query};
 use mcbfs_serve::WaveExecutor;
 use std::io;
-use std::time::{Duration, Instant};
 
 /// A multi-shard query engine running the cluster protocol in-process.
 ///
 /// Implements [`WaveExecutor`], so `serve_with` can put a sharded
 /// single-process server on the wire; the offline [`ShardedEngine::execute`]
-/// mirrors `QueryEngine::execute` for benches and tests.
+/// serves a query list through the same driver as `QueryEngine::execute`.
 pub struct ShardedEngine {
     shards: Vec<CsrShard>,
     max_batch: usize,
@@ -84,35 +89,13 @@ impl ShardedEngine {
         self.cluster.exchange_log()
     }
 
-    /// Offline counterpart of `QueryEngine::execute`: chunks `queries`
-    /// into waves of `max_batch` and serves them through the sharded
-    /// level loop. Outcomes come back in submission order.
+    /// Offline counterpart of `QueryEngine::execute`: [`run_batch`] chunks
+    /// `queries` into waves of `max_batch` and serves them one after
+    /// another through the sharded level loop, so a query's latency is the
+    /// running sum of wave seconds up to its own wave. Outcomes come back
+    /// in submission order.
     pub fn execute(&self, queries: &[Query]) -> BatchReport {
-        let start = Instant::now();
-        let batcher = QueryBatcher::new(
-            BatcherOpts {
-                max_batch: self.max_batch,
-                max_wait: Duration::ZERO,
-            },
-            queries.len().max(1),
-        );
-        for &q in queries {
-            batcher.submit(q);
-        }
-        let mut report = BatchReport::default();
-        let mut modeled = 0.0f64;
-        for wave in batcher.drain() {
-            let wave_report = self.execute_wave(&wave);
-            modeled += wave_report.seconds;
-            report.outcomes.extend(wave_report.outcomes);
-            report.waves.extend(wave_report.waves);
-        }
-        report.seconds = match self.model {
-            Some(_) => modeled,
-            None => start.elapsed().as_secs_f64(),
-        };
-        report.outcomes.sort_by_key(|o| o.id);
-        report
+        run_batch(queries, self.max_batch, 1, |wave| self.execute_wave(wave))
     }
 }
 
@@ -271,6 +254,32 @@ mod tests {
         for l in &per_wave[..per_wave.len() - 1] {
             assert_eq!(l.frames, 8, "level {}", l.level);
         }
+    }
+
+    #[test]
+    fn latency_is_the_running_sum_of_wave_seconds() {
+        let g = graph();
+        let queries: Vec<Query> = (0..6).map(|i| Query::Distances { root: i * 29 }).collect();
+        let report = ShardedEngine::new(&g, 3)
+            .max_batch(2)
+            .model(MachineModel::nehalem_ep())
+            .execute(&queries);
+        assert_eq!(report.waves.len(), 3);
+        let mut clock = 0.0;
+        let done: Vec<f64> = report
+            .waves
+            .iter()
+            .map(|w| {
+                clock += w.seconds;
+                clock
+            })
+            .collect();
+        for o in &report.outcomes {
+            assert_eq!(o.latency_seconds, done[o.wave], "query {}", o.id);
+        }
+        let largest = report.outcomes.iter().map(|o| o.latency_seconds);
+        assert_eq!(report.seconds, largest.fold(0.0, f64::max));
+        assert!(done[0] < done[2]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The fork-join substrate standing in for the paper's pthread worker team.
 //!
 //! [`scoped_run`] forks a team of scoped threads, runs one closure on each
-//! with its thread id, and joins them. Every parallel BFS level loop, the
-//! MS-BFS kernel and the query engine's wave dispatch run inside one such
-//! region. Threads are not pinned; the operating system places them.
+//! with its thread id, and joins them. Every parallel BFS level loop and
+//! the MS-BFS kernel run inside one such region. Threads are not pinned;
+//! the operating system places them.
 
 /// One-shot parallel region: runs `f(tid)` on `threads` scoped threads (at
 /// least one), returning when all complete.

@@ -9,7 +9,9 @@ file must carry exactly one run header whose span count matches its level
 records. ``--expect-levels-match`` compares the level-span counts of two
 JSONL files — the native-vs-model parity check run in CI.
 ``--expect-event NAME`` requires every ``--chrome`` file to hold at least
-one event named ``NAME`` (e.g. ``channel_send`` for a multi-socket run).
+one event of kind ``NAME``: named ``NAME``, or ``NAME`` followed by a
+space and its detail (``channel_send`` for a multi-socket run,
+``convert`` matching ``convert to bu`` for a hybrid run).
 
 Exit status 0 on success, 1 with a message on the first violation.
 """
@@ -58,7 +60,7 @@ def check_chrome(path, expect_events=()):
                     fail(f"{path}: event {i} bad direction {args['direction']!r}")
     if level_spans == 0:
         fail(f"{path}: no level spans")
-    names = {ev["name"] for ev in events}
+    names = {ev["name"].split(" ", 1)[0] for ev in events}
     for name in expect_events:
         if name not in names:
             fail(f"{path}: no {name!r} event")
@@ -124,7 +126,7 @@ def main():
     ap.add_argument("--expect-levels-match", nargs=2, metavar=("A", "B"),
                     help="two JSONL files whose level-span counts must agree")
     ap.add_argument("--expect-event", action="append", default=[], metavar="NAME",
-                    help="event name every --chrome file must hold (repeatable)")
+                    help="event kind every --chrome file must hold (repeatable)")
     args = ap.parse_args()
     if not (args.chrome or args.jsonl or args.expect_levels_match):
         ap.error("nothing to check")

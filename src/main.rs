@@ -80,7 +80,7 @@ fn usage(err: &str) -> ! {
          \x20             [--trace FILE.json] [--metrics FILE.jsonl] [--stats-json FILE]\n\
          \x20 info        --graph PATH\n\
          \x20 kernel      --graph PATH [--searches K] [--threads T] [--seed S]\n\
-         \x20             [--batched] [--batch B]\n\
+         \x20             [--algorithm A] [--batched] [--batch B]\n\
          \x20 query       --graph PATH --sources FILE [--batch B] [--threads T]\n\
          \x20             [--sockets S] [--mode native|model] [--machine ep|ex]\n\
          \x20             [--shards N] (offline sharded engine; with --mode model\n\
@@ -91,7 +91,7 @@ fn usage(err: &str) -> ! {
          \x20 components  --graph PATH [--threads T]\n\
          \x20 stcon       --graph PATH --source S --target T [--stats-json FILE]\n\
          \x20             (exit code 1 when disconnected)\n\
-         \x20 serve       --graph PATH [--addr HOST:PORT] [--threads T] [--sockets S]\n\
+         \x20 serve       --graph PATH [--addr HOST:PORT] [--threads T]\n\
          \x20             [--max-batch B] [--max-wait-us U] [--queue-cap Q]\n\
          \x20             [--deadline-ms D] [--stats-json FILE]\n\
          \x20             (SIGINT drains in-flight waves, then exits)\n\
@@ -478,43 +478,78 @@ fn read_sources(path: &str, n: usize) -> Vec<u32> {
     sources
 }
 
+/// `--stats-json` payload of `mcbfs query --shards N`: the usual batch
+/// stats plus the per-level shard-exchange ledger (in model mode this is
+/// the byte-exact prediction of a live N-shard cluster's traffic).
+#[derive(serde::Serialize)]
+struct ShardedQueryStats {
+    shards: u64,
+    stats: multicore_bfs::query::BatchStats,
+    exchange: multicore_bfs::shard::ExchangeLog,
+}
+
+/// `mcbfs query`: serve one distances query per source offline, through
+/// `QueryEngine` or, with `--shards N`, the in-process sharded engine —
+/// the same level-synchronous exchange protocol the live router/worker
+/// cluster speaks, minus the sockets.
 fn cmd_query(opts: &HashMap<String, String>) {
+    use multicore_bfs::shard::ShardedEngine;
     if opts.contains_key("addr") {
         return cmd_query_remote(opts);
     }
     let graph = load_graph(opts);
     let sources = read_sources(&require(opts, "sources"), graph.num_vertices());
     let batch: usize = get(opts, "batch", 64usize);
-    if opts.contains_key("shards") {
-        return cmd_query_sharded(opts, &graph, &sources, batch);
-    }
-    let threads: usize = get(opts, "threads", 1usize);
-    let sockets: usize = get(opts, "sockets", 1usize);
     let mode_name = get(opts, "mode", "native".to_string());
-    let mode = match mode_name.as_str() {
-        "native" => ExecMode::Native,
-        "model" => ExecMode::model(parse_machine(&get(opts, "machine", "ex".to_string()))),
+    let model = match mode_name.as_str() {
+        "native" => None,
+        "model" => Some(parse_machine(&get(opts, "machine", "ex".to_string()))),
         other => usage(&format!("unknown --mode {other:?} (native|model)")),
     };
+    let shards = opts
+        .contains_key("shards")
+        .then(|| get(opts, "shards", 1usize));
+    if shards == Some(0) {
+        usage("--shards must be at least 1");
+    }
     let queries: Vec<Query> = sources
         .iter()
         .map(|&root| Query::Distances { root })
         .collect();
-    let report = QueryEngine::new(&graph)
-        .threads(threads)
-        .max_batch(batch)
-        .sockets(sockets)
-        .mode(mode)
-        .traced(opts.contains_key("trace") || opts.contains_key("metrics"))
-        .execute(&queries);
+    // A sharded run serves on one thread and one dispatcher.
+    let (threads, sockets) = match shards {
+        Some(_) => (1, 1),
+        None => (get(opts, "threads", 1usize), get(opts, "sockets", 1usize)),
+    };
+    let (report, sharded) = match shards {
+        Some(shards) => {
+            let mut engine = ShardedEngine::new(&graph, shards).max_batch(batch);
+            if let Some(model) = model {
+                engine = engine.model(model);
+            }
+            let report = engine.execute(&queries);
+            (report, Some((shards as u64, engine.exchange_log())))
+        }
+        None => {
+            let report = QueryEngine::new(&graph)
+                .threads(threads)
+                .max_batch(batch)
+                .sockets(sockets)
+                .mode(model.map_or(ExecMode::Native, ExecMode::model))
+                .traced(opts.contains_key("trace") || opts.contains_key("metrics"))
+                .execute(&queries);
+            (report, None)
+        }
+    };
     let stats = batch_stats(&report, batch, threads, sockets, &mode_name);
     println!(
-        "[{}] {} queries in {} wave{}: {:.3} ms makespan, {:.2} aggregate MTEPS, \
+        "[{}] {} queries in {} wave{}{}: {:.3} ms makespan, {:.2} aggregate MTEPS, \
          latency p50 {:.3} ms / p99 {:.3} ms",
         mode_name,
         stats.queries,
         stats.waves,
         if stats.waves == 1 { "" } else { "s" },
+        shards.map_or(String::new(), |n| format!(" over {n} shard slices")),
         stats.seconds * 1e3,
         stats.aggregate_teps / 1e6,
         stats.p50_latency_ms,
@@ -531,92 +566,26 @@ fn cmd_query(opts: &HashMap<String, String>) {
             if w.fallback { " (fallback)" } else { "" }
         );
     }
-    write_trace_exports(opts, report.trace.as_ref());
+    match &sharded {
+        Some((_, exchange)) => println!(
+            "  exchange: {} frames, {} bytes, {} items over {} level rounds",
+            exchange.total_frames(),
+            exchange.total_bytes(),
+            exchange.total_items(),
+            exchange.levels.len()
+        ),
+        None => write_trace_exports(opts, report.trace.as_ref()),
+    }
     if let Some(path) = opts.get("stats-json") {
-        let json = serde_json::to_string_pretty(&stats).expect("serialize stats");
-        write_text_file(path, &json);
-        println!("wrote stats JSON {path}");
-    }
-}
-
-/// `--stats-json` payload of `mcbfs query --shards N`: the usual batch
-/// stats plus the per-level shard-exchange ledger (in model mode this is
-/// the byte-exact prediction of a live N-shard cluster's traffic).
-#[derive(serde::Serialize)]
-struct ShardedQueryStats {
-    shards: u64,
-    stats: multicore_bfs::query::BatchStats,
-    exchange: multicore_bfs::shard::ExchangeLog,
-}
-
-/// `mcbfs query --shards N`: run the batch through the in-process
-/// sharded engine — the same level-synchronous exchange protocol the
-/// live router/worker cluster speaks, minus the sockets.
-fn cmd_query_sharded(
-    opts: &HashMap<String, String>,
-    graph: &CsrGraph,
-    sources: &[u32],
-    batch: usize,
-) {
-    use multicore_bfs::shard::ShardedEngine;
-    let shards: usize = get(opts, "shards", 1usize);
-    if shards == 0 {
-        usage("--shards must be at least 1");
-    }
-    let mode_name = get(opts, "mode", "native".to_string());
-    let mut engine = ShardedEngine::new(graph, shards).max_batch(batch);
-    match mode_name.as_str() {
-        "native" => {}
-        "model" => {
-            engine = engine.model(parse_machine(&get(opts, "machine", "ex".to_string())));
-        }
-        other => usage(&format!("unknown --mode {other:?} (native|model)")),
-    }
-    let queries: Vec<Query> = sources
-        .iter()
-        .map(|&root| Query::Distances { root })
-        .collect();
-    let report = engine.execute(&queries);
-    let stats = batch_stats(&report, batch, 1, 1, &mode_name);
-    let exchange = engine.exchange_log();
-    println!(
-        "[{}] {} queries in {} wave{} over {} shard slices: {:.3} ms makespan, \
-         {:.2} aggregate MTEPS, latency p50 {:.3} ms / p99 {:.3} ms",
-        mode_name,
-        stats.queries,
-        stats.waves,
-        if stats.waves == 1 { "" } else { "s" },
-        shards,
-        stats.seconds * 1e3,
-        stats.aggregate_teps / 1e6,
-        stats.p50_latency_ms,
-        stats.p99_latency_ms
-    );
-    for w in &report.waves {
-        println!(
-            "  wave {}: {} queries, {} levels, {:.3} ms, {} edges",
-            w.wave,
-            w.queries,
-            w.levels,
-            w.seconds * 1e3,
-            w.edges
-        );
-    }
-    println!(
-        "  exchange: {} frames, {} bytes, {} items over {} level rounds",
-        exchange.total_frames(),
-        exchange.total_bytes(),
-        exchange.total_items(),
-        exchange.levels.len()
-    );
-    if let Some(path) = opts.get("stats-json") {
-        let payload = ShardedQueryStats {
-            shards: shards as u64,
-            stats,
-            exchange,
+        let json = match sharded {
+            Some((shards, exchange)) => serde_json::to_string_pretty(&ShardedQueryStats {
+                shards,
+                stats,
+                exchange,
+            }),
+            None => serde_json::to_string_pretty(&stats),
         };
-        let json = serde_json::to_string_pretty(&payload).expect("serialize stats");
-        write_text_file(path, &json);
+        write_text_file(path, &json.expect("serialize stats"));
         println!("wrote stats JSON {path}");
     }
 }
@@ -640,11 +609,16 @@ struct RemoteQueryStats {
 /// with one distances query per source, pipelined on one connection.
 fn cmd_query_remote(opts: &HashMap<String, String>) {
     use multicore_bfs::query::nearest_rank_quantile;
-    use multicore_bfs::serve::wire;
+    use multicore_bfs::serve::{loadgen, wire};
     use multicore_bfs::serve::{Request, Response};
     use std::io::{BufRead, Write};
     let addr = require(opts, "addr");
     let deadline_ms: f64 = get(opts, "deadline-ms", -1.0f64);
+    // Handshake: the stats reply carries the graph shape, which bounds
+    // the source ids exactly as the local path does.
+    let stats =
+        loadgen::fetch_stats(&addr).unwrap_or_else(|e| usage(&format!("cannot reach {addr}: {e}")));
+    let sources = read_sources(&require(opts, "sources"), stats.vertices as usize);
     let stream = std::net::TcpStream::connect(&addr)
         .unwrap_or_else(|e| usage(&format!("cannot connect to {addr}: {e}")));
     stream.set_nodelay(true).ok();
@@ -653,21 +627,6 @@ fn cmd_query_remote(opts: &HashMap<String, String>) {
         .unwrap_or_else(|e| usage(&format!("cannot clone connection: {e}")));
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-
-    // Handshake: the stats reply carries the graph shape, which bounds
-    // the source ids exactly as the local path does.
-    writer
-        .write_all(wire::encode(&Request::Stats { tag: u64::MAX }).as_bytes())
-        .unwrap_or_else(|e| usage(&format!("handshake write failed: {e}")));
-    reader
-        .read_line(&mut line)
-        .unwrap_or_else(|e| usage(&format!("handshake read failed: {e}")));
-    let n = match wire::decode::<Response>(&line) {
-        Ok(Response::Stats { stats, .. }) => stats.vertices as usize,
-        Ok(other) => usage(&format!("unexpected handshake reply: {other:?}")),
-        Err(e) => usage(&format!("bad handshake reply: {e}")),
-    };
-    let sources = read_sources(&require(opts, "sources"), n);
 
     let start = std::time::Instant::now();
     for (tag, &root) in sources.iter().enumerate() {
@@ -814,12 +773,12 @@ fn cmd_serve(opts: &HashMap<String, String>) {
     let serve_opts = ServeOpts {
         addr: get(opts, "addr", "127.0.0.1:7411".to_string()),
         threads: get(opts, "threads", 0usize),
-        sockets: get(opts, "sockets", 1usize),
         max_batch: get(opts, "max-batch", 64usize),
         max_wait: std::time::Duration::from_micros(get(opts, "max-wait-us", 2_000u64)),
         queue_cap: get(opts, "queue-cap", 256usize),
         default_deadline: (deadline_s > 0.0)
             .then(|| std::time::Duration::from_secs_f64(deadline_s)),
+        ..ServeOpts::default()
     };
     arm_sigint();
     let shutdown = ShutdownHandle::new();
@@ -1020,13 +979,12 @@ fn cmd_router(opts: &HashMap<String, String>) {
     let deadline_s: f64 = get(opts, "deadline-ms", -1.0f64) / 1e3;
     let serve_opts = ServeOpts {
         addr: get(opts, "addr", "127.0.0.1:7411".to_string()),
-        threads: 0,
-        sockets: 1,
         max_batch: get(opts, "max-batch", 64usize),
         max_wait: std::time::Duration::from_micros(get(opts, "max-wait-us", 2_000u64)),
         queue_cap: get(opts, "queue-cap", 256usize),
         default_deadline: (deadline_s > 0.0)
             .then(|| std::time::Duration::from_secs_f64(deadline_s)),
+        ..ServeOpts::default()
     };
     arm_sigint();
     let shutdown = ShutdownHandle::new();

@@ -1,5 +1,5 @@
-//! Bad command-line input fails structured: `mcbfs` prints `error:` and
-//! exits 2, never panicking. `stcon` exits 0 or 1 for an answer, so a
+//! Bad command-line input, or a server that cannot be reached, fails
+//! structured: `mcbfs` prints `error:` and exits 2, never panicking. `stcon` exits 0 or 1 for an answer, so a
 //! panic's 101 must not be mistaken for one.
 
 use std::path::Path;
@@ -27,6 +27,8 @@ fn out_of_range_vertex_ids_exit_2_without_panicking() {
         "stcon --source 5000 --target 0",
         "stcon --source 0 --target 5000",
         "query --sources sources.txt",
+        "query --sources sources.txt --shards 2",
+        "query --addr 127.0.0.1:1 --sources sources.txt",
     ] {
         let out = mcbfs(&format!("{args} --graph g.csr"));
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -74,8 +74,9 @@ fn native_and_model_emit_same_level_spans() {
         assert_eq!(nt.levels.len(), mt.levels.len());
         assert_eq!(nt.dropped_events(), 0);
         assert_eq!(mt.dropped_events(), 0);
-        // One direction switch per change of direction between levels, in
-        // both executors; a top-down-only run converts no frontier.
+        // One direction switch per change of direction between levels, and
+        // one frontier conversion per thread per change, in both executors;
+        // a top-down-only run converts no frontier.
         for (run, trace) in [(&native, nt), (&model, mt)] {
             let count = |kind| {
                 let events = trace.threads.iter().flat_map(|t| &t.events);
@@ -85,10 +86,9 @@ fn native_and_model_emit_same_level_spans() {
             let changes = dirs.as_bytes().windows(2).filter(|w| w[0] != w[1]).count();
             let what = format!("{algorithm:?} {} {dirs}", trace.meta.mode);
             assert_eq!(count(EventKind::DirectionSwitch), changes, "{what}");
+            assert_eq!(count(EventKind::Convert), threads * changes, "{what}");
             if algorithm == Algorithm::hybrid() {
                 assert!(changes > 0, "{what}: the hybrid never switched");
-            } else {
-                assert_eq!(count(EventKind::Convert), 0, "{what}");
             }
         }
     }
