@@ -26,10 +26,12 @@
 //!   early-exit each adjacency scan — skipped entries are counted in
 //!   `edges_skipped` so the saving is visible in profiles. The sweep and
 //!   the sparse/dense conversions are `LevelState` pieces, written here;
-//! * the **switch heuristic** (`Switch`) follows Beamer et al.: go
+//! * the **switch heuristic** ([`Switch`]) follows Beamer et al.: go
 //!   bottom-up when the frontier's out-edge count exceeds `1/ALPHA` of the
 //!   edges still incident to unvisited vertices, return top-down when the
-//!   frontier shrinks below `n / BETA` vertices.
+//!   frontier shrinks below `n / BETA` vertices. It is public because the
+//!   multi-source BFS of `mcbfs-query` switches by the same rule, counted
+//!   in words of source masks instead of vertices.
 //!
 //! A switching direction needs one socket, the visited bitmap and chunked
 //! queues, which `LevelState::new` asserts. Bottom-up correctness requires
@@ -38,12 +40,11 @@
 //! workspace emits symmetric graphs.
 
 use crate::algo::level::{Frontier, Hop, LevelState, Sink};
-use crate::algo::NativeRun;
 use mcbfs_graph::bitmap::bits_of_word;
 use mcbfs_graph::csr::{CsrGraph, VertexId};
 use mcbfs_graph::frontier::{chunk_of, densify_chunk, sparsify_chunk};
 use mcbfs_machine::profile::Direction::{BottomUp, TopDown};
-use mcbfs_machine::profile::{Direction, ThreadCounts};
+use mcbfs_machine::profile::{Direction, ThreadCounts, WorkProfile};
 
 /// Switch top-down → bottom-up when
 /// `frontier_edges > unexplored_edges / ALPHA` (Beamer's default).
@@ -193,48 +194,61 @@ impl LevelState<'_> {
 }
 
 /// The decision between levels: Beamer's heuristic or a forced policy,
-/// plus the log of every level's direction.
-pub(super) struct Switch {
+/// plus the log of every level's direction. The level loop feeds it
+/// vertices; the multi-source BFS of `mcbfs-query` feeds it words of
+/// source masks, where a word joins the frontier when it gains any bit and
+/// is settled once it holds every source.
+pub struct Switch {
     policy: ForcedDirection,
     n: usize,
-    /// Directed edges still incident to unvisited vertices (Beamer's m_u).
+    /// Directed edges still incident to unsettled vertices (Beamer's m_u).
     unexplored_edges: u64,
     directions: Vec<Direction>,
 }
 
 impl Switch {
-    pub(super) fn new(graph: &CsrGraph, root: VertexId, policy: ForcedDirection) -> Self {
+    /// A switch under `policy` for a search over `n` vertices, of whose
+    /// edges `unexplored_edges` are incident to vertices not yet settled.
+    pub fn new(policy: ForcedDirection, n: usize, unexplored_edges: u64) -> Self {
         Self {
             policy,
-            n: graph.num_vertices(),
-            unexplored_edges: graph.num_edges() as u64 - graph.degree(root) as u64,
+            n,
+            unexplored_edges,
             directions: Vec::new(),
         }
     }
 
     /// The first level's direction.
-    pub(super) fn initial(&self) -> Direction {
+    pub fn initial(&self) -> Direction {
         match self.policy {
             ForcedDirection::BottomUp => BottomUp,
             _ => TopDown,
         }
     }
 
-    /// Logs a finished level that ran in direction `dir` and discovered
-    /// `found` vertices with `found_edges` adjacency entries, and picks the
-    /// next level's direction.
-    pub(super) fn next(&mut self, dir: Direction, found: u64, found_edges: u64) -> Direction {
+    /// Logs a finished level that ran in direction `dir`, left a frontier
+    /// of `frontier` vertices with `frontier_edges` adjacency entries (m_f)
+    /// and settled vertices with `settled_edges` entries, and picks the
+    /// next level's direction. A single search settles exactly its
+    /// frontier, so the level loop passes m_f twice.
+    pub fn next(
+        &mut self,
+        dir: Direction,
+        frontier: u64,
+        frontier_edges: u64,
+        settled_edges: u64,
+    ) -> Direction {
         self.directions.push(dir);
-        self.unexplored_edges = self.unexplored_edges.saturating_sub(found_edges);
+        self.unexplored_edges = self.unexplored_edges.saturating_sub(settled_edges);
         match self.policy {
             ForcedDirection::TopDown => TopDown,
             ForcedDirection::BottomUp => BottomUp,
             ForcedDirection::Alternate if dir == TopDown => BottomUp,
             ForcedDirection::Alternate => TopDown,
             ForcedDirection::Auto => {
-                if dir == TopDown && found_edges as f64 > self.unexplored_edges as f64 / ALPHA {
+                if dir == TopDown && frontier_edges as f64 > self.unexplored_edges as f64 / ALPHA {
                     BottomUp
-                } else if dir == BottomUp && (found as f64) < self.n as f64 / BETA {
+                } else if dir == BottomUp && (frontier as f64) < self.n as f64 / BETA {
                     TopDown
                 } else {
                     dir
@@ -243,12 +257,11 @@ impl Switch {
         }
     }
 
-    /// Stamps each level of `run`'s profile with the direction it ran in.
-    pub(super) fn stamp(self, mut run: NativeRun) -> NativeRun {
-        for (level, d) in run.profile.levels.iter_mut().zip(self.directions) {
+    /// Stamps each level of `profile` with the direction it ran in.
+    pub fn stamp(self, profile: &mut WorkProfile) {
+        for (level, d) in profile.levels.iter_mut().zip(self.directions) {
             level.direction = d;
         }
-        run
     }
 }
 

@@ -643,6 +643,13 @@ impl<'a> Buffers<'a> {
     }
 }
 
+/// The direction switch of a search from `root`: every edge but the
+/// root's is unexplored.
+fn switch_for(graph: &CsrGraph, root: VertexId, policy: ForcedDirection) -> Switch {
+    let unexplored = graph.num_edges() as u64 - graph.degree(root) as u64;
+    Switch::new(policy, graph.num_vertices(), unexplored)
+}
+
 /// Runs the variant `config` from `root` on `threads` worker threads (at
 /// least one per socket).
 pub fn bfs(graph: &CsrGraph, root: VertexId, threads: usize, config: VariantConfig) -> NativeRun {
@@ -661,7 +668,7 @@ pub fn bfs(graph: &CsrGraph, root: VertexId, threads: usize, config: VariantConf
         .map(|_| TicketLock::new(Vec::new()))
         .collect();
     let barrier = SpinBarrier::new(threads);
-    let switch = Switch::new(graph, root, config.direction);
+    let switch = switch_for(graph, root, config.direction);
     let first_dir = switch.initial();
     let switch = TicketLock::new(switch);
     let done = AtomicBool::new(false);
@@ -730,7 +737,7 @@ pub fn bfs(graph: &CsrGraph, root: VertexId, threads: usize, config: VariantConf
                 // direction, recycle the consumed frontiers.
                 let n_f: u64 = found_count.iter().map(|c| c.load(Ordering::Relaxed)).sum();
                 let m_f: u64 = found_edges.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-                let decided = switch.lock().next(dir, n_f, m_f);
+                let decided = switch.lock().next(dir, n_f, m_f, m_f);
                 next_dir.store(decided as u8, Ordering::Relaxed);
                 done.store(n_f == 0, Ordering::Release);
                 st.reset(parity);
@@ -765,8 +772,9 @@ pub fn bfs(graph: &CsrGraph, root: VertexId, threads: usize, config: VariantConf
         mcbfs_trace::flush_thread();
     });
     let seconds = start.elapsed().as_secs_f64();
-    let run = st.into_run(recorder.into_levels(), threads, seconds);
-    switch.into_inner().stamp(run)
+    let mut run = st.into_run(recorder.into_levels(), threads, seconds);
+    switch.into_inner().stamp(&mut run.profile);
+    run
 }
 
 /// The deterministic driver's sink: discoveries go straight to the owner's
@@ -869,7 +877,7 @@ pub fn bfs_deterministic(
                 .collect()
         })
         .collect();
-    let mut switch = Switch::new(graph, root, config.direction);
+    let mut switch = switch_for(graph, root, config.direction);
     let mut dir = switch.initial();
     let mut levels: Vec<LevelProfile> = Vec::new();
     let mut carry = vec![ThreadCounts::default(); threads];
@@ -903,7 +911,7 @@ pub fn bfs_deterministic(
         };
         let n_f = level.total().parent_writes;
         levels.push(level);
-        let decided = switch.next(dir, n_f, m_f);
+        let decided = switch.next(dir, n_f, m_f, m_f);
         st.reset(parity);
         if n_f == 0 {
             break;
@@ -920,7 +928,9 @@ pub fn bfs_deterministic(
         parity = 1 - parity;
         dir = decided;
     }
-    switch.stamp(st.into_run(levels, threads, 0.0))
+    let mut run = st.into_run(levels, threads, 0.0);
+    switch.stamp(&mut run.profile);
+    run
 }
 
 #[cfg(test)]

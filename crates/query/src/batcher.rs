@@ -19,7 +19,7 @@
 use crate::engine::{BatchReport, Query};
 use crate::msbfs::MAX_SOURCES;
 use mcbfs_sync::workq::{ContinuousQueue, PushError};
-use mcbfs_trace::{EventKind, TraceEvent};
+use mcbfs_trace::{EventKind, RunMeta, TraceEvent};
 use std::time::{Duration, Instant};
 
 /// Admission policy.
@@ -291,6 +291,22 @@ pub fn run_batch(
         .iter()
         .fold(0.0, |a, o| a.max(o.latency_seconds));
     batch
+}
+
+/// Runs `serve` inside a trace session described by `meta`, when there is
+/// one: the calling thread records as worker 0, and the report carries
+/// what the session collected (nothing on a build without the `trace`
+/// feature). Both offline engines open their session here.
+pub fn run_traced(meta: Option<RunMeta>, serve: impl FnOnce() -> BatchReport) -> BatchReport {
+    let Some(meta) = meta else {
+        return serve();
+    };
+    mcbfs_trace::start(meta);
+    mcbfs_trace::register_worker(0);
+    let mut report = serve();
+    mcbfs_trace::flush_thread();
+    report.trace = mcbfs_trace::finish();
+    report
 }
 
 #[cfg(test)]

@@ -15,8 +15,9 @@
 //! resulting profiles with a [`MachineModel`] — so a batched serving
 //! experiment is exactly reproducible on this host.
 
-use crate::batcher::{run_batch, Admitted};
+use crate::batcher::{run_batch, run_traced, Admitted};
 use crate::msbfs::{ms_bfs, ms_bfs_deterministic, MsBfsRun, MAX_SOURCES};
+use mcbfs_core::algo::hybrid::ForcedDirection;
 use mcbfs_core::runner::{Algorithm, BfsRunner, ExecMode};
 use mcbfs_graph::csr::{CsrGraph, VertexId};
 use mcbfs_graph::validate::{depth_histogram, depths_from_parents, reachable_edges};
@@ -300,31 +301,25 @@ impl<'g> QueryEngine<'g> {
     /// waves on `sockets` dispatchers through [`QueryEngine::execute_wave`];
     /// outcomes come back in submission order.
     pub fn execute(&self, queries: &[Query]) -> BatchReport {
-        if self.trace {
-            mcbfs_trace::start(mcbfs_trace::RunMeta {
-                label: format!(
-                    "n={} m={} queries={}",
-                    self.graph.num_vertices(),
-                    self.graph.num_edges(),
-                    queries.len()
-                ),
-                algorithm: format!("batched-msbfs:{}", self.max_batch),
-                mode: match self.mode {
-                    ExecMode::Native => "native".to_string(),
-                    ExecMode::Model(_) => "model".to_string(),
-                },
-                threads: self.threads,
-            });
-            mcbfs_trace::register_worker(0);
-        }
-        let mut report = run_batch(queries, self.max_batch, self.sockets, |wave| {
-            self.execute_wave(wave)
+        let meta = self.trace.then(|| mcbfs_trace::RunMeta {
+            label: format!(
+                "n={} m={} queries={}",
+                self.graph.num_vertices(),
+                self.graph.num_edges(),
+                queries.len()
+            ),
+            algorithm: format!("batched-msbfs:{}", self.max_batch),
+            mode: match self.mode {
+                ExecMode::Native => "native".to_string(),
+                ExecMode::Model(_) => "model".to_string(),
+            },
+            threads: self.threads,
         });
-        if self.trace {
-            mcbfs_trace::flush_thread();
-            report.trace = mcbfs_trace::finish();
-        }
-        report
+        run_traced(meta, || {
+            run_batch(queries, self.max_batch, self.sockets, |wave| {
+                self.execute_wave(wave)
+            })
+        })
     }
 
     /// Executes one sealed wave on the calling thread: the traversal
@@ -356,10 +351,11 @@ impl<'g> QueryEngine<'g> {
         } else {
             let sources: Vec<VertexId> = wave.iter().map(|a| a.query.source()).collect();
             let record_parents = wave.iter().any(|a| a.query.wants_parents());
+            let (graph, threads, auto) = (self.graph, self.threads, ForcedDirection::Auto);
             let raw = match &self.mode {
-                ExecMode::Native => ms_bfs(self.graph, &sources, self.threads, record_parents),
+                ExecMode::Native => ms_bfs(graph, &sources, threads, record_parents, auto),
                 ExecMode::Model(_) => {
-                    ms_bfs_deterministic(self.graph, &sources, self.threads, record_parents)
+                    ms_bfs_deterministic(graph, &sources, threads, record_parents, auto)
                 }
             };
             timer.finish(EventKind::BatchExecute, wave.len() as u64);

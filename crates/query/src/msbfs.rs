@@ -12,32 +12,57 @@
 //! State layout reuses [`AtomicBitmap`]'s word accessors directly: a bitmap
 //! of `n × 64` bits is exactly an array of `n` atomic source-masks, where
 //! word `v` holds the set of sources whose search has reached vertex `v`.
-//! Discovery is `d = visit[v] & !seen[w]`; the winner of the
-//! `fetch_or` claim (`new = d & !prev`) owns the (source, vertex) pair, so
-//! parents are written exactly once and depths — which are level numbers,
-//! identical for every claim order — are deterministic. That determinism is
-//! what lets the native executor and the model-mode executor produce
-//! bit-identical depth arrays.
+//! A level runs in one of two directions:
+//!
+//! * **top-down** — the frontier's words push: discovery is
+//!   `d = visit[v] & !seen[w]`, and the winner of the `fetch_or` claim
+//!   (`new = d & !prev`) owns the (source, vertex) pair, so parents are
+//!   written exactly once;
+//! * **bottom-up** — the vertices still missing some live source pull:
+//!   vertex `v` ORs the frontier words of its neighbours, stops once it
+//!   holds every source it misses, and stores its own `seen`, frontier,
+//!   depth and parent words. A thread writes only the vertices of its
+//!   `chunk_of` share, so the level issues no lock-prefixed operation at
+//!   all — the §III rule that locked read-modify-writes are what multicore
+//!   BFS must avoid. Its parents are the first frontier neighbour per
+//!   source in adjacency order, the same under any thread count.
+//!
+//! Depths are level numbers, identical under either direction and any
+//! claim order. That determinism is what lets the native executor and the
+//! model-mode executor produce bit-identical depth arrays.
+//!
+//! The direction is picked per level by [`Switch`], the level loop's
+//! ALPHA/BETA rule, fed with word counts: a word joins the frontier when it
+//! gains any bit (m_f sums their degrees), and leaves m_u once it holds
+//! every source. [`ForcedDirection`] forces either direction or strict
+//! alternation for tests and ablations. Like the hybrid's, a bottom-up
+//! level needs a symmetric graph: `v` finds its parents by scanning its own
+//! row, which must mirror theirs.
 //!
 //! [`MsBfs`] is the one kernel, Buluç–Madduri's 1D BFS over an
 //! [`OwnedAdjacency`]: [`MsBfs::scan`] claims owned neighbours inline and
 //! hands foreign ones to the caller's sink, [`MsBfs::apply`] claims one
 //! routed discovery, and the level step is `depth + 1`. [`ms_bfs`] and
 //! [`ms_bfs_deterministic`] run it over a [`CsrGraph`] (the `p = 1` case,
-//! monomorphised to carry no owner test and no range offset); the shard
-//! worker runs it over a [`CsrShard`] on one thread.
+//! monomorphised to carry no owner test and no range offset) in either
+//! direction; the shard worker runs it over a [`CsrShard`] on one thread,
+//! top-down only, because a bottom-up level reads the frontier words of
+//! neighbours another shard owns.
 
+use mcbfs_core::algo::hybrid::{ForcedDirection, Switch};
 use mcbfs_core::instrument::Recorder;
 use mcbfs_graph::bitmap::{bits_of_word, AtomicBitmap};
 use mcbfs_graph::csr::{CsrGraph, VertexId};
 use mcbfs_graph::frontier::chunk_of;
 use mcbfs_graph::shard::CsrShard;
+use mcbfs_machine::profile::Direction::{self, BottomUp, TopDown};
 use mcbfs_machine::profile::{ThreadCounts, WorkProfile};
 use mcbfs_sync::barrier::SpinBarrier;
 use mcbfs_sync::pool::scoped_run;
 use mcbfs_trace::{EventKind, SpanTimer};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Widest wave one kernel invocation can carry: one bit per source in a
@@ -96,15 +121,16 @@ impl OwnedAdjacency for CsrShard {
 #[derive(Debug)]
 pub struct MsBfsRun {
     /// `depths[q][v]` = hop distance of `v` from `sources[q]`
-    /// (`u32::MAX` when unreached). Deterministic across executors and
-    /// thread counts.
+    /// (`u32::MAX` when unreached). Deterministic across executors,
+    /// directions and thread counts.
     pub depths: Vec<Vec<u32>>,
     /// `parents[q][v]` = BFS-tree parent of `v` in search `q`
     /// (`UNVISITED` when unreached); present when requested. Each entry is
-    /// written by exactly one claim winner, but *which* tree emerges may
-    /// vary across native interleavings.
+    /// written once, but *which* tree emerges may vary across native
+    /// interleavings of top-down claims.
     pub parents: Option<Vec<Vec<VertexId>>>,
-    /// Per-level × per-thread operation counts of the shared sweep.
+    /// Per-level × per-thread operation counts of the shared sweep, each
+    /// level stamped with the direction it ran in.
     pub profile: WorkProfile,
     /// Wall-clock seconds (native) or `0.0` (deterministic executor —
     /// callers price the profile with a machine model).
@@ -113,12 +139,37 @@ pub struct MsBfsRun {
     pub levels: usize,
 }
 
+/// What one thread's share of a level found, counted in mask words: the
+/// direction switch's inputs, and the sources still searching.
+#[derive(Default)]
+struct Found {
+    /// Words that gained a bit: the next frontier's size.
+    words: u64,
+    /// Adjacency entries of those words (m_f).
+    edges: u64,
+    /// Adjacency entries of the words that came to hold every source.
+    settled_edges: u64,
+    /// Sources with a bit in the next frontier.
+    live: u64,
+}
+
+impl Found {
+    fn add(&mut self, other: &Found) {
+        self.words += other.words;
+        self.edges += other.edges;
+        self.settled_edges += other.settled_edges;
+        self.live |= other.live;
+    }
+}
+
 /// The search state of one wave over an owned range: three mask arrays of
 /// one word per owned vertex plus flat source-major depth/parent grids.
 pub struct MsBfs<'a, A: OwnedAdjacency> {
     adj: &'a A,
     /// Wave width: the number of sources.
     k: usize,
+    /// One bit per source: the `seen` word of a settled vertex.
+    full: u64,
     /// Owned vertices: the stride of the grids.
     len: usize,
     /// Word `v` = sources that have *ever* reached `v`.
@@ -166,6 +217,7 @@ impl<'a, A: OwnedAdjacency> MsBfs<'a, A> {
         let wave = Self {
             adj,
             k,
+            full: u64::MAX >> (MAX_SOURCES - k),
             len,
             seen: AtomicBitmap::new(len * 64),
             visit: [AtomicBitmap::new(len * 64), AtomicBitmap::new(len * 64)],
@@ -189,22 +241,34 @@ impl<'a, A: OwnedAdjacency> MsBfs<'a, A> {
         wave
     }
 
-    /// Thread `tid`'s share of level `depth` (the depth its discoveries
-    /// get, 1 for the sources' level): scans the owned vertices whose
-    /// frontier word is non-zero, claims undiscovered (source, neighbour)
-    /// pairs of owned neighbours in the next frontier, and passes every
-    /// foreign neighbour to `foreign(v, u, mask)` — `v` the neighbour, `u`
-    /// its parent, `mask` the sources at `u`. Returns the operation counts;
-    /// `parent_writes` is the number of pairs claimed.
-    // Out of line on purpose: inlined into a driver's level loop, the
-    // counters of the per-edge path spill to the stack, and a 64-wide wave
-    // on a scale-18 R-MAT runs about 5% slower.
-    #[inline(never)]
+    /// Thread `tid`'s share of top-down level `depth` (the depth its
+    /// discoveries get, 1 for the sources' level): scans the owned vertices
+    /// whose frontier word is non-zero, claims undiscovered (source,
+    /// neighbour) pairs of owned neighbours in the next frontier, and
+    /// passes every foreign neighbour to `foreign(v, u, mask)` — `v` the
+    /// neighbour, `u` its parent, `mask` the sources at `u`. Returns the
+    /// operation counts; `parent_writes` is the number of pairs claimed.
     pub fn scan(
         &self,
         depth: u32,
         tid: usize,
         threads: usize,
+        foreign: impl FnMut(VertexId, VertexId, u64),
+    ) -> ThreadCounts {
+        self.top_down(depth, tid, threads, &mut Found::default(), foreign)
+    }
+
+    /// [`MsBfs::scan`], tallying what it found in `found`.
+    // Out of line on purpose: inlined into a driver's level loop, the
+    // counters of the per-edge path spill to the stack, and a 64-wide wave
+    // on a scale-18 R-MAT runs about 5% slower.
+    #[inline(never)]
+    fn top_down(
+        &self,
+        depth: u32,
+        tid: usize,
+        threads: usize,
+        found: &mut Found,
         mut foreign: impl FnMut(VertexId, VertexId, u64),
     ) -> ThreadCounts {
         let owned = self.adj.owned_range();
@@ -227,7 +291,7 @@ impl<'a, A: OwnedAdjacency> MsBfs<'a, A> {
                     foreign(w, u, mask);
                     continue;
                 }
-                self.claim(&mut c, w as usize - owned.start, u, mask, depth);
+                self.claim(&mut c, found, w as usize - owned.start, u, mask, depth);
             }
         }
         c
@@ -240,13 +304,22 @@ impl<'a, A: OwnedAdjacency> MsBfs<'a, A> {
     /// Panics when `v` lies outside the owned range.
     pub fn apply(&self, depth: u32, v: VertexId, u: VertexId, mask: u64) {
         let local = v as usize - self.adj.owned_range().start;
-        self.claim(&mut ThreadCounts::default(), local, u, mask, depth);
+        let (mut c, mut found): (ThreadCounts, Found) = Default::default();
+        self.claim(&mut c, &mut found, local, u, mask, depth);
     }
 
     /// The claim: stamps depth `depth` and parent `u` on owned vertex
     /// `local` for every source of `mask` that has not reached it yet.
     #[inline(always)]
-    fn claim(&self, c: &mut ThreadCounts, local: usize, u: VertexId, mask: u64, depth: u32) {
+    fn claim(
+        &self,
+        c: &mut ThreadCounts,
+        found: &mut Found,
+        local: usize,
+        u: VertexId,
+        mask: u64,
+        depth: u32,
+    ) {
         c.bitmap_reads += 1;
         let d = mask & !self.seen.word(local);
         if d == 0 {
@@ -254,13 +327,24 @@ impl<'a, A: OwnedAdjacency> MsBfs<'a, A> {
             return;
         }
         c.atomic_ops += 1;
-        let new = d & !self.seen.or_word(local, d);
+        let prev = self.seen.or_word(local, d);
+        let new = d & !prev;
         if new == 0 {
             c.edges_skipped += 1;
             return;
         }
         c.atomic_ops += 1;
-        self.visit[depth as usize % 2].or_word(local, new);
+        // Exactly one claim per level finds the next word empty, and exactly
+        // one ever completes the seen word, so the tallies count each word
+        // once however the claims race.
+        if self.visit[depth as usize % 2].or_word(local, new) == 0 {
+            found.words += 1;
+            found.edges += self.adj.row(local).len() as u64;
+        }
+        if prev | d == self.full {
+            found.settled_edges += self.adj.row(local).len() as u64;
+        }
+        found.live |= new;
         let claimed = new.count_ones() as u64;
         c.parent_writes += claimed;
         c.queue_pushes += claimed;
@@ -300,6 +384,127 @@ fn owns_all(_: VertexId, _: VertexId, _: u64) {
     unreachable!("an in-process wave owns every vertex")
 }
 
+/// The directions: a [`CsrGraph`] wave owns every frontier word, so its
+/// levels can also pull.
+impl MsBfs<'_, CsrGraph> {
+    /// The wave's direction switch: m_u starts at every edge but those of
+    /// the vertices the sources already settle (a vertex that is every
+    /// source, as in a one-wide wave).
+    fn switch(&self, sources: &[VertexId], policy: ForcedDirection) -> Switch {
+        let mut settled: Vec<VertexId> = sources
+            .iter()
+            .copied()
+            .filter(|&s| self.seen.word(s as usize) == self.full)
+            .collect();
+        settled.sort_unstable();
+        settled.dedup();
+        let settled_edges: u64 = settled.iter().map(|&s| self.adj.degree(s) as u64).sum();
+        let unexplored = self.adj.num_edges() as u64 - settled_edges;
+        Switch::new(policy, self.len, unexplored)
+    }
+
+    /// Thread `tid`'s share of level `depth` in direction `dir`; `live` is
+    /// the set of sources the previous level's frontier holds.
+    fn level(
+        &self,
+        dir: Direction,
+        depth: u32,
+        live: u64,
+        tid: usize,
+        threads: usize,
+        found: &mut Found,
+    ) -> ThreadCounts {
+        match dir {
+            TopDown => self.top_down(depth, tid, threads, found, owns_all),
+            BottomUp => self.bottom_up(depth, live, tid, threads, found),
+        }
+    }
+
+    /// Thread `tid`'s share of bottom-up level `depth`: every vertex of its
+    /// `chunk_of` share that misses some source of `live` ORs its
+    /// neighbours' frontier words, stopping once it holds all it misses,
+    /// and stores the result as its next-frontier word. Only this thread
+    /// writes those vertices' words, so every store is plain and the level
+    /// counts no atomic operation; unread adjacency entries count as
+    /// `edges_skipped`.
+    #[inline(never)]
+    fn bottom_up(
+        &self,
+        depth: u32,
+        live: u64,
+        tid: usize,
+        threads: usize,
+        found: &mut Found,
+    ) -> ThreadCounts {
+        let cur = &self.visit[(depth as usize + 1) % 2];
+        let next = &self.visit[depth as usize % 2];
+        let len = self.len;
+        let mut c = ThreadCounts::default();
+        for v in chunk_of(len, tid, threads) {
+            let seen = self.seen.word(v);
+            let missing = live & !seen;
+            // The store also overwrites what this buffer held two levels
+            // ago, when the level before was bottom-up too.
+            if missing == 0 {
+                next.set_word(v, 0);
+                continue;
+            }
+            let row = self.adj.row(v);
+            let mut acc = 0u64;
+            let mut examined = row.len();
+            for (i, &u) in row.iter().enumerate() {
+                let new = cur.word(u as usize) & missing & !acc;
+                if new == 0 {
+                    continue;
+                }
+                acc |= new;
+                if let Some(pg) = &self.parent_grid {
+                    for q in bits_of_word(new) {
+                        pg[q * len + v].store(u + 1, Ordering::Relaxed);
+                    }
+                }
+                if acc == missing {
+                    examined = i + 1;
+                    break;
+                }
+            }
+            next.set_word(v, acc);
+            c.vertices_scanned += 1;
+            c.edges_scanned += examined as u64;
+            c.bitmap_reads += examined as u64;
+            c.edges_skipped += (row.len() - examined) as u64;
+            if acc == 0 {
+                continue;
+            }
+            self.seen.set_word(v, seen | acc);
+            let claimed = acc.count_ones() as u64;
+            c.parent_writes += claimed;
+            c.queue_pushes += claimed;
+            for q in bits_of_word(acc) {
+                self.depth_grid[q * len + v].store(depth + 1, Ordering::Relaxed);
+            }
+            found.words += 1;
+            found.edges += row.len() as u64;
+            if seen | acc == self.full {
+                found.settled_edges += row.len() as u64;
+            }
+            found.live |= acc;
+        }
+        c
+    }
+
+    /// Thread `tid`'s share of zeroing the frontier buffer top-down level
+    /// `depth` ORs its claims into. A top-down scan leaves the frontier it
+    /// consumed all-zero; a bottom-up level leaves it in place, so a
+    /// top-down level after a bottom-up one clears it first.
+    fn clear_next(&self, depth: u32, tid: usize, threads: usize) {
+        let next = &self.visit[depth as usize % 2];
+        for v in chunk_of(self.len, tid, threads) {
+            next.set_word(v, 0);
+        }
+    }
+}
+
 /// A completed sweep whose per-query arrays are still in the shared grids.
 ///
 /// Splitting execution from extraction lets the query engine keep result
@@ -309,6 +514,7 @@ fn owns_all(_: VertexId, _: VertexId, _: u64) {
 pub struct RawMsBfs<'g> {
     wave: MsBfs<'g, CsrGraph>,
     recorder: Recorder,
+    switch: Switch,
     /// Kernel wall-clock seconds (native) or `0.0` (deterministic
     /// executor — callers price the profile with a machine model).
     pub seconds: f64,
@@ -325,6 +531,7 @@ impl RawMsBfs<'_> {
             .recorder
             .into_profile(n as u64, visited_bytes, false, 0);
         profile.edges_traversed = profile.total().edges_scanned;
+        self.switch.stamp(&mut profile);
         let (depths, parents) = self.wave.rows();
         MsBfsRun {
             depths,
@@ -336,41 +543,75 @@ impl RawMsBfs<'_> {
     }
 }
 
-/// Runs the wave on real threads (level-synchronous, two barrier episodes
-/// per level, per-level trace spans when a session is active). The grids
-/// stay in the returned [`RawMsBfs`] until [`RawMsBfs::finish`], which the
-/// serving path calls outside its clock.
+/// Runs the wave on real threads under direction policy `policy`
+/// (level-synchronous, two barrier episodes per level and one more before a
+/// top-down level that follows a bottom-up one, per-level trace spans and
+/// a `DirectionSwitch` instant per change when a session is active). The
+/// grids stay in the returned [`RawMsBfs`] until [`RawMsBfs::finish`],
+/// which the serving path calls outside its clock.
 pub fn ms_bfs<'g>(
     graph: &'g CsrGraph,
     sources: &[VertexId],
     threads: usize,
     record_parents: bool,
+    policy: ForcedDirection,
 ) -> RawMsBfs<'g> {
     let threads = threads.max(1);
     let wave = MsBfs::new(graph, sources, record_parents);
+    let switch = wave.switch(sources, policy);
+    let first_dir = switch.initial();
+    let switch = Mutex::new(switch);
     let recorder = Recorder::new(threads, 1, 2);
     let barrier = SpinBarrier::new(threads);
     let done = AtomicBool::new(false);
-    let found_counts: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
+    // The level's tallies, summed under a plain mutex (a `TicketLock` would
+    // trace its bookkeeping as lock spans), and the leader's picks for the
+    // next level, read after the barrier that follows its stores.
+    let level_found = Mutex::new(Found::default());
+    let next_dir = AtomicU8::new(first_dir as u8);
+    let live = AtomicU64::new(wave.full);
     let start = Instant::now();
     scoped_run(threads, |tid| {
         let mut series: Vec<ThreadCounts> = Vec::new();
         let mut depth = 1u32;
+        let mut dir = first_dir;
         loop {
             let timer = SpanTimer::start();
-            let c = wave.scan(depth, tid, threads, owns_all);
-            found_counts[tid].store(c.parent_writes, Ordering::Relaxed);
-            series.push(c);
+            let mut found = Found::default();
+            let live_now = live.load(Ordering::Relaxed);
+            series.push(wave.level(dir, depth, live_now, tid, threads, &mut found));
+            level_found.lock().expect("tally lock").add(&found);
             timer.finish(EventKind::Level, (depth - 1) as u64);
             if barrier.wait() {
-                let total: u64 = found_counts.iter().map(|f| f.load(Ordering::Relaxed)).sum();
-                done.store(total == 0, Ordering::Release);
+                let found = core::mem::take(&mut *level_found.lock().expect("tally lock"));
+                let decided = switch.lock().expect("switch lock").next(
+                    dir,
+                    found.words,
+                    found.edges,
+                    found.settled_edges,
+                );
+                next_dir.store(decided as u8, Ordering::Relaxed);
+                live.store(found.live, Ordering::Relaxed);
+                done.store(found.words == 0, Ordering::Release);
+                if decided != dir && found.words != 0 {
+                    mcbfs_trace::instant(EventKind::DirectionSwitch, decided as u64);
+                }
             }
             barrier.wait();
             if done.load(Ordering::Acquire) {
                 break;
             }
             depth += 1;
+            let decided = if next_dir.load(Ordering::Relaxed) == BottomUp as u8 {
+                BottomUp
+            } else {
+                TopDown
+            };
+            if dir == BottomUp && decided == TopDown {
+                wave.clear_next(depth, tid, threads);
+                barrier.wait();
+            }
+            dir = decided;
         }
         recorder.deposit(tid, series);
         mcbfs_trace::flush_thread();
@@ -379,36 +620,48 @@ pub fn ms_bfs<'g>(
     RawMsBfs {
         wave,
         recorder,
+        switch: switch.into_inner().expect("switch lock"),
         seconds,
     }
 }
 
 /// Runs the wave as `virtual_threads` deterministic virtual workers on the
-/// calling thread — the model-mode executor. Depths, frontiers and the
-/// per-level work partition are identical to a native run with the same
-/// thread count; only the claim *winners* (parents) can differ natively.
+/// calling thread — the model-mode executor. Depths, frontiers, directions
+/// and the per-level work partition are identical to a native run with the
+/// same thread count; only the winners of top-down claims (parents) can
+/// differ natively.
 pub fn ms_bfs_deterministic<'g>(
     graph: &'g CsrGraph,
     sources: &[VertexId],
     virtual_threads: usize,
     record_parents: bool,
+    policy: ForcedDirection,
 ) -> RawMsBfs<'g> {
     let threads = virtual_threads.max(1);
     let wave = MsBfs::new(graph, sources, record_parents);
+    let mut switch = wave.switch(sources, policy);
+    let mut dir = switch.initial();
     let recorder = Recorder::new(threads, 1, 2);
     let mut series: Vec<Vec<ThreadCounts>> = vec![Vec::new(); threads];
+    let mut live = wave.full;
     let mut depth = 1u32;
     loop {
-        let mut found = 0u64;
+        let mut found = Found::default();
         for (tid, s) in series.iter_mut().enumerate() {
-            let c = wave.scan(depth, tid, threads, owns_all);
-            found += c.parent_writes;
-            s.push(c);
+            s.push(wave.level(dir, depth, live, tid, threads, &mut found));
         }
-        if found == 0 {
+        let decided = switch.next(dir, found.words, found.edges, found.settled_edges);
+        if found.words == 0 {
             break;
         }
+        live = found.live;
         depth += 1;
+        if dir == BottomUp && decided == TopDown {
+            for tid in 0..threads {
+                wave.clear_next(depth, tid, threads);
+            }
+        }
+        dir = decided;
     }
     for (tid, s) in series.into_iter().enumerate() {
         recorder.deposit(tid, s);
@@ -416,6 +669,7 @@ pub fn ms_bfs_deterministic<'g>(
     RawMsBfs {
         wave,
         recorder,
+        switch,
         seconds: 0.0,
     }
 }
@@ -427,22 +681,35 @@ mod tests {
     use mcbfs_graph::csr::UNVISITED;
     use mcbfs_graph::validate::sequential_levels;
 
+    const POLICIES: [ForcedDirection; 4] = [
+        ForcedDirection::Auto,
+        ForcedDirection::TopDown,
+        ForcedDirection::BottomUp,
+        ForcedDirection::Alternate,
+    ];
+
     fn check_against_sequential(g: &CsrGraph, sources: &[VertexId], threads: usize) {
-        let run = ms_bfs(g, sources, threads, true).finish();
-        for (q, &s) in sources.iter().enumerate() {
-            assert_eq!(run.depths[q], sequential_levels(g, s), "source {s}");
-        }
-        // Parent arrays must be consistent with the depth arrays.
-        let parents = run.parents.expect("requested");
-        for (q, (ps, ds)) in parents.iter().zip(&run.depths).enumerate() {
-            for (v, (&p, &d)) in ps.iter().zip(ds).enumerate() {
-                if d == u32::MAX {
-                    assert_eq!(p, UNVISITED);
-                } else if d == 0 {
-                    assert_eq!(p as usize, v, "root of search {q}");
-                } else {
-                    assert_eq!(ds[p as usize], d - 1, "parent one level up");
-                    assert!(g.has_edge(p, v as VertexId), "tree edge exists");
+        for policy in POLICIES {
+            let run = ms_bfs(g, sources, threads, true, policy).finish();
+            for (q, &s) in sources.iter().enumerate() {
+                assert_eq!(
+                    run.depths[q],
+                    sequential_levels(g, s),
+                    "{policy:?} source {s}"
+                );
+            }
+            // Parent arrays must be consistent with the depth arrays.
+            let parents = run.parents.expect("requested");
+            for (q, (ps, ds)) in parents.iter().zip(&run.depths).enumerate() {
+                for (v, (&p, &d)) in ps.iter().zip(ds).enumerate() {
+                    if d == u32::MAX {
+                        assert_eq!(p, UNVISITED);
+                    } else if d == 0 {
+                        assert_eq!(p as usize, v, "root of search {q}");
+                    } else {
+                        assert_eq!(ds[p as usize], d - 1, "parent one level up");
+                        assert!(g.has_edge(p, v as VertexId), "tree edge exists");
+                    }
                 }
             }
         }
@@ -474,40 +741,95 @@ mod tests {
     fn deterministic_executor_matches_native_depths() {
         let g = RmatBuilder::new(8, 8).seed(3).build();
         let sources: Vec<VertexId> = vec![0, 5, 100, 200];
-        // One thread: one claim order, so the same tree and the same counts.
-        let native = ms_bfs(&g, &sources, 1, true).finish();
-        let model = ms_bfs_deterministic(&g, &sources, 1, true).finish();
-        assert_eq!(native.depths, model.depths);
-        assert_eq!(native.parents, model.parents);
-        assert_eq!(native.profile, model.profile);
-        assert_eq!(native.levels, model.levels);
-        // Four threads: the frontier and its partition are the same, so are
-        // every thread's scans; which thread wins a claim is not.
-        let native = ms_bfs(&g, &sources, 4, false).finish();
-        let model = ms_bfs_deterministic(&g, &sources, 4, false).finish();
-        assert_eq!(native.depths, model.depths);
-        assert_eq!(native.levels, model.levels);
-        assert_eq!(native.profile.levels.len(), model.profile.levels.len());
-        for (l, (a, b)) in native
-            .profile
-            .levels
-            .iter()
-            .zip(&model.profile.levels)
-            .enumerate()
-        {
-            let scans = |c: &ThreadCounts| (c.vertices_scanned, c.edges_scanned, c.bitmap_reads);
-            let a_scans: Vec<_> = a.threads.iter().map(scans).collect();
-            let b_scans: Vec<_> = b.threads.iter().map(scans).collect();
-            assert_eq!(a_scans, b_scans, "level {l}");
+        for policy in POLICIES {
+            // One thread: one claim order, so the same tree, the same
+            // counts and the same directions.
+            let native = ms_bfs(&g, &sources, 1, true, policy).finish();
+            let model = ms_bfs_deterministic(&g, &sources, 1, true, policy).finish();
+            assert_eq!(native.depths, model.depths, "{policy:?}");
+            assert_eq!(native.parents, model.parents, "{policy:?}");
+            assert_eq!(native.profile, model.profile, "{policy:?}");
+            assert_eq!(native.levels, model.levels, "{policy:?}");
+            // Four threads: the frontier and its partition are the same, so
+            // are every thread's scans and the switch's inputs; which thread
+            // wins a top-down claim is not.
+            let native = ms_bfs(&g, &sources, 4, false, policy).finish();
+            let model = ms_bfs_deterministic(&g, &sources, 4, false, policy).finish();
+            assert_eq!(native.depths, model.depths, "{policy:?}");
+            assert_eq!(native.levels, model.levels, "{policy:?}");
             assert_eq!(
-                a.total().parent_writes,
-                b.total().parent_writes,
-                "level {l}"
+                native.profile.direction_string(),
+                model.profile.direction_string(),
+                "{policy:?}"
             );
+            assert_eq!(native.profile.levels.len(), model.profile.levels.len());
+            for (l, (a, b)) in native
+                .profile
+                .levels
+                .iter()
+                .zip(&model.profile.levels)
+                .enumerate()
+            {
+                let scans =
+                    |c: &ThreadCounts| (c.vertices_scanned, c.edges_scanned, c.bitmap_reads);
+                let a_scans: Vec<_> = a.threads.iter().map(scans).collect();
+                let b_scans: Vec<_> = b.threads.iter().map(scans).collect();
+                assert_eq!(a_scans, b_scans, "{policy:?} level {l}");
+                assert_eq!(
+                    a.total().parent_writes,
+                    b.total().parent_writes,
+                    "{policy:?} level {l}"
+                );
+            }
+            let rerun = ms_bfs_deterministic(&g, &sources, 4, false, policy).finish();
+            assert_eq!(model.depths, rerun.depths);
+            assert_eq!(model.profile, rerun.profile);
         }
-        let rerun = ms_bfs_deterministic(&g, &sources, 4, false).finish();
-        assert_eq!(model.depths, rerun.depths);
-        assert_eq!(model.profile, rerun.profile);
+    }
+
+    #[test]
+    fn bottom_up_levels_are_atomic_free_and_pick_the_same_parents_at_any_thread_count() {
+        let g = RmatBuilder::new(10, 8).seed(6).build();
+        let sources: Vec<VertexId> = (0..40).map(|i| i * 25).collect();
+        let one = ms_bfs(&g, &sources, 1, true, ForcedDirection::BottomUp).finish();
+        assert!(one.profile.direction_string().chars().all(|c| c == 'B'));
+        assert_eq!(one.profile.total().atomic_ops, 0);
+        assert!(one.profile.total().edges_skipped > 0);
+        // A pulled parent is the first frontier neighbour in adjacency
+        // order, whoever sweeps the vertex.
+        for threads in [2, 3] {
+            let native = ms_bfs(&g, &sources, threads, true, ForcedDirection::BottomUp).finish();
+            let model =
+                ms_bfs_deterministic(&g, &sources, threads, true, ForcedDirection::BottomUp)
+                    .finish();
+            assert_eq!(native.parents, one.parents, "x{threads}");
+            assert_eq!(model.parents, one.parents, "x{threads}");
+        }
+    }
+
+    #[test]
+    fn auto_switches_both_ways_and_alternate_strictly_alternates() {
+        let g = RmatBuilder::new(12, 8).seed(5).build();
+        let sources: Vec<VertexId> = (0..64).map(|i| i * 61).collect();
+        let auto = ms_bfs_deterministic(&g, &sources, 2, false, ForcedDirection::Auto).finish();
+        let dirs = auto.profile.direction_string();
+        assert!(dirs.starts_with('T') && dirs.contains("TB"), "got {dirs:?}");
+        // Every bottom-up level is atomic-free, every top-down one is not.
+        for level in &auto.profile.levels {
+            let atomics = level.total().atomic_ops;
+            match level.direction {
+                BottomUp => assert_eq!(atomics, 0),
+                TopDown => assert!(atomics > 0 || level.total().parent_writes == 0),
+            }
+        }
+        let alt = ms_bfs(&g, &sources, 2, false, ForcedDirection::Alternate).finish();
+        let dirs = alt.profile.direction_string();
+        assert!(dirs.starts_with("TB"), "got {dirs:?}");
+        assert!(
+            dirs.as_bytes().windows(2).all(|w| w[0] != w[1]),
+            "got {dirs:?}"
+        );
+        assert_eq!(alt.depths, auto.depths);
     }
 
     #[test]
@@ -526,20 +848,22 @@ mod tests {
     #[test]
     fn profile_counts_are_plausible() {
         let g = UniformBuilder::new(500, 8).seed(1).build();
-        let run = ms_bfs(&g, &[0, 1, 2], 2, false).finish();
-        let t = run.profile.total();
-        assert!(t.edges_scanned > 0);
-        assert_eq!(run.profile.edges_traversed, t.edges_scanned);
-        // Every (source, vertex) pair is claimed at most once.
-        let reached: u64 = run
-            .depths
-            .iter()
-            .flatten()
-            .filter(|&&d| d != u32::MAX && d != 0)
-            .count() as u64;
-        assert_eq!(t.parent_writes, reached);
-        assert!(run.seconds > 0.0);
-        assert_eq!(run.levels, run.profile.num_levels());
+        for policy in POLICIES {
+            let run = ms_bfs(&g, &[0, 1, 2], 2, false, policy).finish();
+            let t = run.profile.total();
+            assert!(t.edges_scanned > 0);
+            assert_eq!(run.profile.edges_traversed, t.edges_scanned);
+            // Every (source, vertex) pair is claimed at most once.
+            let reached: u64 = run
+                .depths
+                .iter()
+                .flatten()
+                .filter(|&&d| d != u32::MAX && d != 0)
+                .count() as u64;
+            assert_eq!(t.parent_writes, reached, "{policy:?}");
+            assert!(run.seconds > 0.0);
+            assert_eq!(run.levels, run.profile.num_levels());
+        }
     }
 
     #[test]
@@ -547,6 +871,6 @@ mod tests {
     fn oversized_wave_panics() {
         let g = CsrGraph::from_edges(2, &[(0, 1)]);
         let sources = vec![0; 65];
-        ms_bfs(&g, &sources, 1, false).finish();
+        ms_bfs(&g, &sources, 1, false, ForcedDirection::Auto).finish();
     }
 }

@@ -29,8 +29,9 @@ use crate::worker::{handle_frame, Wave};
 use mcbfs_graph::csr::CsrGraph;
 use mcbfs_graph::shard::CsrShard;
 use mcbfs_machine::model::MachineModel;
-use mcbfs_query::{run_batch, Admitted, BatchReport, Query};
+use mcbfs_query::{run_batch, run_traced, Admitted, BatchReport, Query};
 use mcbfs_serve::WaveExecutor;
+use mcbfs_trace::RunMeta;
 use std::io;
 
 /// A multi-shard query engine running the cluster protocol in-process.
@@ -43,6 +44,7 @@ pub struct ShardedEngine {
     max_batch: usize,
     /// `Some` prices levels on the machine model instead of the wall clock.
     model: Option<MachineModel>,
+    trace: bool,
     cluster: Cluster,
 }
 
@@ -57,6 +59,7 @@ impl ShardedEngine {
             shards,
             max_batch: 64,
             model: None,
+            trace: false,
             cluster: Cluster::new(graph.num_vertices() as u64, graph.num_edges() as u64, owned),
         }
     }
@@ -71,6 +74,13 @@ impl ShardedEngine {
     /// `model` instead of the wall clock.
     pub fn model(mut self, model: MachineModel) -> Self {
         self.model = Some(model);
+        self
+    }
+
+    /// Enables `mcbfs-trace` capture for [`ShardedEngine::execute`]: one
+    /// `ShardExchange` span per level of every wave.
+    pub fn traced(mut self, trace: bool) -> Self {
+        self.trace = trace;
         self
     }
 
@@ -95,7 +105,25 @@ impl ShardedEngine {
     /// running sum of wave seconds up to its own wave. Outcomes come back
     /// in submission order.
     pub fn execute(&self, queries: &[Query]) -> BatchReport {
-        run_batch(queries, self.max_batch, 1, |wave| self.execute_wave(wave))
+        let meta = self.trace.then(|| RunMeta {
+            label: format!(
+                "n={} m={} queries={}",
+                self.cluster.n,
+                self.cluster.m,
+                queries.len()
+            ),
+            algorithm: format!("sharded-msbfs:{}x{}", self.max_batch, self.shards.len()),
+            mode: if self.model.is_some() {
+                "model"
+            } else {
+                "native"
+            }
+            .to_string(),
+            threads: 1,
+        });
+        run_traced(meta, || {
+            run_batch(queries, self.max_batch, 1, |wave| self.execute_wave(wave))
+        })
     }
 }
 

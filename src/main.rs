@@ -86,7 +86,7 @@ fn usage(err: &str) -> ! {
          \x20             [--shards N] (offline sharded engine; with --mode model\n\
          \x20             the exchange volume predicts a live N-shard cluster)\n\
          \x20             [--trace FILE.json] [--metrics FILE.jsonl] [--stats-json FILE]\n\
-         \x20 query       --addr HOST:PORT --sources FILE [--batch B]\n\
+         \x20 query       --addr HOST:PORT --sources FILE\n\
          \x20             [--deadline-ms D] [--stats-json FILE]  (remote client)\n\
          \x20 components  --graph PATH [--threads T]\n\
          \x20 stcon       --graph PATH --source S --target T [--stats-json FILE]\n\
@@ -521,9 +521,12 @@ fn cmd_query(opts: &HashMap<String, String>) {
         Some(_) => (1, 1),
         None => (get(opts, "threads", 1usize), get(opts, "sockets", 1usize)),
     };
+    let traced = opts.contains_key("trace") || opts.contains_key("metrics");
     let (report, sharded) = match shards {
         Some(shards) => {
-            let mut engine = ShardedEngine::new(&graph, shards).max_batch(batch);
+            let mut engine = ShardedEngine::new(&graph, shards)
+                .max_batch(batch)
+                .traced(traced);
             if let Some(model) = model {
                 engine = engine.model(model);
             }
@@ -536,7 +539,7 @@ fn cmd_query(opts: &HashMap<String, String>) {
                 .max_batch(batch)
                 .sockets(sockets)
                 .mode(model.map_or(ExecMode::Native, ExecMode::model))
-                .traced(opts.contains_key("trace") || opts.contains_key("metrics"))
+                .traced(traced)
                 .execute(&queries);
             (report, None)
         }
@@ -566,16 +569,16 @@ fn cmd_query(opts: &HashMap<String, String>) {
             if w.fallback { " (fallback)" } else { "" }
         );
     }
-    match &sharded {
-        Some((_, exchange)) => println!(
+    if let Some((_, exchange)) = &sharded {
+        println!(
             "  exchange: {} frames, {} bytes, {} items over {} level rounds",
             exchange.total_frames(),
             exchange.total_bytes(),
             exchange.total_items(),
             exchange.levels.len()
-        ),
-        None => write_trace_exports(opts, report.trace.as_ref()),
+        );
     }
+    write_trace_exports(opts, report.trace.as_ref());
     if let Some(path) = opts.get("stats-json") {
         let json = match sharded {
             Some((shards, exchange)) => serde_json::to_string_pretty(&ShardedQueryStats {

@@ -7,10 +7,12 @@
 //!    reference on scale-14 uniform and R-MAT graphs — in native mode
 //!    (racing MS-BFS claims) and in model mode (deterministic executor).
 //!    Batching may change parents, never distances.
-//! 2. **Work sharing.** On a scale-16 R-MAT graph, one 64-wide MS-BFS
-//!    wave examines at least 8x fewer edges than 64 singleton searches
-//!    from the same roots.
+//! 2. **Work sharing.** On a scale-16 R-MAT graph, one 64-wide top-down
+//!    MS-BFS wave examines at least 8x fewer edges than 64 singleton
+//!    searches from the same roots, and the same wave under the direction
+//!    switch goes bottom-up with fewer atomic operations.
 
+use multicore_bfs::core::algo::hybrid::ForcedDirection;
 use multicore_bfs::core::kernel::sample_roots;
 use multicore_bfs::core::runner::{Algorithm, ExecMode};
 use multicore_bfs::gen::prelude::*;
@@ -92,13 +94,16 @@ fn batched_64_wave_examines_8x_fewer_edges_than_64_singletons() {
     // searches reaches it, where 64 separate searches scan it 64 times.
     // Edge examinations are deterministic counts, so the floor holds on
     // any host; wall-clock speedup is measured by `fig_batch_throughput`.
+    // Both sides run top-down: a bottom-up level skips edges by another
+    // rule, which `auto_wave_goes_bottom_up_without_atomics` covers.
     let g = RmatBuilder::new(16, 8).seed(16).permute(true).build();
     let roots = sample_roots(&g, 64, 2026);
+    let td = ForcedDirection::TopDown;
     let scanned = |run: MsBfsRun| run.profile.total().edges_scanned;
-    let wave = scanned(ms_bfs(&g, &roots, 2, false).finish());
+    let wave = scanned(ms_bfs(&g, &roots, 2, false, td).finish());
     let singletons: u64 = roots
         .iter()
-        .map(|&r| scanned(ms_bfs(&g, &[r], 1, false).finish()))
+        .map(|&r| scanned(ms_bfs(&g, &[r], 1, false, td).finish()))
         .sum();
     let reachable: u64 = roots
         .iter()
@@ -111,6 +116,30 @@ fn batched_64_wave_examines_8x_fewer_edges_than_64_singletons() {
         "64-wide wave examined {wave} edges, 64 singletons {singletons}: \
          only {:.2}x shared",
         singletons as f64 / wave as f64
+    );
+}
+
+#[test]
+fn auto_wave_goes_bottom_up_without_atomics() {
+    // The same scale-16 wave under the direction switch: its dense middle
+    // levels pull over the source masks with plain stores, so the wave
+    // answers the same depths with strictly fewer locked operations.
+    let g = RmatBuilder::new(16, 8).seed(16).permute(true).build();
+    let roots = sample_roots(&g, 64, 2026);
+    let auto = ms_bfs(&g, &roots, 2, false, ForcedDirection::Auto).finish();
+    let top_down = ms_bfs(&g, &roots, 2, false, ForcedDirection::TopDown).finish();
+    let dirs = auto.profile.direction_string();
+    assert!(
+        dirs.contains('B'),
+        "expected bottom-up levels, got {dirs:?}"
+    );
+    assert_eq!(auto.depths, top_down.depths);
+    let atomics = |run: &MsBfsRun| run.profile.total().atomic_ops;
+    assert!(
+        atomics(&auto) < atomics(&top_down),
+        "auto {dirs}: {} atomic ops, top-down {}",
+        atomics(&auto),
+        atomics(&top_down)
     );
 }
 

@@ -211,3 +211,32 @@ fn multi_socket_run_traces_every_channel_hop() {
         .sum();
     assert_eq!(shipped, result.stats.totals.channel_items);
 }
+
+#[test]
+fn sharded_query_writes_its_shard_exchanges_to_the_trace() {
+    // `mcbfs query --shards N --trace` opens the same session as the
+    // unsharded path, so the file holds every level's exchange span.
+    use std::process::Command;
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("sharded-trace");
+    std::fs::create_dir_all(&dir).expect("create the work directory");
+    std::fs::write(dir.join("sources.txt"), "0\n17\n101\n").expect("write sources");
+    let mcbfs = |args: &str| {
+        let status = Command::new(env!("CARGO_BIN_EXE_mcbfs"))
+            .args(args.split_whitespace())
+            .current_dir(&dir)
+            .output()
+            .expect("spawn mcbfs")
+            .status;
+        assert!(status.success(), "mcbfs {args}: {status}");
+    };
+    mcbfs("generate --kind rmat --scale 10 --degree 8 --seed 3 --out g.csr");
+    let _ = std::fs::remove_file(dir.join("t.json"));
+    mcbfs("query --graph g.csr --sources sources.txt --batch 3 --shards 2 --trace t.json");
+    let chrome = std::fs::read_to_string(dir.join("t.json")).expect("trace file written");
+    assert!(
+        chrome.starts_with("{\"displayTimeUnit\""),
+        "not a Chrome trace"
+    );
+    let exchanges = chrome.matches("{\"name\":\"shard_exchange\"").count();
+    assert!(exchanges > 0, "no shard_exchange event in the trace");
+}
