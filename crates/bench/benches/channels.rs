@@ -4,16 +4,10 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mcbfs_sync::channel::SocketChannel;
 
-/// Sends every element of `items` in `batch`-sized `try_send_batch` calls,
-/// retrying the part of a batch that did not fit until the consumer makes
-/// room.
+/// Sends every element of `items` in `batch`-sized batches.
 fn send_all<T: Copy>(ch: &SocketChannel<T>, items: &[T], batch: usize) {
     for chunk in items.chunks(batch) {
-        let mut sent = ch.try_send_batch(chunk);
-        while sent < chunk.len() {
-            std::thread::yield_now();
-            sent += ch.try_send_batch(&chunk[sent..]);
-        }
+        ch.send(chunk.to_vec());
     }
 }
 
@@ -27,13 +21,10 @@ fn bench_send_paths(c: &mut Criterion) {
     for (name, batch) in [("batched_send_recv_256", 256), ("unbatched_send_recv", 1)] {
         g.bench_function(name, |b| {
             let ch: SocketChannel<(u32, u32)> = SocketChannel::with_capacity(1 << 14);
-            let mut out = Vec::with_capacity(512);
             b.iter(|| {
                 send_all(&ch, &items, batch);
-                let mut drained = 0;
-                while drained < ITEMS {
-                    out.clear();
-                    drained += ch.recv_batch(&mut out, 512);
+                while let Some(hops) = ch.recv() {
+                    std::hint::black_box(hops);
                 }
             });
         });
@@ -54,11 +45,11 @@ fn bench_cross_thread(c: &mut Criterion) {
             std::thread::scope(|s| {
                 s.spawn(|| send_all(&ch, &items, 256));
                 s.spawn(|| {
-                    let mut out = Vec::with_capacity(1 << 10);
                     let mut drained = 0;
                     while drained < ITEMS {
-                        out.clear();
-                        drained += ch.recv_batch(&mut out, 1 << 10);
+                        if let Some(batch) = ch.recv() {
+                            drained += batch.len();
+                        }
                     }
                 });
             });

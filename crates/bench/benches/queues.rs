@@ -12,7 +12,7 @@ fn bench_fastforward(c: &mut Criterion) {
     g.bench_function("push_pop_same_thread", |b| {
         let (mut tx, mut rx) = FastForward::with_capacity(1 << 10);
         b.iter(|| {
-            tx.push(42u64).unwrap();
+            tx.push(42u64);
             std::hint::black_box(rx.pop().unwrap());
         });
     });
@@ -22,7 +22,7 @@ fn bench_fastforward(c: &mut Criterion) {
         let mut out = Vec::with_capacity(1024);
         b.iter(|| {
             for i in 0..1024u64 {
-                tx.push(i).unwrap();
+                tx.push(i);
             }
             out.clear();
             rx.pop_into(&mut out, 1024);

@@ -58,8 +58,8 @@ use std::time::Instant;
 /// line 26 of the paper's Algorithm 3.
 pub(super) type Hop = (VertexId, VertexId);
 
-/// Ring capacity of each inter-socket channel. Hops that do not fit while
-/// the owner is still scanning wait in an overflow lane.
+/// Batches per segment of each inter-socket channel. Phase 1 never drains,
+/// so a channel that fills one links another.
 const CHANNEL_CAPACITY: usize = 1 << 12;
 
 /// Independent probes issued per software-pipelining window — matches the
@@ -67,7 +67,8 @@ const CHANNEL_CAPACITY: usize = 1 << 12;
 /// fill the last prefetch batch.
 const PROBE_BATCH: usize = 16;
 
-/// Hops a thread takes from its socket's inbox at a time in phase 2.
+/// Hops a virtual thread takes from its socket's inbox at a time in the
+/// deterministic schedule's phase 2; native threads take whole batches.
 const DRAIN_CHUNK: usize = 64;
 
 /// The policies of one algorithm variant. The three named algorithms of
@@ -543,13 +544,11 @@ impl<'g> LevelState<'g> {
 
 /// A native thread's sink: discoveries gather per destination socket into
 /// reservations on the shared next queues (or take the lock, with locked
-/// queues), and hops gather per destination into channel batches. A batch
-/// goes into the bounded ring toward its owner, and what does not fit while
-/// the owner is still scanning into that pair's overflow lane.
+/// queues), and hops gather per destination into channel batches, each of
+/// which moves whole into the channel toward its owner.
 struct Buffers<'a> {
     next: &'a [Frontier],
     links: &'a ChannelMatrix<Hop>,
-    overflows: &'a [TicketLock<Vec<Hop>>],
     socket: usize,
     batch: usize,
     local: Vec<Vec<VertexId>>,
@@ -586,16 +585,10 @@ impl Sink for Buffers<'_> {
 impl<'a> Buffers<'a> {
     /// Empty buffers for a thread of `socket`, writing the frontiers at
     /// index 1 first.
-    fn new(
-        st: &'a LevelState,
-        links: &'a ChannelMatrix<Hop>,
-        overflows: &'a [TicketLock<Vec<Hop>>],
-        socket: usize,
-    ) -> Self {
+    fn new(st: &'a LevelState, links: &'a ChannelMatrix<Hop>, socket: usize) -> Self {
         Self {
             next: &st.queues[1],
             links,
-            overflows,
             socket,
             batch: st.config.batch,
             local: vec![Vec::new(); st.config.sockets],
@@ -608,16 +601,11 @@ impl<'a> Buffers<'a> {
         self.next = &st.queues[1 - parity];
     }
 
-    /// Sends hop buffer `dst` as one channel batch.
+    /// Moves hop buffer `dst` into its channel as one batch.
     fn ship(&mut self, dst: usize, counts: &mut ThreadCounts) {
         counts.channel_batches += 1;
-        let lane = &self.overflows[self.socket * self.remote.len() + dst];
-        let buf = &mut self.remote[dst];
-        let sent = self.links.channel(self.socket, dst).try_send_batch(buf);
-        if sent < buf.len() {
-            lane.lock().extend_from_slice(&buf[sent..]);
-        }
-        buf.clear();
+        let batch = core::mem::replace(&mut self.remote[dst], Vec::with_capacity(self.batch));
+        self.links.channel(self.socket, dst).send(batch);
     }
 
     /// Sends every partly filled channel batch (end of phase 1).
@@ -664,9 +652,6 @@ pub fn bfs(graph: &CsrGraph, root: VertexId, threads: usize, config: VariantConf
         0
     };
     let links = ChannelMatrix::<Hop>::new(sockets, capacity);
-    let overflows: Vec<TicketLock<Vec<Hop>>> = (0..sockets * sockets)
-        .map(|_| TicketLock::new(Vec::new()))
-        .collect();
     let barrier = SpinBarrier::new(threads);
     let switch = switch_for(graph, root, config.direction);
     let first_dir = switch.initial();
@@ -687,9 +672,8 @@ pub fn bfs(graph: &CsrGraph, root: VertexId, threads: usize, config: VariantConf
     scoped_run(threads, |tid| {
         mcbfs_trace::register_worker(tid);
         let s = socket_of_thread(tid, sockets, threads);
-        let buffers = Buffers::new(&st, &links, &overflows, s);
+        let buffers = Buffers::new(&st, &links, s);
         let mut sink = Tally::new(graph, config.direction, buffers);
-        let mut scratch: Vec<Hop> = Vec::with_capacity(DRAIN_CHUNK);
         let mut series: Vec<ThreadCounts> = Vec::new();
         let mut parity = 0usize;
         let mut dir = first_dir;
@@ -710,17 +694,13 @@ pub fn bfs(graph: &CsrGraph, root: VertexId, threads: usize, config: VariantConf
                 if config.two_phase() {
                     sink.inner.flush_remote(&mut counts);
                     barrier.wait();
-                    // Each channel in send order, then its overflow lane,
-                    // which whichever of the socket's threads arrives first
-                    // takes whole.
+                    // Each inbound channel in socket order, a whole batch
+                    // per receive, in send order.
                     for from in (0..sockets).filter(|&from| from != s) {
                         let channel = links.channel(from, s);
-                        while channel.recv_batch(&mut scratch, DRAIN_CHUNK) > 0 {
-                            st.drain(s, &scratch, &mut counts, &mut sink);
-                            scratch.clear();
+                        while let Some(hops) = channel.recv() {
+                            st.drain(s, &hops, &mut counts, &mut sink);
                         }
-                        let spilled = core::mem::take(&mut *overflows[from * sockets + s].lock());
-                        st.drain(s, &spilled, &mut counts, &mut sink);
                     }
                 }
                 sink.inner.flush_local(&mut counts);
@@ -1128,15 +1108,18 @@ mod tests {
     }
 
     #[test]
-    fn overflow_lane_takes_what_a_full_channel_cannot() {
-        // No thread drains while sockets scan, so a thread that sends more
-        // than three rings' worth to three sockets overflows at least one.
+    fn busy_level_drains_every_hop_it_sends() {
+        // No thread drains while sockets scan: the busiest thread sends
+        // more than 3 × `CHANNEL_CAPACITY` hops in one level, and phase 2
+        // claims every hop sent.
         let g = UniformBuilder::new(1 << 14, 8).seed(14).build();
         let run = bfs(&g, 0, 4, VariantConfig::algorithm3(4));
         validate_bfs_tree(&g, 0, &run.parents).unwrap();
         let levels = run.profile.levels.iter();
         let busiest = levels.flat_map(|l| &l.threads).map(|t| t.channel_items);
         assert!(busiest.max().unwrap() > 3 * CHANNEL_CAPACITY as u64);
+        let total = run.profile.total();
+        assert_eq!(total.channel_drained, total.channel_items);
     }
 
     #[test]

@@ -14,14 +14,17 @@ use crate::ticket::TicketLock;
 
 use mcbfs_trace::{EventKind, SpanTimer};
 
-/// A multi-producer/multi-consumer channel built from a FastForward SPSC
-/// queue with a ticket lock on each endpoint.
+/// A multi-producer/multi-consumer channel of batches built from a
+/// FastForward SPSC queue with a ticket lock on each endpoint.
 ///
-/// Sends and receives are batch-oriented and never block: a send delivers
-/// the prefix that fits in the ring and hands the rest back to the caller
-/// (Algorithm 3 spills it into an overflow lane), and a receive returns
-/// what is available. The channel keeps no count of its own, so the only
-/// state producers and consumers share is the ring's slots.
+/// Each slot carries one sender's whole batch, a `Vec<T>` — the pointer
+/// payload of Giacomoni's original FastForward — so a send or a receive is
+/// one lock round-trip and one slot, whatever the batch length. A send
+/// never blocks and never fails: when the ring is full the queue links a
+/// fresh segment, so memory grows with the batches sent and not yet
+/// received. Batches come out in the order their sends took the lock. The
+/// channel keeps no count of its own, so the only state producers and
+/// consumers share is the segments' slots.
 ///
 /// # Examples
 ///
@@ -29,19 +32,20 @@ use mcbfs_trace::{EventKind, SpanTimer};
 /// use mcbfs_sync::channel::SocketChannel;
 ///
 /// let ch: SocketChannel<u64> = SocketChannel::with_capacity(1024);
-/// assert_eq!(ch.try_send_batch(&[1, 2, 3]), 3);
-/// let mut out = Vec::new();
-/// ch.recv_batch(&mut out, usize::MAX);
-/// assert_eq!(out, vec![1, 2, 3]);
+/// ch.send(vec![1, 2, 3]);
+/// ch.send(vec![4]);
+/// assert_eq!(ch.recv(), Some(vec![1, 2, 3]));
+/// assert_eq!(ch.recv(), Some(vec![4]));
+/// assert_eq!(ch.recv(), None);
 /// ```
 pub struct SocketChannel<T> {
-    tx: TicketLock<Producer<T>>,
-    rx: TicketLock<Consumer<T>>,
+    tx: TicketLock<Producer<Vec<T>>>,
+    rx: TicketLock<Consumer<Vec<T>>>,
 }
 
 impl<T> SocketChannel<T> {
-    /// Creates a channel whose internal ring holds at least `capacity`
-    /// elements.
+    /// Creates a channel whose queue segments hold at least `capacity`
+    /// batches each.
     pub fn with_capacity(capacity: usize) -> Self {
         let (tx, rx) = FastForward::with_capacity(capacity);
         Self {
@@ -50,49 +54,28 @@ impl<T> SocketChannel<T> {
         }
     }
 
-    /// Sends as many elements of `items` as currently fit in the ring,
-    /// taking the producer lock once, and returns how many were sent (a
-    /// prefix of `items`). Never spins — callers that must not block while
-    /// their own socket's consumers are busy (phase 1 of Algorithm 3) use
-    /// this and divert the remainder to an overflow buffer.
+    /// Sends `batch` as one slot, taking the producer lock once.
     ///
-    /// Traced as a [`EventKind::ChannelSend`] span carrying the elements
-    /// sent, followed by a [`EventKind::ChannelStall`] instant carrying the
-    /// elements left over when some did not fit.
-    pub fn try_send_batch(&self, items: &[T]) -> usize
-    where
-        T: Copy,
-    {
+    /// Traced as a [`EventKind::ChannelSend`] span carrying the batch
+    /// length.
+    pub fn send(&self, batch: Vec<T>) {
         let send = SpanTimer::start();
-        let mut tx = self.tx.lock();
-        let mut sent = 0;
-        for &v in items {
-            if tx.push(v).is_err() {
-                break;
-            }
-            sent += 1;
-        }
-        drop(tx);
-        send.finish(EventKind::ChannelSend, sent as u64);
-        if send.is_armed() && sent < items.len() {
-            mcbfs_trace::instant(EventKind::ChannelStall, (items.len() - sent) as u64);
-        }
-        sent
+        let items = batch.len() as u64;
+        self.tx.lock().push(batch);
+        send.finish(EventKind::ChannelSend, items);
     }
 
-    /// Receives up to `max` elements into `out`, taking the consumer lock
-    /// once. Returns the number of elements appended.
-    pub fn recv_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
+    /// Receives the oldest batch, taking the consumer lock once; `None`
+    /// when the channel is empty.
+    ///
+    /// A batch is traced as a [`EventKind::ChannelRecv`] span carrying its
+    /// length. Empty polls are not recorded: phase 2 of Algorithm 3 polls
+    /// until empty and would flood the trace with no-op drains.
+    pub fn recv(&self) -> Option<Vec<T>> {
         let recv = SpanTimer::start();
-        let mut rx = self.rx.lock();
-        let n = rx.pop_into(out, max);
-        drop(rx);
-        if n > 0 {
-            // Empty polls are not recorded: phase 2 of Algorithm 3 polls
-            // in a loop and would flood the trace with no-op drains.
-            recv.finish(EventKind::ChannelRecv, n as u64);
-        }
-        n
+        let batch = self.rx.lock().pop()?;
+        recv.finish(EventKind::ChannelRecv, batch.len() as u64);
+        Some(batch)
     }
 }
 
@@ -112,12 +95,15 @@ pub struct ChannelMatrix<T> {
 }
 
 impl<T> ChannelMatrix<T> {
-    /// Builds an all-pairs mesh for `sockets` sockets, each channel with
-    /// `capacity` slots.
+    /// Builds an all-pairs mesh for `sockets` sockets, each channel's
+    /// segments holding `capacity` batches.
     pub fn new(sockets: usize, capacity: usize) -> Self {
         assert!(sockets >= 1, "need at least one socket");
         let channels = (0..sockets * sockets)
-            .map(|_| SocketChannel::with_capacity(capacity))
+            .map(|i| {
+                let diagonal = i % (sockets + 1) == 0;
+                SocketChannel::with_capacity(if diagonal { 0 } else { capacity })
+            })
             .collect();
         Self { sockets, channels }
     }
@@ -144,21 +130,22 @@ mod tests {
     fn batch_roundtrip() {
         let ch = SocketChannel::with_capacity(16);
         let items: Vec<u32> = (0..10).collect();
-        assert_eq!(ch.try_send_batch(&items), 10);
-        let mut out = Vec::new();
-        assert_eq!(ch.recv_batch(&mut out, 100), 10);
-        assert_eq!(out, items);
-        assert_eq!(ch.recv_batch(&mut out, 100), 0);
+        ch.send(items.clone());
+        assert_eq!(ch.recv(), Some(items));
+        assert_eq!(ch.recv(), None);
     }
 
     #[test]
-    fn recv_respects_max() {
-        let ch = SocketChannel::with_capacity(16);
-        let items: Vec<u32> = (0..10).collect();
-        ch.try_send_batch(&items);
-        let mut out = Vec::new();
-        assert_eq!(ch.recv_batch(&mut out, 3), 3);
-        assert_eq!(ch.recv_batch(&mut out, usize::MAX), 7);
+    fn batches_past_three_segments_arrive_in_send_order() {
+        // Nothing is received while the sender fills more than three
+        // segments, as in phase 1 of an Algorithm 3 level.
+        let ch = SocketChannel::with_capacity(4);
+        let batches: Vec<Vec<u32>> = (0..3 * 4 + 3).map(|b| (b..b + 5).collect()).collect();
+        for batch in &batches {
+            ch.send(batch.clone());
+        }
+        let received: Vec<Vec<u32>> = std::iter::from_fn(|| ch.recv()).collect();
+        assert_eq!(received, batches);
     }
 
     #[test]
@@ -166,7 +153,7 @@ mod tests {
         const PRODUCERS: usize = 4;
         const CONSUMERS: usize = 2;
         const PER: u64 = 10_000;
-        let ch = Arc::new(SocketChannel::with_capacity(256));
+        let ch = Arc::new(SocketChannel::with_capacity(16));
         let sum = Arc::new(AtomicU64::new(0));
         let received = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|s| {
@@ -175,11 +162,7 @@ mod tests {
                 s.spawn(move || {
                     let items: Vec<u64> = (p * PER..(p + 1) * PER).collect();
                     for batch in items.chunks(64) {
-                        let mut sent = ch.try_send_batch(batch);
-                        while sent < batch.len() {
-                            std::thread::yield_now();
-                            sent += ch.try_send_batch(&batch[sent..]);
-                        }
+                        ch.send(batch.to_vec());
                     }
                 });
             }
@@ -188,15 +171,12 @@ mod tests {
                 let sum = Arc::clone(&sum);
                 let received = Arc::clone(&received);
                 s.spawn(move || {
-                    let mut out = Vec::new();
                     let total = PRODUCERS as u64 * PER;
                     while received.load(Ordering::Acquire) < total as usize {
-                        out.clear();
-                        let n = ch.recv_batch(&mut out, 128);
-                        if n > 0 {
-                            let local: u64 = out.iter().sum();
+                        if let Some(batch) = ch.recv() {
+                            let local: u64 = batch.iter().sum();
                             sum.fetch_add(local, Ordering::Relaxed);
-                            received.fetch_add(n, Ordering::AcqRel);
+                            received.fetch_add(batch.len(), Ordering::AcqRel);
                         }
                     }
                 });
@@ -204,36 +184,23 @@ mod tests {
         });
         let total = PRODUCERS as u64 * PER;
         assert_eq!(sum.load(Ordering::SeqCst), total * (total - 1) / 2);
-        assert_eq!(ch.recv_batch(&mut Vec::new(), usize::MAX), 0);
-    }
-
-    #[test]
-    fn try_send_batch_sends_prefix_without_blocking() {
-        let ch = SocketChannel::with_capacity(4);
-        let items = [1u32, 2, 3, 4, 5, 6];
-        let sent = ch.try_send_batch(&items);
-        assert_eq!(sent, 4);
-        // Nothing fits now.
-        assert_eq!(ch.try_send_batch(&items[sent..]), 0);
-        let mut out = Vec::new();
-        ch.recv_batch(&mut out, 2);
-        assert_eq!(ch.try_send_batch(&items[sent..]), 2);
-        ch.recv_batch(&mut out, usize::MAX);
-        assert_eq!(out, vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(ch.recv(), None);
     }
 
     #[test]
     fn matrix_indexing_and_incoming() {
         let m: ChannelMatrix<u32> = ChannelMatrix::new(3, 8);
-        m.channel(0, 1).try_send_batch(&[1, 2]);
-        m.channel(2, 1).try_send_batch(&[3]);
-        let mut got = Vec::new();
-        for from in [0, 2] {
-            m.channel(from, 1).recv_batch(&mut got, usize::MAX);
-        }
+        m.channel(0, 1).send(vec![1, 2]);
+        m.channel(2, 1).send(vec![3]);
+        let m = &m;
+        let mut got: Vec<u32> = [0, 2]
+            .into_iter()
+            .flat_map(|from| std::iter::from_fn(move || m.channel(from, 1).recv()))
+            .flatten()
+            .collect();
         got.sort_unstable();
         assert_eq!(got, vec![1, 2, 3]);
-        assert_eq!(m.channel(1, 0).recv_batch(&mut got, usize::MAX), 0);
+        assert_eq!(m.channel(1, 0).recv(), None);
     }
 
     #[test]

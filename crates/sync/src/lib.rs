@@ -7,16 +7,18 @@
 //! * the **Ticket Lock** of Sridharan et al. (SPAA'07) — a fair FIFO
 //!   spin lock ([`ticket::TicketLock`]);
 //! * the **FastForward** queue of Giacomoni et al. (PPoPP'08) — a
-//!   cache-optimized single-producer/single-consumer lock-free ring
-//!   ([`fastforward::FastForward`]).
+//!   cache-optimized single-producer/single-consumer lock-free ring, here
+//!   a chain of ring segments ([`fastforward::FastForward`]).
 //!
 //! The paper's *remote channel* is "a FastForward queue where both producers
 //! and consumers are protected on their respective side by a Ticket Lock",
 //! with **batched** insertion to amortize locking: that composite lives in
-//! [`channel::SocketChannel`]. Its sends never block — what does not fit in
-//! the ring goes back to the caller, which spills it into an overflow lane —
-//! and neither it nor the queue keeps a shared count, so the only cache
-//! lines producers and consumers share are the ring's slots.
+//! [`channel::SocketChannel`]. Each slot carries one sender's whole batch,
+//! the pointer payload of the original FastForward. Its sends never block
+//! and never fail: a full ring links a fresh segment, which the consumer
+//! frees once it has emptied it, so memory grows with the batches not yet
+//! received. Neither the channel nor the queue keeps a shared count, so the
+//! only cache lines producers and consumers share are the segments' slots.
 //!
 //! The level-synchronous BFS additionally needs:
 //!

@@ -20,15 +20,16 @@ pub enum EventKind {
     LockWait = 2,
     /// Time a ticket lock was held (guard lifetime). `arg` = 0.
     LockHold = 3,
-    /// One batched push into an inter-socket channel
-    /// (`SocketChannel::try_send_batch`), lock to unlock. `arg` = tuples
-    /// that fit in the ring.
+    /// One batch sent into an inter-socket channel
+    /// (`SocketChannel::send`), lock to unlock. `arg` = tuples in the
+    /// batch.
     ChannelSend = 4,
-    /// One non-empty batched drain of an inter-socket channel.
-    /// `arg` = tuples received.
+    /// One batch received from an inter-socket channel
+    /// (`SocketChannel::recv`). `arg` = tuples in the batch.
     ChannelRecv = 5,
-    /// Instant: a send found the ring full before its batch was through.
-    /// `arg` = tuples handed back to the caller for its overflow lane.
+    /// Instant: a send that found the ring full. Not emitted: a full ring
+    /// links a fresh segment, so a send never stalls. The kind stays so
+    /// discriminants and old traces keep their meaning.
     ChannelStall = 6,
     /// Instant: channel occupancy. Not emitted: channels keep no shared
     /// count of pending tuples. The kind stays so discriminants and old

@@ -1,65 +1,43 @@
 //! Stress tests of the synchronization substrate under realistic BFS-like
-//! composition: channels + barriers + pools, overflow paths, and failure
-//! injection.
+//! composition: channels + barriers + pools, and failure injection.
 
 use multicore_bfs::sync::barrier::SpinBarrier;
 use multicore_bfs::sync::channel::{ChannelMatrix, SocketChannel};
 use multicore_bfs::sync::pool::scoped_run;
 use multicore_bfs::sync::ticket::TicketLock;
 use multicore_bfs::sync::workq::SharedQueue;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 #[test]
 fn two_phase_level_protocol_conserves_tuples() {
-    // Mimics one Algorithm 3 level: 2 "sockets" x 2 threads; phase 1 sends
-    // batches into the ring and spills what does not fit into the pair's
-    // overflow lane, barrier, phase 2 drains the ring and then the lane;
-    // repeat for several levels.
+    // Mimics one Algorithm 3 level: 2 "sockets" x 2 threads; phase 1 moves
+    // each full batch into the channel, barrier, phase 2 receives whole
+    // batches until the channel is empty; repeat for several levels.
     const SOCKETS: usize = 2;
     const THREADS: usize = 4;
     const LEVELS: usize = 20;
     const PER_THREAD: usize = 500;
     const BATCH: usize = 64;
     let links: ChannelMatrix<u64> = ChannelMatrix::new(SOCKETS, 1 << 10);
-    let overflows: Vec<TicketLock<Vec<u64>>> = (0..SOCKETS * SOCKETS)
-        .map(|_| TicketLock::new(Vec::new()))
-        .collect();
     let barrier = SpinBarrier::new(THREADS);
     let received = AtomicU64::new(0);
     scoped_run(THREADS, |tid| {
         let socket = tid / 2;
         let peer = 1 - socket;
-        let ship = |buf: &mut Vec<u64>| {
-            let sent = links.channel(socket, peer).try_send_batch(buf);
-            if sent < buf.len() {
-                overflows[socket * SOCKETS + peer]
-                    .lock()
-                    .extend_from_slice(&buf[sent..]);
-            }
-            buf.clear();
-        };
         for level in 0..LEVELS {
             let mut buf = Vec::with_capacity(BATCH);
             for i in 0..PER_THREAD {
                 buf.push((level * PER_THREAD + i) as u64);
                 if buf.len() == BATCH {
-                    ship(&mut buf);
+                    links.channel(socket, peer).send(core::mem::take(&mut buf));
                 }
             }
-            ship(&mut buf);
+            links.channel(socket, peer).send(buf);
             barrier.wait();
-            let mut out = Vec::new();
-            let ch = links.channel(peer, socket);
-            loop {
-                out.clear();
-                if ch.recv_batch(&mut out, 256) == 0 {
-                    break;
-                }
-                received.fetch_add(out.len() as u64, Ordering::Relaxed);
+            while let Some(batch) = links.channel(peer, socket).recv() {
+                received.fetch_add(batch.len() as u64, Ordering::Relaxed);
             }
-            let spilled = core::mem::take(&mut *overflows[peer * SOCKETS + socket].lock());
-            received.fetch_add(spilled.len() as u64, Ordering::Relaxed);
             barrier.wait();
         }
     });
@@ -67,95 +45,35 @@ fn two_phase_level_protocol_conserves_tuples() {
         received.load(Ordering::Relaxed),
         (THREADS * LEVELS * PER_THREAD) as u64
     );
-    let mut left = Vec::new();
-    links.channel(0, 1).recv_batch(&mut left, usize::MAX);
-    links.channel(1, 0).recv_batch(&mut left, usize::MAX);
-    assert!(left.is_empty());
-    assert!(overflows.iter().all(|lane| lane.lock().is_empty()));
+    assert_eq!(links.channel(0, 1).recv(), None);
+    assert_eq!(links.channel(1, 0).recv(), None);
 }
 
 #[test]
 fn channel_survives_capacity_one() {
-    // Degenerate ring: every element forces a full/empty transition (and,
-    // on a single-core host, a scheduler handoff — keep the count modest).
+    // Degenerate ring: every batch fills its segment, so each send links a
+    // new one while the consumer follows (and, on a single-core host,
+    // forces a scheduler handoff — keep the count modest).
     const ITEMS: u32 = 500;
     let ch: SocketChannel<u32> = SocketChannel::with_capacity(1);
     scoped_run(2, |tid| {
         if tid == 0 {
             for i in 0..ITEMS {
-                while ch.try_send_batch(&[i]) == 0 {
-                    std::thread::yield_now();
-                }
+                ch.send(vec![i]);
             }
         } else {
             let mut got = 0u32;
-            let mut out = Vec::new();
             while got < ITEMS {
-                out.clear();
-                if ch.recv_batch(&mut out, 1) == 0 {
+                let Some(batch) = ch.recv() else {
                     std::thread::yield_now();
                     continue;
-                }
-                assert_eq!(out, [got]);
+                };
+                assert_eq!(batch, [got]);
                 got += 1;
             }
         }
     });
-    assert_eq!(ch.recv_batch(&mut Vec::new(), usize::MAX), 0);
-}
-
-#[test]
-fn try_send_overflow_pattern_is_lossless() {
-    // The multi-socket algorithm's overflow lane: bounded channel with a
-    // locked spill vector; everything must arrive exactly once.
-    const ITEMS: u64 = 5_000;
-    let ch: SocketChannel<u64> = SocketChannel::with_capacity(64);
-    let spill: TicketLock<Vec<u64>> = TicketLock::new(Vec::new());
-    let seen: Arc<Vec<AtomicUsize>> = Arc::new((0..ITEMS).map(|_| AtomicUsize::new(0)).collect());
-    scoped_run(3, |tid| match tid {
-        0 => {
-            // Producer: try the channel, spill what does not fit.
-            let mut pending: Vec<u64> = Vec::new();
-            for i in 0..ITEMS {
-                pending.push(i);
-                if pending.len() >= 32 {
-                    let sent = ch.try_send_batch(&pending);
-                    if sent < pending.len() {
-                        spill.lock().extend_from_slice(&pending[sent..]);
-                    }
-                    pending.clear();
-                }
-            }
-            let sent = ch.try_send_batch(&pending);
-            if sent < pending.len() {
-                spill.lock().extend_from_slice(&pending[sent..]);
-            }
-        }
-        _ => {
-            // Consumers drain both lanes until all items are accounted for.
-            let mut out = Vec::new();
-            loop {
-                out.clear();
-                ch.recv_batch(&mut out, 64);
-                for &v in &out {
-                    seen[v as usize].fetch_add(1, Ordering::SeqCst);
-                }
-                let spilled = core::mem::take(&mut *spill.lock());
-                for v in spilled {
-                    seen[v as usize].fetch_add(1, Ordering::SeqCst);
-                }
-                let done = seen.iter().all(|s| s.load(Ordering::SeqCst) >= 1);
-                if done {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        }
-    });
-    assert!(
-        seen.iter().all(|s| s.load(Ordering::SeqCst) == 1),
-        "duplicates detected"
-    );
+    assert_eq!(ch.recv(), None);
 }
 
 #[test]
