@@ -74,8 +74,11 @@ pub enum ForcedDirection {
 
 /// A top-down level's sink: `level`'s sink, tallying Beamer's m_f — the
 /// adjacency entries of every vertex discovered — as discoveries happen.
-/// Only the heuristic reads m_f, so only under [`ForcedDirection::Auto`]
-/// does a discovery pay the degree lookup, a random read.
+/// The heuristic reads m_f, and summed over the levels it is the TEPS
+/// numerator of a search that can run bottom-up levels, whose scans skip
+/// entries. A top-down-only search scans every reached row whole, so only
+/// under a policy other than [`ForcedDirection::TopDown`] does a discovery
+/// pay the degree lookup, a random read.
 pub(super) struct Tally<'g, S> {
     graph: Option<&'g CsrGraph>,
     pub(super) inner: S,
@@ -85,13 +88,13 @@ pub(super) struct Tally<'g, S> {
 impl<'g, S: Sink> Tally<'g, S> {
     pub(super) fn new(graph: &'g CsrGraph, policy: ForcedDirection, inner: S) -> Self {
         Self {
-            graph: (policy == ForcedDirection::Auto).then_some(graph),
+            graph: (policy != ForcedDirection::TopDown).then_some(graph),
             inner,
             found_edges: 0,
         }
     }
 
-    /// The m_f tallied since the last call (0 unless under `Auto`).
+    /// The m_f tallied since the last call (0 under `TopDown`).
     pub(super) fn take_found_edges(&mut self) -> u64 {
         core::mem::take(&mut self.found_edges)
     }

@@ -514,11 +514,23 @@ impl<'g> LevelState<'g> {
         2 + self.config.two_phase() as u32
     }
 
-    fn into_run(self, levels: Vec<LevelProfile>, threads: usize, seconds: f64) -> NativeRun {
+    /// The run's result. `found_edges` is the root's degree plus every
+    /// level's m_f, which [`Tally`] and the bottom-up sweep count unless
+    /// the direction is [`ForcedDirection::TopDown`]; a top-down-only
+    /// search scans each reached row once, whole, so its scans are the
+    /// same number.
+    fn into_run(
+        self,
+        levels: Vec<LevelProfile>,
+        threads: usize,
+        seconds: f64,
+        found_edges: u64,
+    ) -> NativeRun {
         let n = self.graph.num_vertices() as u64;
         let config = self.config;
+        let edges_traversed = levels.iter().map(|l| l.total().edges_scanned).sum();
         let profile = WorkProfile {
-            edges_traversed: levels.iter().map(|l| l.total().edges_scanned).sum(),
+            edges_traversed,
             levels,
             threads,
             sockets: config.sockets,
@@ -538,6 +550,11 @@ impl<'g> LevelState<'g> {
             profile,
             seconds,
             visited,
+            reached_edges: if config.direction == ForcedDirection::TopDown {
+                edges_traversed
+            } else {
+                found_edges
+            },
         }
     }
 }
@@ -666,6 +683,8 @@ pub fn bfs(graph: &CsrGraph, root: VertexId, threads: usize, config: VariantConf
         (0..threads).map(|_| Default::default()).collect();
     let found_edges: Vec<CachePadded<AtomicU64>> =
         (0..threads).map(|_| Default::default()).collect();
+    // The root's degree plus every level's m_f, added by the leader.
+    let reached = AtomicU64::new(graph.degree(root) as u64);
     let recorder = Recorder::new(threads, sockets, st.barriers_per_level());
 
     let start = Instant::now();
@@ -717,6 +736,7 @@ pub fn bfs(graph: &CsrGraph, root: VertexId, threads: usize, config: VariantConf
                 // direction, recycle the consumed frontiers.
                 let n_f: u64 = found_count.iter().map(|c| c.load(Ordering::Relaxed)).sum();
                 let m_f: u64 = found_edges.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+                reached.fetch_add(m_f, Ordering::Relaxed);
                 let decided = switch.lock().next(dir, n_f, m_f, m_f);
                 next_dir.store(decided as u8, Ordering::Relaxed);
                 done.store(n_f == 0, Ordering::Release);
@@ -752,7 +772,8 @@ pub fn bfs(graph: &CsrGraph, root: VertexId, threads: usize, config: VariantConf
         mcbfs_trace::flush_thread();
     });
     let seconds = start.elapsed().as_secs_f64();
-    let mut run = st.into_run(recorder.into_levels(), threads, seconds);
+    let found = reached.into_inner();
+    let mut run = st.into_run(recorder.into_levels(), threads, seconds, found);
     switch.into_inner().stamp(&mut run.profile);
     run
 }
@@ -862,6 +883,7 @@ pub fn bfs_deterministic(
     let mut levels: Vec<LevelProfile> = Vec::new();
     let mut carry = vec![ThreadCounts::default(); threads];
     let mut parity = 0usize;
+    let mut reached = graph.degree(root) as u64;
     loop {
         let mut level = LevelProfile::new(threads, st.barriers_per_level());
         level.threads = carry;
@@ -890,6 +912,7 @@ pub fn bfs_deterministic(
             level.threads.iter_mut().enumerate().map(sweep).sum()
         };
         let n_f = level.total().parent_writes;
+        reached += m_f;
         levels.push(level);
         let decided = switch.next(dir, n_f, m_f, m_f);
         st.reset(parity);
@@ -908,7 +931,7 @@ pub fn bfs_deterministic(
         parity = 1 - parity;
         dir = decided;
     }
-    let mut run = st.into_run(levels, threads, 0.0);
+    let mut run = st.into_run(levels, threads, 0.0, reached);
     switch.stamp(&mut run.profile);
     run
 }

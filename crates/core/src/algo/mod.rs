@@ -27,6 +27,9 @@ pub struct NativeRun {
     pub seconds: f64,
     /// Vertices reached, including the root.
     pub visited: u64,
+    /// Adjacency entries of every vertex reached: the paper's `ma`, the
+    /// numerator of its rate, read off counts the search keeps anyway.
+    pub reached_edges: u64,
 }
 
 /// Frontier chunk size for the chunked dequeue of Algorithms 2–3: one

@@ -68,6 +68,8 @@ pub fn bfs_sequential(graph: &CsrGraph, root: VertexId) -> NativeRun {
         profile,
         seconds,
         visited,
+        // Every reached vertex's row is scanned once, whole.
+        reached_edges: edges_traversed,
     }
 }
 

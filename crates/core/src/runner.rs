@@ -88,6 +88,10 @@ pub struct BfsResult {
     pub stats: BfsStats,
     /// The full per-level, per-thread operation profile.
     pub profile: WorkProfile,
+    /// Adjacency entries of every vertex reached: the paper's `ma`, the
+    /// TEPS numerator of this search. Unlike `stats.edges_traversed`, it
+    /// counts whole rows, whatever a bottom-up level skipped.
+    pub reached_edges: u64,
     /// Collected event trace when the runner was [`BfsRunner::traced`] and
     /// the `trace` feature is compiled in; `None` otherwise.
     pub trace: Option<Trace>,
@@ -275,6 +279,7 @@ impl<'g> BfsRunner<'g> {
             stats: stats_from_profile(&run.profile, seconds, run.visited),
             parents: run.parents,
             profile: run.profile,
+            reached_edges: run.reached_edges,
             trace: None,
         }
     }
@@ -284,7 +289,9 @@ impl<'g> BfsRunner<'g> {
 mod tests {
     use super::*;
     use mcbfs_gen::prelude::*;
-    use mcbfs_graph::validate::{depth_histogram, depths_from_parents, validate_bfs_tree};
+    use mcbfs_graph::validate::{
+        depth_histogram, depths_from_parents, reachable_edges, sequential_levels, validate_bfs_tree,
+    };
 
     fn graph() -> CsrGraph {
         UniformBuilder::new(2_000, 6).seed(77).build()
@@ -304,6 +311,50 @@ mod tests {
             validate_bfs_tree(&g, 0, &r.parents).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
             assert!(r.stats.seconds > 0.0);
             assert!(r.stats.me_per_s() > 0.0);
+        }
+    }
+
+    #[test]
+    fn reached_edges_are_the_teps_numerator_under_every_algorithm() {
+        let g = RmatBuilder::new(10, 8).seed(5).permute(true).build();
+        let root = 3;
+        let expected = reachable_edges(&g, &sequential_levels(&g, root));
+        let mut algorithms = vec![
+            Algorithm::Sequential,
+            Algorithm::Simple,
+            Algorithm::SingleSocket,
+            Algorithm::MultiSocket { sockets: 2 },
+        ];
+        algorithms.extend(
+            [
+                ForcedDirection::Auto,
+                ForcedDirection::TopDown,
+                ForcedDirection::BottomUp,
+                ForcedDirection::Alternate,
+            ]
+            .map(|policy| Algorithm::Hybrid { policy }),
+        );
+        let modes = [
+            ExecMode::Native,
+            ExecMode::model(MachineModel::nehalem_ep()),
+        ];
+        for algorithm in algorithms {
+            for mode in &modes {
+                for threads in [1, 4] {
+                    for reorder in [Reorder::None, Reorder::Degree] {
+                        let r = BfsRunner::new(&g)
+                            .algorithm(algorithm)
+                            .mode(mode.clone())
+                            .threads(threads)
+                            .reorder(reorder)
+                            .run(root);
+                        assert_eq!(
+                            r.reached_edges, expected,
+                            "{algorithm:?} {mode:?} x{threads} {reorder:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

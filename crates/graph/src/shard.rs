@@ -166,12 +166,6 @@ impl CsrShard {
         &self.targets[lo..hi]
     }
 
-    /// Degree of the owned vertex at local index `local`.
-    #[inline]
-    pub fn degree_local(&self, local: usize) -> usize {
-        (self.offsets[local + 1] - self.offsets[local]) as usize
-    }
-
     /// Owner shard of any global vertex id.
     #[inline]
     pub fn owner_of(&self, v: VertexId) -> usize {
@@ -223,7 +217,6 @@ mod tests {
                 let range = s.owned_range();
                 for (local, v) in range.enumerate() {
                     assert_eq!(s.neighbors_global(local), g.neighbors(v as u32));
-                    assert_eq!(s.degree_local(local), g.degree(v as u32));
                 }
             }
         }

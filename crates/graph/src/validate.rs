@@ -179,6 +179,31 @@ pub fn depths_from_parents(parents: &[VertexId]) -> Vec<u32> {
     depths
 }
 
+/// Depth of `v` in the BFS tree `parents` (`parents[root] == root`,
+/// unreached = `UNVISITED`): the steps up its parent chain to the root, at
+/// most the tree's height, or `None` when `v` is unreached. One chain walk
+/// in place of [`depths_from_parents`]'s scan, for a caller that needs one
+/// depth.
+///
+/// # Panics
+/// Panics on a cyclic parent chain.
+pub fn depth_in_tree(parents: &[VertexId], v: VertexId) -> Option<u32> {
+    let mut cur = v as usize;
+    if parents[cur] == UNVISITED {
+        return None;
+    }
+    let mut depth = 0u32;
+    while parents[cur] as usize != cur {
+        cur = parents[cur] as usize;
+        depth += 1;
+        assert!(
+            depth as usize <= parents.len(),
+            "cycle in parent chain at vertex {v}"
+        );
+    }
+    Some(depth)
+}
+
 /// Per-depth vertex counts (`histogram[d]` = vertices at hop depth `d`) of
 /// a depth array (`u32::MAX` = unreached), such as [`sequential_levels`]
 /// or [`depths_from_parents`] return. Two BFS runs over isomorphic graphs
@@ -325,6 +350,17 @@ mod tests {
         let g = sample();
         let parents = sequential_parents(&g, 0);
         assert_eq!(depths_from_parents(&parents), sequential_levels(&g, 0));
+    }
+
+    #[test]
+    fn depth_in_tree_walks_one_chain() {
+        let g = sample();
+        let parents = sequential_parents(&g, 0);
+        let levels = sequential_levels(&g, 0);
+        for v in 0..5 {
+            let level = Some(levels[v as usize]).filter(|&d| d != u32::MAX);
+            assert_eq!(depth_in_tree(&parents, v), level, "vertex {v}");
+        }
     }
 
     #[test]

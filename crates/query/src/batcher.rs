@@ -452,9 +452,15 @@ mod tests {
         // queries report 0.5 s of queue time.
         let execute_wave = |wave: &[Admitted]| {
             let seconds = wave[0].id as f64 + 1.0;
-            let depths = vec![vec![0]; wave.len()];
-            let (mut outcomes, stats) =
-                crate::engine::wave_outcomes(9, wave, depths, None, |_, _| 1, 1, seconds);
+            let answer = crate::msbfs::SlotAnswer {
+                depth_histogram: vec![1],
+                edges: 1,
+                target_depth: None,
+                depths: Some(vec![0]),
+                parents: None,
+            };
+            let answers = vec![answer; wave.len()];
+            let (mut outcomes, stats) = crate::engine::wave_outcomes(9, wave, answers, 1, seconds);
             for o in &mut outcomes {
                 o.queue_seconds = 0.5;
             }

@@ -14,13 +14,21 @@
 //! wall-clock, model waves run the deterministic executor and price the
 //! resulting profiles with a [`MachineModel`] — so a batched serving
 //! experiment is exactly reproducible on this host.
+//!
+//! A query's answer costs what it asks. Every search's depth histogram and
+//! TEPS numerator come from counts its kernel already keeps: the MS-BFS
+//! per-slot tallies, or a singleton's per-level claim counts and m_f. A
+//! point query (`stcon`/`reachable`) reads one depth — its target's, off
+//! the wave's `seen` words or up the singleton's parent chain — so no
+//! whole-array pass runs after its search; only map queries
+//! (`distances`/`parents`) decode n-long rows.
 
 use crate::batcher::{run_batch, run_traced, Admitted};
-use crate::msbfs::{ms_bfs, ms_bfs_deterministic, MsBfsRun, MAX_SOURCES};
+use crate::msbfs::{ms_bfs, ms_bfs_deterministic, MsBfsRun, Slot, SlotAnswer, MAX_SOURCES};
 use mcbfs_core::algo::hybrid::ForcedDirection;
 use mcbfs_core::runner::{Algorithm, BfsRunner, ExecMode};
 use mcbfs_graph::csr::{CsrGraph, VertexId};
-use mcbfs_graph::validate::{depth_histogram, depths_from_parents, reachable_edges};
+use mcbfs_graph::validate::{depth_in_tree, depths_from_parents};
 use mcbfs_trace::{EventKind, SpanTimer, Trace};
 
 /// One admitted query. `Copy + Default` so it can ride the
@@ -90,6 +98,19 @@ impl Query {
 
     fn wants_parents(&self) -> bool {
         matches!(self, Query::Parents { .. })
+    }
+
+    /// The kernel slot answering this query: a point slot for the
+    /// point-to-point kinds, a map slot otherwise.
+    fn slot(&self) -> Slot {
+        let source = self.source();
+        match self.target() {
+            Some(target) => Slot::Point { source, target },
+            None => Slot::Map {
+                source,
+                parents: self.wants_parents(),
+            },
+        }
     }
 }
 
@@ -325,44 +346,48 @@ impl<'g> QueryEngine<'g> {
     /// Executes one sealed wave on the calling thread: the traversal
     /// (MS-BFS for 2+ queries, the fallback algorithm for singletons)
     /// inside a [`EventKind::BatchExecute`] span and the serving clock,
-    /// then grid extraction, answers and statistics outside both. The
-    /// serving scheduler and the offline [`QueryEngine::execute`] both run
-    /// it, so wire answers match offline answers by construction.
-    /// Outcomes come back in wave order, each with its queue time (zero in
-    /// model mode, which prices only the modelled schedule) and the wave's
-    /// seconds as service time.
+    /// then answers and statistics outside both. Each query's histogram
+    /// and TEPS numerator come from its search's tallies and a point
+    /// query's answer from its target's depth; only map queries decode
+    /// rows (a singleton's from its parent array). The serving scheduler
+    /// and the offline [`QueryEngine::execute`] both run it, so wire
+    /// answers match offline answers by construction. Outcomes come back
+    /// in wave order, each with its queue time (zero in model mode, which
+    /// prices only the modelled schedule) and the wave's seconds as service
+    /// time.
     pub fn execute_wave(&self, wave: &[Admitted]) -> BatchReport {
         let timer = SpanTimer::start();
-        let (depths, parents, levels, seconds) = if let [single] = wave {
+        let (answers, levels, seconds) = if let [single] = wave {
+            let query = single.query;
             let r = BfsRunner::new(self.graph)
                 .algorithm(self.fallback)
                 .threads(self.threads)
                 .mode(self.mode.clone())
-                .run(single.query.source());
+                .run(query.source());
             timer.finish(EventKind::BatchExecute, 1);
-            let depths = depths_from_parents(&r.parents);
-            let parents = single.query.wants_parents().then(|| vec![r.parents]);
-            (
-                vec![depths],
-                parents,
-                r.stats.levels as usize,
-                r.stats.seconds,
-            )
+            let (levels, seconds) = (r.stats.levels as usize, r.stats.seconds);
+            let answer = SlotAnswer {
+                target_depth: query.target().and_then(|t| depth_in_tree(&r.parents, t)),
+                depths: query
+                    .target()
+                    .is_none()
+                    .then(|| depths_from_parents(&r.parents)),
+                parents: query.wants_parents().then_some(r.parents),
+                depth_histogram: r.stats.depth_histogram,
+                edges: r.reached_edges,
+            };
+            (vec![answer], levels, seconds)
         } else {
-            let sources: Vec<VertexId> = wave.iter().map(|a| a.query.source()).collect();
-            let record_parents = wave.iter().any(|a| a.query.wants_parents());
+            let slots: Vec<Slot> = wave.iter().map(|a| a.query.slot()).collect();
             let (graph, threads, auto) = (self.graph, self.threads, ForcedDirection::Auto);
             let raw = match &self.mode {
-                ExecMode::Native => ms_bfs(graph, &sources, threads, record_parents, auto),
-                ExecMode::Model(_) => {
-                    ms_bfs_deterministic(graph, &sources, threads, record_parents, auto)
-                }
+                ExecMode::Native => ms_bfs(graph, &slots, threads, auto),
+                ExecMode::Model(_) => ms_bfs_deterministic(graph, &slots, threads, auto),
             };
             timer.finish(EventKind::BatchExecute, wave.len() as u64);
             let native_seconds = raw.seconds;
             let MsBfsRun {
-                depths,
-                parents,
+                slots,
                 profile,
                 levels,
                 ..
@@ -371,11 +396,9 @@ impl<'g> QueryEngine<'g> {
                 ExecMode::Native => native_seconds,
                 ExecMode::Model(model) => model.predict(&profile).seconds,
             };
-            (depths, parents, levels, seconds)
+            (slots, levels, seconds)
         };
-        let edges_of = |_: usize, depths: &[u32]| reachable_edges(self.graph, depths);
-        let (mut outcomes, mut stats) =
-            wave_outcomes(0, wave, depths, parents, edges_of, levels, seconds);
+        let (mut outcomes, mut stats) = wave_outcomes(0, wave, answers, levels, seconds);
         stats.fallback = wave.len() == 1;
         for o in &mut outcomes {
             if let ExecMode::Model(_) = self.mode {
@@ -393,42 +416,49 @@ impl<'g> QueryEngine<'g> {
     }
 }
 
-/// Projects one wave's per-slot arrays onto its queries' answers: slot `s`
-/// of `depths` and of `parents` (present when any query asked for a tree)
-/// belongs to `wave[s]`, and `edges_of(s, depths)` is its TEPS numerator,
-/// asked for while the slot's depths are still in cache. Every wave
-/// executor assembles its outcomes here — the engine's kernels and the
-/// sharded cluster alike. Timing stays with the caller: outcomes carry
-/// their admission queue time and zero latency and service time; the
-/// [`WaveStats`] record `levels` and `seconds` as given, on socket 0, not
-/// a fallback.
+/// Projects one wave's per-slot answers onto its queries' results: slot
+/// `s` of `answers` belongs to `wave[s]`, and holds its histogram, its TEPS
+/// numerator, a point query's target depth, and the rows a map query asked
+/// for. Every wave executor assembles its outcomes here — the engine's
+/// kernels and the sharded cluster alike. Timing stays with the caller:
+/// outcomes carry their admission queue time and zero latency and service
+/// time; the [`WaveStats`] record `levels` and `seconds` as given, on
+/// socket 0, not a fallback.
+///
+/// # Panics
+/// Panics when a map query's answer lacks a row it asked for.
 pub fn wave_outcomes(
     index: usize,
     wave: &[Admitted],
-    depths: Vec<Vec<u32>>,
-    mut parents: Option<Vec<Vec<VertexId>>>,
-    mut edges_of: impl FnMut(usize, &[u32]) -> u64,
+    answers: Vec<SlotAnswer>,
     levels: usize,
     seconds: f64,
 ) -> (Vec<QueryOutcome>, WaveStats) {
     let outcomes: Vec<QueryOutcome> = wave
         .iter()
-        .zip(depths)
-        .enumerate()
-        .map(|(slot, (&Admitted { id, query, queued }, depths))| {
-            let edges = edges_of(slot, &depths);
-            let depth_histogram = depth_histogram(&depths);
+        .zip(answers)
+        .map(|(&Admitted { id, query, queued }, answer)| {
+            let SlotAnswer {
+                depth_histogram,
+                edges,
+                target_depth,
+                depths,
+                parents,
+            } = answer;
+            let row = "a map query's answer carries its depth row";
             let result = match query {
                 Query::Parents { .. } => QueryResult::Parents {
-                    parents: std::mem::take(&mut parents.as_mut().expect("parents recorded")[slot]),
-                    depths,
+                    parents: parents.expect("a parents query's answer carries its tree"),
+                    depths: depths.expect(row),
                 },
-                Query::Distances { .. } => QueryResult::Distances { depths },
-                Query::StCon { t, .. } => QueryResult::StCon {
-                    distance: (depths[t as usize] != u32::MAX).then(|| depths[t as usize]),
+                Query::Distances { .. } => QueryResult::Distances {
+                    depths: depths.expect(row),
                 },
-                Query::Reachable { to, .. } => QueryResult::Reachable {
-                    reachable: depths[to as usize] != u32::MAX,
+                Query::StCon { .. } => QueryResult::StCon {
+                    distance: target_depth,
+                },
+                Query::Reachable { .. } => QueryResult::Reachable {
+                    reachable: target_depth.is_some(),
                 },
             };
             QueryOutcome {
@@ -533,6 +563,66 @@ mod tests {
             report.outcomes[0].result.depths().unwrap(),
             &sequential_levels(&g, 5)[..]
         );
+    }
+
+    #[test]
+    fn singleton_answers_come_from_the_runs_counts_under_every_fallback() {
+        use mcbfs_core::algo::hybrid::ForcedDirection::*;
+        use mcbfs_graph::validate::{depth_histogram, reachable_edges};
+        let g = graph();
+        let levels = sequential_levels(&g, 7);
+        let unreached = levels.iter().position(|&d| d == u32::MAX).unwrap_or(0) as VertexId;
+        let far = levels
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &d)| d.wrapping_add(1));
+        let far = far.map(|(v, _)| v as VertexId).unwrap();
+        let queries = [
+            Query::StCon { s: 7, t: far },
+            Query::StCon { s: 7, t: unreached },
+            Query::Reachable { from: 7, to: 7 },
+            Query::Distances { root: 7 },
+        ];
+        let fallbacks = [
+            Algorithm::Sequential,
+            Algorithm::Simple,
+            Algorithm::SingleSocket,
+            Algorithm::MultiSocket { sockets: 2 },
+        ]
+        .into_iter()
+        .chain([Auto, TopDown, BottomUp, Alternate].map(|policy| Algorithm::Hybrid { policy }));
+        for fallback in fallbacks {
+            for mode in [
+                ExecMode::Native,
+                ExecMode::model(MachineModel::nehalem_ep()),
+            ] {
+                for threads in [1, 4] {
+                    let engine = QueryEngine::new(&g)
+                        .fallback(fallback)
+                        .mode(mode.clone())
+                        .threads(threads);
+                    for query in queries {
+                        let case = format!("{fallback:?} {mode:?} x{threads} {query:?}");
+                        let o = &engine.execute(&[query]).outcomes[0];
+                        assert_eq!(o.edges, reachable_edges(&g, &levels), "{case}");
+                        assert_eq!(o.depth_histogram, depth_histogram(&levels), "{case}");
+                        let depth = query.target().map(|t| levels[t as usize]);
+                        let expected = match query {
+                            Query::StCon { .. } => QueryResult::StCon {
+                                distance: depth.filter(|&d| d != u32::MAX),
+                            },
+                            Query::Reachable { .. } => QueryResult::Reachable {
+                                reachable: depth != Some(u32::MAX),
+                            },
+                            _ => QueryResult::Distances {
+                                depths: levels.clone(),
+                            },
+                        };
+                        assert_eq!(o.result, expected, "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub use engine::{
 };
 pub use kernel::{run_batched_kernel, BatchedKernelReport};
 pub use msbfs::{
-    ms_bfs, ms_bfs_deterministic, MsBfs, MsBfsRun, OwnedAdjacency, RawMsBfs, MAX_SOURCES,
+    ms_bfs, ms_bfs_deterministic, MsBfs, MsBfsRun, OwnedAdjacency, RawMsBfs, Slot, SlotAnswer,
+    MAX_SOURCES,
 };
 pub use stats::{batch_stats, nearest_rank_quantile, BatchStats, QueryStats};

@@ -29,7 +29,17 @@
 //!
 //! Depths are level numbers, identical under either direction and any
 //! claim order. That determinism is what lets the native executor and the
-//! model-mode executor produce bit-identical depth arrays.
+//! model-mode executor produce bit-identical answers.
+//!
+//! Each wave slot is a [`Slot`]: a map query, which needs the depth row of
+//! every vertex (and maybe the parent row), or a point query, which needs
+//! one depth. Every claim tallies, per slot, the vertex it adds and that
+//! vertex's degree; the tallies are merged at each level's end into every
+//! slot's depth histogram and TEPS numerator (the paper's `ma`), and a
+//! point slot's answer is the level at which its target's `seen` bit first
+//! lands. Only map slots get rows in the depth and parent grids, so a
+//! point-only wave allocates no grid and runs no whole-array pass after
+//! its search.
 //!
 //! The direction is picked per level by [`Switch`], the level loop's
 //! ALPHA/BETA rule, fed with word counts: a word joins the frontier when it
@@ -41,13 +51,13 @@
 //!
 //! [`MsBfs`] is the one kernel, Buluç–Madduri's 1D BFS over an
 //! [`OwnedAdjacency`]: [`MsBfs::scan`] claims owned neighbours inline and
-//! hands foreign ones to the caller's sink, [`MsBfs::apply`] claims one
-//! routed discovery, and the level step is `depth + 1`. [`ms_bfs`] and
-//! [`ms_bfs_deterministic`] run it over a [`CsrGraph`] (the `p = 1` case,
-//! monomorphised to carry no owner test and no range offset) in either
-//! direction; the shard worker runs it over a [`CsrShard`] on one thread,
-//! top-down only, because a bottom-up level reads the frontier words of
-//! neighbours another shard owns.
+//! hands foreign ones to the caller's sink, [`MsBfs::apply`] claims a
+//! level's routed discoveries, and the level step is `depth + 1`.
+//! [`ms_bfs`] and [`ms_bfs_deterministic`] run it over a [`CsrGraph`] (the
+//! `p = 1` case, monomorphised to carry no owner test and no range offset)
+//! in either direction; the shard worker runs it over a [`CsrShard`] on one
+//! thread, top-down only, because a bottom-up level reads the frontier
+//! words of neighbours another shard owns.
 
 use mcbfs_core::algo::hybrid::{ForcedDirection, Switch};
 use mcbfs_core::instrument::Recorder;
@@ -117,18 +127,73 @@ impl OwnedAdjacency for CsrShard {
     }
 }
 
+/// What one wave slot asks of the kernel. Every slot gets its depth
+/// histogram and TEPS numerator from the per-level tallies; a map slot
+/// also gets its rows, a point slot the depth of its target.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Slot {
+    /// A map query: the depth of every owned vertex from `source`, and its
+    /// BFS-tree parent when `parents`.
+    Map {
+        /// Search root.
+        source: VertexId,
+        /// Record the parent row too.
+        parents: bool,
+    },
+    /// A point query: the depth at which the search from `source` reaches
+    /// `target`, an owned vertex.
+    Point {
+        /// Search root.
+        source: VertexId,
+        /// The vertex whose depth answers the query.
+        target: VertexId,
+    },
+}
+
+impl Slot {
+    /// One map slot per source, all recording parents or none.
+    pub fn maps(sources: &[VertexId], parents: bool) -> Vec<Slot> {
+        sources
+            .iter()
+            .map(|&source| Slot::Map { source, parents })
+            .collect()
+    }
+
+    /// The search root.
+    pub fn source(&self) -> VertexId {
+        match *self {
+            Slot::Map { source, .. } | Slot::Point { source, .. } => source,
+        }
+    }
+}
+
+/// One slot's answer over the owned range, read off the kernel's tallies,
+/// plus the rows its [`Slot`] asked for.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SlotAnswer {
+    /// Reached owned vertices per depth (`depth_histogram[d]`), up to the
+    /// deepest one. Over a whole graph this is the search's histogram.
+    pub depth_histogram: Vec<u64>,
+    /// Adjacency entries of every reached owned vertex: the TEPS
+    /// numerator (a shard's share of it).
+    pub edges: u64,
+    /// A point slot's answer: its target's depth, `None` when unreached.
+    /// `None` for map slots.
+    pub target_depth: Option<u32>,
+    /// A map slot's depth row (`u32::MAX` unreached). Deterministic across
+    /// executors, directions and thread counts.
+    pub depths: Option<Vec<u32>>,
+    /// The parent row of a map slot that records parents (`UNVISITED`
+    /// unreached). Each entry is written once, but *which* tree emerges may
+    /// vary across native interleavings of top-down claims.
+    pub parents: Option<Vec<VertexId>>,
+}
+
 /// Result of one multi-source sweep.
 #[derive(Debug)]
 pub struct MsBfsRun {
-    /// `depths[q][v]` = hop distance of `v` from `sources[q]`
-    /// (`u32::MAX` when unreached). Deterministic across executors,
-    /// directions and thread counts.
-    pub depths: Vec<Vec<u32>>,
-    /// `parents[q][v]` = BFS-tree parent of `v` in search `q`
-    /// (`UNVISITED` when unreached); present when requested. Each entry is
-    /// written once, but *which* tree emerges may vary across native
-    /// interleavings of top-down claims.
-    pub parents: Option<Vec<Vec<VertexId>>>,
+    /// Per slot, in wave order: its answer.
+    pub slots: Vec<SlotAnswer>,
     /// Per-level × per-thread operation counts of the shared sweep, each
     /// level stamped with the direction it ran in.
     pub profile: WorkProfile,
@@ -139,9 +204,9 @@ pub struct MsBfsRun {
     pub levels: usize,
 }
 
-/// What one thread's share of a level found, counted in mask words: the
-/// direction switch's inputs, and the sources still searching.
-#[derive(Default)]
+/// What one thread's share of a level found: the direction switch's
+/// inputs, counted in mask words, the sources still searching, and the
+/// per-slot tallies of the vertices each search gained.
 struct Found {
     /// Words that gained a bit: the next frontier's size.
     words: u64,
@@ -151,6 +216,23 @@ struct Found {
     settled_edges: u64,
     /// Sources with a bit in the next frontier.
     live: u64,
+    /// Per slot: the vertices its search claimed.
+    claims: [u64; MAX_SOURCES],
+    /// Per slot: the adjacency entries of those vertices.
+    claimed_edges: [u64; MAX_SOURCES],
+}
+
+impl Default for Found {
+    fn default() -> Self {
+        Self {
+            words: 0,
+            edges: 0,
+            settled_edges: 0,
+            live: 0,
+            claims: [0; MAX_SOURCES],
+            claimed_edges: [0; MAX_SOURCES],
+        }
+    }
 }
 
 impl Found {
@@ -159,11 +241,49 @@ impl Found {
         self.edges += other.edges;
         self.settled_edges += other.settled_edges;
         self.live |= other.live;
+        for q in 0..MAX_SOURCES {
+            self.claims[q] += other.claims[q];
+            self.claimed_edges[q] += other.claimed_edges[q];
+        }
+    }
+
+    /// Tallies one owned vertex, with `degree` adjacency entries, for every
+    /// slot of `new`.
+    #[inline(always)]
+    fn claimed(&mut self, new: u64, degree: u64) {
+        for q in bits_of_word(new) {
+            self.claims[q] += 1;
+            self.claimed_edges[q] += degree;
+        }
     }
 }
 
+/// The per-slot answers a wave has tallied so far.
+struct Tally {
+    histograms: Vec<Vec<u64>>,
+    edges: Vec<u64>,
+    target_depths: Vec<Option<u32>>,
+}
+
+/// The set of the slots in `slots` that `pick` selects, one bit each.
+fn slot_mask(slots: &[Slot], pick: impl Fn(&Slot) -> bool) -> u64 {
+    slots
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| pick(s))
+        .fold(0, |mask, (q, _)| mask | 1 << q)
+}
+
+/// The row of slot `q` in a grid that holds one row per slot of `rows`:
+/// `q`'s rank among them.
+#[inline(always)]
+fn grid_row(rows: u64, q: usize) -> usize {
+    (rows & ((1u64 << q) - 1)).count_ones() as usize
+}
+
 /// The search state of one wave over an owned range: three mask arrays of
-/// one word per owned vertex plus flat source-major depth/parent grids.
+/// one word per owned vertex, flat source-major depth/parent grids with a
+/// row for each map slot only, and the per-slot tallies.
 pub struct MsBfs<'a, A: OwnedAdjacency> {
     adj: &'a A,
     /// Wave width: the number of sources.
@@ -177,14 +297,22 @@ pub struct MsBfs<'a, A: OwnedAdjacency> {
     /// Double-buffered frontiers; word `v` = sources whose frontier
     /// contains `v` this level (index by depth parity).
     visit: [AtomicBitmap; 2],
-    /// `depth_grid[q * len + v]` holds `depth + 1` (`0` = unreached). The
-    /// offset-by-one encoding lets the grid come from a zeroed allocation —
-    /// pages the sweep never touches are never materialized, and grid setup
-    /// costs nothing inside the serving clock.
+    /// The map slots: those with a depth row.
+    depth_rows: u64,
+    /// `depth_grid[grid_row(depth_rows, q) * len + v]` holds `depth + 1`
+    /// (`0` = unreached). The offset-by-one encoding lets the grid come
+    /// from a zeroed allocation — pages the sweep never touches are never
+    /// materialized, and grid setup costs nothing inside the serving clock.
     depth_grid: Vec<AtomicU32>,
-    /// `parent_grid[q * len + v]` holds `parent + 1` (`0` = unreached);
-    /// allocated only when parents were requested.
-    parent_grid: Option<Vec<AtomicU32>>,
+    /// The map slots that record parents.
+    parent_rows: u64,
+    /// `parent_grid[grid_row(parent_rows, q) * len + v]` holds
+    /// `parent + 1` (`0` = unreached).
+    parent_grid: Vec<AtomicU32>,
+    /// Point slots as (slot, owned index of the target).
+    points: Vec<(usize, usize)>,
+    /// Per-slot answers, merged from the claims' tallies level by level.
+    tally: Mutex<Tally>,
 }
 
 /// A zero-initialized atomic grid straight from the allocator, so that
@@ -199,21 +327,39 @@ fn zeroed_atomic_grid(len: usize) -> Vec<AtomicU32> {
 }
 
 impl<'a, A: OwnedAdjacency> MsBfs<'a, A> {
-    /// Seeds a wave: search `q` starts at `sources[q]`, with depth 0 and
-    /// itself as parent. Sources outside the owned range are another
+    /// Seeds a wave: search `q` starts at `slots[q]`'s source, with depth 0
+    /// and itself as parent. Sources outside the owned range are another
     /// owner's seeds and leave this range's frontier empty.
     ///
     /// # Panics
-    /// Panics when `sources` is empty or wider than [`MAX_SOURCES`], or
-    /// when an owned source lies outside the owned range.
-    pub fn new(adj: &'a A, sources: &[VertexId], record_parents: bool) -> Self {
+    /// Panics when `slots` is empty or wider than [`MAX_SOURCES`], or when
+    /// an owned source or a point slot's target lies outside the owned
+    /// range.
+    pub fn new(adj: &'a A, slots: &[Slot]) -> Self {
         let owned = adj.owned_range();
         let len = owned.len();
-        let k = sources.len();
+        let k = slots.len();
         assert!(
             (1..=MAX_SOURCES).contains(&k),
             "wave width {k} outside 1..={MAX_SOURCES}"
         );
+        let depth_rows = slot_mask(slots, |s| matches!(s, Slot::Map { .. }));
+        let parent_rows = slot_mask(slots, |s| matches!(s, Slot::Map { parents: true, .. }));
+        let points = slots
+            .iter()
+            .enumerate()
+            .filter_map(|(q, slot)| match *slot {
+                Slot::Point { target, .. } => {
+                    assert!(
+                        owned.contains(&(target as usize)),
+                        "target {target} out of range"
+                    );
+                    Some((q, target as usize - owned.start))
+                }
+                Slot::Map { .. } => None,
+            })
+            .collect();
+        let grid = |rows: u64| zeroed_atomic_grid(rows.count_ones() as usize * len);
         let wave = Self {
             adj,
             k,
@@ -221,10 +367,20 @@ impl<'a, A: OwnedAdjacency> MsBfs<'a, A> {
             len,
             seen: AtomicBitmap::new(len * 64),
             visit: [AtomicBitmap::new(len * 64), AtomicBitmap::new(len * 64)],
-            depth_grid: zeroed_atomic_grid(len * k),
-            parent_grid: record_parents.then(|| zeroed_atomic_grid(len * k)),
+            depth_rows,
+            depth_grid: grid(depth_rows),
+            parent_rows,
+            parent_grid: grid(parent_rows),
+            points,
+            tally: Mutex::new(Tally {
+                histograms: vec![Vec::new(); k],
+                edges: vec![0; k],
+                target_depths: vec![None; k],
+            }),
         };
-        for (q, &s) in sources.iter().enumerate() {
+        let mut seeds = Found::default();
+        for (q, slot) in slots.iter().enumerate() {
+            let s = slot.source();
             if !adj.owns(s) {
                 continue;
             }
@@ -233,12 +389,74 @@ impl<'a, A: OwnedAdjacency> MsBfs<'a, A> {
             let bit = 1u64 << q;
             wave.seen.or_word(local, bit);
             wave.visit[0].or_word(local, bit);
-            wave.depth_grid[q * len + local].store(1, Ordering::Relaxed);
-            if let Some(pg) = &wave.parent_grid {
-                pg[q * len + local].store(s + 1, Ordering::Relaxed);
+            seeds.claimed(bit, adj.row(local).len() as u64);
+            wave.store_depths(bit, local, 0);
+            wave.store_parents(bit, local, s);
+        }
+        wave.deposit(0, &seeds);
+        wave
+    }
+
+    /// Stores depth `depth` of owned vertex `local` in the depth rows of
+    /// the slots of `new` that have one.
+    #[inline(always)]
+    fn store_depths(&self, new: u64, local: usize, depth: u32) {
+        Self::store(
+            &self.depth_grid,
+            self.depth_rows,
+            new,
+            self.len,
+            local,
+            depth + 1,
+        );
+    }
+
+    /// Stores parent `u` of owned vertex `local` in the parent rows of the
+    /// slots of `new` that have one.
+    #[inline(always)]
+    fn store_parents(&self, new: u64, local: usize, u: VertexId) {
+        Self::store(
+            &self.parent_grid,
+            self.parent_rows,
+            new,
+            self.len,
+            local,
+            u + 1,
+        );
+    }
+
+    /// Stores `value` at owned vertex `local` in `grid`'s row of every slot
+    /// of `new` that `rows` gives one.
+    #[inline(always)]
+    fn store(grid: &[AtomicU32], rows: u64, new: u64, len: usize, local: usize, value: u32) {
+        for q in bits_of_word(new & rows) {
+            grid[grid_row(rows, q) * len + local].store(value, Ordering::Relaxed);
+        }
+    }
+
+    /// Merges the tallies of discoveries at depth `depth` into the wave's
+    /// answers, then answers every open point slot whose target's `seen`
+    /// bit has landed: at `depth`, since the check runs at every level's
+    /// end (and at seeding, for a target equal to its source).
+    fn deposit(&self, depth: u32, found: &Found) {
+        let mut tally = self.tally.lock().expect("tally lock");
+        let depth_index = depth as usize;
+        for q in 0..self.k {
+            let claims = found.claims[q];
+            if claims > 0 {
+                let histogram = &mut tally.histograms[q];
+                if histogram.len() <= depth_index {
+                    histogram.resize(depth_index + 1, 0);
+                }
+                histogram[depth_index] += claims;
+            }
+            tally.edges[q] += found.claimed_edges[q];
+        }
+        for &(q, target) in &self.points {
+            if tally.target_depths[q].is_none() && self.seen.word(target) >> q & 1 == 1 {
+                tally.target_depths[q] = Some(depth);
             }
         }
-        wave
     }
 
     /// Thread `tid`'s share of top-down level `depth` (the depth its
@@ -255,7 +473,10 @@ impl<'a, A: OwnedAdjacency> MsBfs<'a, A> {
         threads: usize,
         foreign: impl FnMut(VertexId, VertexId, u64),
     ) -> ThreadCounts {
-        self.top_down(depth, tid, threads, &mut Found::default(), foreign)
+        let mut found = Found::default();
+        let counts = self.top_down(depth, tid, threads, &mut found, foreign);
+        self.deposit(depth, &found);
+        counts
     }
 
     /// [`MsBfs::scan`], tallying what it found in `found`.
@@ -297,15 +518,19 @@ impl<'a, A: OwnedAdjacency> MsBfs<'a, A> {
         c
     }
 
-    /// Claims a discovery routed in from another owner at level `depth`:
-    /// owned vertex `v` reached from `u` by the sources in `mask`.
+    /// Claims the discoveries routed in from other owners at level
+    /// `depth`: each `(v, u, mask)` is owned vertex `v` reached from `u` by
+    /// the sources in `mask`.
     ///
     /// # Panics
-    /// Panics when `v` lies outside the owned range.
-    pub fn apply(&self, depth: u32, v: VertexId, u: VertexId, mask: u64) {
-        let local = v as usize - self.adj.owned_range().start;
+    /// Panics when some `v` lies outside the owned range.
+    pub fn apply(&self, depth: u32, routed: impl IntoIterator<Item = (VertexId, VertexId, u64)>) {
+        let start = self.adj.owned_range().start;
         let (mut c, mut found): (ThreadCounts, Found) = Default::default();
-        self.claim(&mut c, &mut found, local, u, mask, depth);
+        for (v, u, mask) in routed {
+            self.claim(&mut c, &mut found, v as usize - start, u, mask, depth);
+        }
+        self.deposit(depth, &found);
     }
 
     /// The claim: stamps depth `depth` and parent `u` on owned vertex
@@ -334,48 +559,60 @@ impl<'a, A: OwnedAdjacency> MsBfs<'a, A> {
             return;
         }
         c.atomic_ops += 1;
+        let degree = self.adj.row(local).len() as u64;
         // Exactly one claim per level finds the next word empty, and exactly
         // one ever completes the seen word, so the tallies count each word
-        // once however the claims race.
+        // once however the claims race; each (source, vertex) pair is
+        // claimed once, so are the per-slot tallies.
         if self.visit[depth as usize % 2].or_word(local, new) == 0 {
             found.words += 1;
-            found.edges += self.adj.row(local).len() as u64;
+            found.edges += degree;
         }
         if prev | d == self.full {
-            found.settled_edges += self.adj.row(local).len() as u64;
+            found.settled_edges += degree;
         }
         found.live |= new;
+        found.claimed(new, degree);
         let claimed = new.count_ones() as u64;
         c.parent_writes += claimed;
         c.queue_pushes += claimed;
-        let len = self.len;
-        for q in bits_of_word(new) {
-            self.depth_grid[q * len + local].store(depth + 1, Ordering::Relaxed);
-            if let Some(pg) = &self.parent_grid {
-                pg[q * len + local].store(u + 1, Ordering::Relaxed);
-            }
-        }
+        self.store_depths(new, local, depth);
+        self.store_parents(new, local, u);
     }
 
-    /// Per source, the depth (`u32::MAX` unreached) and, when recorded,
-    /// the parent (`UNVISITED` unreached) of every owned vertex. The grids
-    /// store value + 1 with 0 = unreached, so one wrapping decrement
-    /// decodes both.
-    pub fn rows(&self) -> (Vec<Vec<u32>>, Option<Vec<Vec<VertexId>>>) {
-        let rows = |grid: &[AtomicU32]| -> Vec<Vec<u32>> {
-            (0..self.k)
-                .map(|q| {
-                    grid[q * self.len..(q + 1) * self.len]
-                        .iter()
-                        .map(|a| a.load(Ordering::Relaxed).wrapping_sub(1))
-                        .collect()
-                })
-                .collect()
+    /// The wave's per-slot answers: histogram, TEPS numerator and point
+    /// answer from the tallies, and, for map slots only, the depth and
+    /// parent rows decoded from the grids. The grids store value + 1 with
+    /// 0 = unreached, so one wrapping decrement decodes both.
+    pub fn into_answers(self) -> Vec<SlotAnswer> {
+        let Tally {
+            histograms,
+            edges,
+            target_depths,
+        } = self.tally.into_inner().expect("tally lock");
+        let len = self.len;
+        let row = |grid: &[AtomicU32], rows: u64, q: usize| -> Option<Vec<u32>> {
+            (rows >> q & 1 == 1).then(|| {
+                let r = grid_row(rows, q);
+                grid[r * len..(r + 1) * len]
+                    .iter()
+                    .map(|a| a.load(Ordering::Relaxed).wrapping_sub(1))
+                    .collect()
+            })
         };
-        (
-            rows(&self.depth_grid),
-            self.parent_grid.as_deref().map(rows),
-        )
+        histograms
+            .into_iter()
+            .zip(edges)
+            .zip(target_depths)
+            .enumerate()
+            .map(|(q, ((depth_histogram, edges), target_depth))| SlotAnswer {
+                depth_histogram,
+                edges,
+                target_depth,
+                depths: row(&self.depth_grid, self.depth_rows, q),
+                parents: row(&self.parent_grid, self.parent_rows, q),
+            })
+            .collect()
     }
 }
 
@@ -390,10 +627,10 @@ impl MsBfs<'_, CsrGraph> {
     /// The wave's direction switch: m_u starts at every edge but those of
     /// the vertices the sources already settle (a vertex that is every
     /// source, as in a one-wide wave).
-    fn switch(&self, sources: &[VertexId], policy: ForcedDirection) -> Switch {
-        let mut settled: Vec<VertexId> = sources
+    fn switch(&self, slots: &[Slot], policy: ForcedDirection) -> Switch {
+        let mut settled: Vec<VertexId> = slots
             .iter()
-            .copied()
+            .map(Slot::source)
             .filter(|&s| self.seen.word(s as usize) == self.full)
             .collect();
         settled.sort_unstable();
@@ -438,9 +675,8 @@ impl MsBfs<'_, CsrGraph> {
     ) -> ThreadCounts {
         let cur = &self.visit[(depth as usize + 1) % 2];
         let next = &self.visit[depth as usize % 2];
-        let len = self.len;
         let mut c = ThreadCounts::default();
-        for v in chunk_of(len, tid, threads) {
+        for v in chunk_of(self.len, tid, threads) {
             let seen = self.seen.word(v);
             let missing = live & !seen;
             // The store also overwrites what this buffer held two levels
@@ -458,11 +694,7 @@ impl MsBfs<'_, CsrGraph> {
                     continue;
                 }
                 acc |= new;
-                if let Some(pg) = &self.parent_grid {
-                    for q in bits_of_word(new) {
-                        pg[q * len + v].store(u + 1, Ordering::Relaxed);
-                    }
-                }
+                self.store_parents(new, v, u);
                 if acc == missing {
                     examined = i + 1;
                     break;
@@ -480,15 +712,15 @@ impl MsBfs<'_, CsrGraph> {
             let claimed = acc.count_ones() as u64;
             c.parent_writes += claimed;
             c.queue_pushes += claimed;
-            for q in bits_of_word(acc) {
-                self.depth_grid[q * len + v].store(depth + 1, Ordering::Relaxed);
-            }
+            self.store_depths(acc, v, depth);
+            let degree = row.len() as u64;
             found.words += 1;
-            found.edges += row.len() as u64;
+            found.edges += degree;
             if seen | acc == self.full {
-                found.settled_edges += row.len() as u64;
+                found.settled_edges += degree;
             }
             found.live |= acc;
+            found.claimed(acc, degree);
         }
         c
     }
@@ -505,12 +737,13 @@ impl MsBfs<'_, CsrGraph> {
     }
 }
 
-/// A completed sweep whose per-query arrays are still in the shared grids.
+/// A completed sweep whose map slots' rows are still in the shared grids.
 ///
-/// Splitting execution from extraction lets the query engine keep result
-/// decoration (depth arrays, histograms, TEPS numerators) outside the
-/// serving clock — the Graph500 convention that validation and statistics
-/// are not part of the timed kernel.
+/// Splitting execution from extraction lets the query engine keep row
+/// decoding outside the serving clock — the Graph500 convention that
+/// validation and statistics are not part of the timed kernel. Only map
+/// slots have rows to extract: every slot's histogram and TEPS numerator,
+/// and a point slot's answer, are already tallied when the sweep ends.
 pub struct RawMsBfs<'g> {
     wave: MsBfs<'g, CsrGraph>,
     recorder: Recorder,
@@ -521,7 +754,8 @@ pub struct RawMsBfs<'g> {
 }
 
 impl RawMsBfs<'_> {
-    /// Extracts the per-query depth/parent arrays and the work profile.
+    /// Extracts the per-slot answers, decoding the map slots' rows, and
+    /// the work profile.
     pub fn finish(self) -> MsBfsRun {
         let n = self.wave.len;
         // Working set the cost model prices: seen + two frontier buffers,
@@ -532,10 +766,8 @@ impl RawMsBfs<'_> {
             .into_profile(n as u64, visited_bytes, false, 0);
         profile.edges_traversed = profile.total().edges_scanned;
         self.switch.stamp(&mut profile);
-        let (depths, parents) = self.wave.rows();
         MsBfsRun {
-            depths,
-            parents,
+            slots: self.wave.into_answers(),
             levels: profile.num_levels(),
             profile,
             seconds: self.seconds,
@@ -551,22 +783,22 @@ impl RawMsBfs<'_> {
 /// which the serving path calls outside its clock.
 pub fn ms_bfs<'g>(
     graph: &'g CsrGraph,
-    sources: &[VertexId],
+    slots: &[Slot],
     threads: usize,
-    record_parents: bool,
     policy: ForcedDirection,
 ) -> RawMsBfs<'g> {
     let threads = threads.max(1);
-    let wave = MsBfs::new(graph, sources, record_parents);
-    let switch = wave.switch(sources, policy);
+    let wave = MsBfs::new(graph, slots);
+    let switch = wave.switch(slots, policy);
     let first_dir = switch.initial();
     let switch = Mutex::new(switch);
     let recorder = Recorder::new(threads, 1, 2);
     let barrier = SpinBarrier::new(threads);
     let done = AtomicBool::new(false);
     // The level's tallies, summed under a plain mutex (a `TicketLock` would
-    // trace its bookkeeping as lock spans), and the leader's picks for the
-    // next level, read after the barrier that follows its stores.
+    // trace its bookkeeping as lock spans) and deposited by the leader, and
+    // the leader's picks for the next level, read after the barrier that
+    // follows its stores.
     let level_found = Mutex::new(Found::default());
     let next_dir = AtomicU8::new(first_dir as u8);
     let live = AtomicU64::new(wave.full);
@@ -584,6 +816,7 @@ pub fn ms_bfs<'g>(
             timer.finish(EventKind::Level, (depth - 1) as u64);
             if barrier.wait() {
                 let found = core::mem::take(&mut *level_found.lock().expect("tally lock"));
+                wave.deposit(depth, &found);
                 let decided = switch.lock().expect("switch lock").next(
                     dir,
                     found.words,
@@ -632,14 +865,13 @@ pub fn ms_bfs<'g>(
 /// differ natively.
 pub fn ms_bfs_deterministic<'g>(
     graph: &'g CsrGraph,
-    sources: &[VertexId],
+    slots: &[Slot],
     virtual_threads: usize,
-    record_parents: bool,
     policy: ForcedDirection,
 ) -> RawMsBfs<'g> {
     let threads = virtual_threads.max(1);
-    let wave = MsBfs::new(graph, sources, record_parents);
-    let mut switch = wave.switch(sources, policy);
+    let wave = MsBfs::new(graph, slots);
+    let mut switch = wave.switch(slots, policy);
     let mut dir = switch.initial();
     let recorder = Recorder::new(threads, 1, 2);
     let mut series: Vec<Vec<ThreadCounts>> = vec![Vec::new(); threads];
@@ -650,6 +882,7 @@ pub fn ms_bfs_deterministic<'g>(
         for (tid, s) in series.iter_mut().enumerate() {
             s.push(wave.level(dir, depth, live, tid, threads, &mut found));
         }
+        wave.deposit(depth, &found);
         let decided = switch.next(dir, found.words, found.edges, found.settled_edges);
         if found.words == 0 {
             break;
@@ -688,19 +921,28 @@ mod tests {
         ForcedDirection::Alternate,
     ];
 
+    /// Per slot, the depth rows of an all-map wave.
+    fn depths(run: &MsBfsRun) -> Vec<Vec<u32>> {
+        let row = |a: &SlotAnswer| a.depths.clone().expect("map slot");
+        run.slots.iter().map(row).collect()
+    }
+
+    /// Per slot, the parent rows of an all-map wave that records parents.
+    fn parents(run: &MsBfsRun) -> Vec<Vec<VertexId>> {
+        let row = |a: &SlotAnswer| a.parents.clone().expect("parents recorded");
+        run.slots.iter().map(row).collect()
+    }
+
     fn check_against_sequential(g: &CsrGraph, sources: &[VertexId], threads: usize) {
+        let slots = Slot::maps(sources, true);
         for policy in POLICIES {
-            let run = ms_bfs(g, sources, threads, true, policy).finish();
+            let run = ms_bfs(g, &slots, threads, policy).finish();
+            let depths = depths(&run);
             for (q, &s) in sources.iter().enumerate() {
-                assert_eq!(
-                    run.depths[q],
-                    sequential_levels(g, s),
-                    "{policy:?} source {s}"
-                );
+                assert_eq!(depths[q], sequential_levels(g, s), "{policy:?} source {s}");
             }
             // Parent arrays must be consistent with the depth arrays.
-            let parents = run.parents.expect("requested");
-            for (q, (ps, ds)) in parents.iter().zip(&run.depths).enumerate() {
+            for (q, (ps, ds)) in parents(&run).iter().zip(&depths).enumerate() {
                 for (v, (&p, &d)) in ps.iter().zip(ds).enumerate() {
                     if d == u32::MAX {
                         assert_eq!(p, UNVISITED);
@@ -741,21 +983,21 @@ mod tests {
     fn deterministic_executor_matches_native_depths() {
         let g = RmatBuilder::new(8, 8).seed(3).build();
         let sources: Vec<VertexId> = vec![0, 5, 100, 200];
+        let (trees, rows) = (Slot::maps(&sources, true), Slot::maps(&sources, false));
         for policy in POLICIES {
             // One thread: one claim order, so the same tree, the same
             // counts and the same directions.
-            let native = ms_bfs(&g, &sources, 1, true, policy).finish();
-            let model = ms_bfs_deterministic(&g, &sources, 1, true, policy).finish();
-            assert_eq!(native.depths, model.depths, "{policy:?}");
-            assert_eq!(native.parents, model.parents, "{policy:?}");
+            let native = ms_bfs(&g, &trees, 1, policy).finish();
+            let model = ms_bfs_deterministic(&g, &trees, 1, policy).finish();
+            assert_eq!(native.slots, model.slots, "{policy:?}");
             assert_eq!(native.profile, model.profile, "{policy:?}");
             assert_eq!(native.levels, model.levels, "{policy:?}");
             // Four threads: the frontier and its partition are the same, so
             // are every thread's scans and the switch's inputs; which thread
             // wins a top-down claim is not.
-            let native = ms_bfs(&g, &sources, 4, false, policy).finish();
-            let model = ms_bfs_deterministic(&g, &sources, 4, false, policy).finish();
-            assert_eq!(native.depths, model.depths, "{policy:?}");
+            let native = ms_bfs(&g, &rows, 4, policy).finish();
+            let model = ms_bfs_deterministic(&g, &rows, 4, policy).finish();
+            assert_eq!(native.slots, model.slots, "{policy:?}");
             assert_eq!(native.levels, model.levels, "{policy:?}");
             assert_eq!(
                 native.profile.direction_string(),
@@ -781,8 +1023,8 @@ mod tests {
                     "{policy:?} level {l}"
                 );
             }
-            let rerun = ms_bfs_deterministic(&g, &sources, 4, false, policy).finish();
-            assert_eq!(model.depths, rerun.depths);
+            let rerun = ms_bfs_deterministic(&g, &rows, 4, policy).finish();
+            assert_eq!(model.slots, rerun.slots);
             assert_eq!(model.profile, rerun.profile);
         }
     }
@@ -790,28 +1032,27 @@ mod tests {
     #[test]
     fn bottom_up_levels_are_atomic_free_and_pick_the_same_parents_at_any_thread_count() {
         let g = RmatBuilder::new(10, 8).seed(6).build();
-        let sources: Vec<VertexId> = (0..40).map(|i| i * 25).collect();
-        let one = ms_bfs(&g, &sources, 1, true, ForcedDirection::BottomUp).finish();
+        let slots = Slot::maps(&(0..40).map(|i| i * 25).collect::<Vec<_>>(), true);
+        let one = ms_bfs(&g, &slots, 1, ForcedDirection::BottomUp).finish();
         assert!(one.profile.direction_string().chars().all(|c| c == 'B'));
         assert_eq!(one.profile.total().atomic_ops, 0);
         assert!(one.profile.total().edges_skipped > 0);
         // A pulled parent is the first frontier neighbour in adjacency
         // order, whoever sweeps the vertex.
         for threads in [2, 3] {
-            let native = ms_bfs(&g, &sources, threads, true, ForcedDirection::BottomUp).finish();
+            let native = ms_bfs(&g, &slots, threads, ForcedDirection::BottomUp).finish();
             let model =
-                ms_bfs_deterministic(&g, &sources, threads, true, ForcedDirection::BottomUp)
-                    .finish();
-            assert_eq!(native.parents, one.parents, "x{threads}");
-            assert_eq!(model.parents, one.parents, "x{threads}");
+                ms_bfs_deterministic(&g, &slots, threads, ForcedDirection::BottomUp).finish();
+            assert_eq!(parents(&native), parents(&one), "x{threads}");
+            assert_eq!(parents(&model), parents(&one), "x{threads}");
         }
     }
 
     #[test]
     fn auto_switches_both_ways_and_alternate_strictly_alternates() {
         let g = RmatBuilder::new(12, 8).seed(5).build();
-        let sources: Vec<VertexId> = (0..64).map(|i| i * 61).collect();
-        let auto = ms_bfs_deterministic(&g, &sources, 2, false, ForcedDirection::Auto).finish();
+        let slots = Slot::maps(&(0..64).map(|i| i * 61).collect::<Vec<_>>(), false);
+        let auto = ms_bfs_deterministic(&g, &slots, 2, ForcedDirection::Auto).finish();
         let dirs = auto.profile.direction_string();
         assert!(dirs.starts_with('T') && dirs.contains("TB"), "got {dirs:?}");
         // Every bottom-up level is atomic-free, every top-down one is not.
@@ -822,14 +1063,14 @@ mod tests {
                 TopDown => assert!(atomics > 0 || level.total().parent_writes == 0),
             }
         }
-        let alt = ms_bfs(&g, &sources, 2, false, ForcedDirection::Alternate).finish();
+        let alt = ms_bfs(&g, &slots, 2, ForcedDirection::Alternate).finish();
         let dirs = alt.profile.direction_string();
         assert!(dirs.starts_with("TB"), "got {dirs:?}");
         assert!(
             dirs.as_bytes().windows(2).all(|w| w[0] != w[1]),
             "got {dirs:?}"
         );
-        assert_eq!(alt.depths, auto.depths);
+        assert_eq!(alt.slots, auto.slots);
     }
 
     #[test]
@@ -837,25 +1078,31 @@ mod tests {
         let edges: Vec<(u32, u32)> = (0..10).map(|i| (i, (i + 1) % 10)).collect();
         let g = CsrGraph::from_edges_symmetric(10, &edges);
         let s1 = CsrShard::cut(&g, 2, 1); // owns 5..10
-        let wave = MsBfs::new(&s1, &[0], false);
+        let wave = MsBfs::new(&s1, &Slot::maps(&[0], false));
         // Source 0 is shard 0's; shard 1 starts with an empty frontier.
         let mut foreign = 0;
         let c = wave.scan(1, 0, 1, |_, _, _| foreign += 1);
         assert_eq!((c.parent_writes, foreign, c.edges_scanned), (0, 0, 0));
-        assert_eq!(wave.rows(), (vec![vec![u32::MAX; 5]], None));
+        let answer = SlotAnswer {
+            depth_histogram: vec![],
+            edges: 0,
+            target_depth: None,
+            depths: Some(vec![u32::MAX; 5]),
+            parents: None,
+        };
+        assert_eq!(wave.into_answers(), [answer]);
     }
 
     #[test]
     fn profile_counts_are_plausible() {
         let g = UniformBuilder::new(500, 8).seed(1).build();
         for policy in POLICIES {
-            let run = ms_bfs(&g, &[0, 1, 2], 2, false, policy).finish();
+            let run = ms_bfs(&g, &Slot::maps(&[0, 1, 2], false), 2, policy).finish();
             let t = run.profile.total();
             assert!(t.edges_scanned > 0);
             assert_eq!(run.profile.edges_traversed, t.edges_scanned);
             // Every (source, vertex) pair is claimed at most once.
-            let reached: u64 = run
-                .depths
+            let reached: u64 = depths(&run)
                 .iter()
                 .flatten()
                 .filter(|&&d| d != u32::MAX && d != 0)
@@ -867,10 +1114,65 @@ mod tests {
     }
 
     #[test]
+    fn point_slots_answer_off_the_seen_words_and_get_no_rows() {
+        // A path 0-1-2-3 and, apart from it, an edge 4-5.
+        let g = CsrGraph::from_edges_symmetric(6, &[(0, 1), (1, 2), (2, 3), (4, 5)]);
+        let points = [
+            Slot::Point {
+                source: 0,
+                target: 3,
+            },
+            Slot::Point {
+                source: 2,
+                target: 2,
+            },
+            Slot::Point {
+                source: 0,
+                target: 5,
+            },
+        ];
+        let wave = MsBfs::new(&g, &points);
+        assert!(wave.depth_grid.is_empty() && wave.parent_grid.is_empty());
+        let mixed = [
+            &points[..],
+            &[Slot::Map {
+                source: 4,
+                parents: true,
+            }],
+        ]
+        .concat();
+        for policy in POLICIES {
+            for run in [
+                ms_bfs(&g, &mixed, 2, policy).finish(),
+                ms_bfs_deterministic(&g, &mixed, 2, policy).finish(),
+            ] {
+                let depths: Vec<Option<u32>> = run.slots.iter().map(|a| a.target_depth).collect();
+                assert_eq!(depths, [Some(3), Some(0), None, None], "{policy:?}");
+                let histograms: Vec<&[u64]> =
+                    run.slots.iter().map(|a| &a.depth_histogram[..]).collect();
+                assert_eq!(
+                    histograms,
+                    [&[1, 1, 1, 1][..], &[1, 2, 1], &[1, 1, 1, 1], &[1, 1]]
+                );
+                let edges: Vec<u64> = run.slots.iter().map(|a| a.edges).collect();
+                assert_eq!(edges, [6, 6, 6, 2], "{policy:?}");
+                assert!(run.slots[..3].iter().all(|a| a.depths.is_none()));
+                let map = &run.slots[3];
+                let unreached = u32::MAX;
+                assert_eq!(
+                    map.depths.as_deref(),
+                    Some(&[unreached, unreached, unreached, unreached, 0, 1][..])
+                );
+                assert_eq!(map.parents.as_ref().map(|p| (p[4], p[5])), Some((4, 4)));
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "wave width")]
     fn oversized_wave_panics() {
         let g = CsrGraph::from_edges(2, &[(0, 1)]);
-        let sources = vec![0; 65];
-        ms_bfs(&g, &sources, 1, false, ForcedDirection::Auto).finish();
+        let slots = Slot::maps(&[0; 65], false);
+        ms_bfs(&g, &slots, 1, ForcedDirection::Auto).finish();
     }
 }

@@ -9,8 +9,10 @@
 //! order, sent even when empty because it releases the shard into its
 //! next level); `wave_finish` to every shard before any `wave_result` is
 //! read. The per-shard owned ranges are then stitched into global arrays,
-//! which [`mcbfs_query::wave_outcomes`] turns into answers exactly as it
-//! does for the single-process engine. The live [`crate::Router`] runs
+//! each query's answer is read off them (its TEPS numerator is the sum of
+//! the shards' tallied shares), and [`mcbfs_query::wave_outcomes`] turns
+//! the answers into outcomes exactly as it does for the single-process
+//! engine. The live [`crate::Router`] runs
 //! this loop over TCP links to worker processes and the in-process
 //! [`crate::ShardedEngine`] over local links into the worker's own frame
 //! handler, so both move byte-identical frames and keep the same
@@ -25,8 +27,11 @@
 //! communication a [`EventKind::ShardExchange`] span (arg = bytes moved).
 
 use crate::swire::ShardFrame;
+use mcbfs_graph::validate::depth_histogram;
 use mcbfs_machine::model::MachineModel;
-use mcbfs_query::{wave_outcomes, Admitted, BatchReport, Query, QueryOutcome, WaveStats};
+use mcbfs_query::{
+    wave_outcomes, Admitted, BatchReport, Query, QueryOutcome, SlotAnswer, WaveStats,
+};
 use mcbfs_trace::{EventKind, SpanTimer};
 use std::io;
 use std::ops::Range;
@@ -295,15 +300,18 @@ impl Cluster {
             Some(_) => modeled,
             None => start.elapsed().as_secs_f64(),
         };
-        let (mut outcomes, stats) = wave_outcomes(
-            wave_id as usize,
-            wave,
-            depths,
-            parents,
-            |slot, _| slot_edges[slot],
-            levels as usize,
-            seconds,
-        );
+        let mut parents = parents.map(Vec::into_iter);
+        let answers = wave
+            .iter()
+            .zip(depths)
+            .zip(slot_edges)
+            .map(|((a, depths), edges)| {
+                let parents = parents.as_mut().and_then(Iterator::next);
+                answer_from_rows(a.query, depths, parents, edges)
+            })
+            .collect();
+        let (mut outcomes, stats) =
+            wave_outcomes(wave_id as usize, wave, answers, levels as usize, seconds);
         for o in &mut outcomes {
             // A modelled wave prices only the modelled schedule, not the
             // wall-clock batcher queue time.
@@ -314,6 +322,31 @@ impl Cluster {
             o.latency_seconds = o.queue_seconds + seconds;
         }
         Ok((outcomes, stats))
+    }
+}
+
+/// The answer to `query` from its search's stitched depth row and, when
+/// the wave recorded them, its parent row: the histogram and a point
+/// query's target depth read off `depths`, which a map query keeps.
+/// `edges` is the TEPS numerator the workers tallied.
+fn answer_from_rows(
+    query: Query,
+    depths: Vec<u32>,
+    parents: Option<Vec<u32>>,
+    edges: u64,
+) -> SlotAnswer {
+    let depth_histogram = depth_histogram(&depths);
+    let target_depth = query
+        .target()
+        .map(|t| depths[t as usize])
+        .filter(|&d| d != u32::MAX);
+    let map = query.target().is_none();
+    SlotAnswer {
+        depth_histogram,
+        edges,
+        target_depth,
+        depths: map.then_some(depths),
+        parents: parents.filter(|_| matches!(query, Query::Parents { .. })),
     }
 }
 

@@ -16,7 +16,7 @@
 
 use crate::swire::{self, Bucket, ExchangeItem, ShardFrame, ShardMeta};
 use mcbfs_graph::shard::CsrShard;
-use mcbfs_query::MsBfs;
+use mcbfs_query::{MsBfs, Slot};
 use mcbfs_serve::{accept_loop, read_lines, ServerStats, ShutdownHandle};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -140,8 +140,9 @@ pub(crate) fn handle_frame<'s>(
                     sources.len()
                 ));
             }
+            // The router stitches every slot's owned rows: all map slots.
             let w = wave.insert(Wave {
-                kernel: MsBfs::new(shard, &sources, record_parents),
+                kernel: MsBfs::new(shard, &Slot::maps(&sources, record_parents)),
                 level: 0,
             });
             Some(exchange_frame(shard, id, w))
@@ -159,14 +160,13 @@ pub(crate) fn handle_frame<'s>(
                     item.v
                 ));
             }
-            for item in &items {
-                w.kernel.apply(w.level + 1, item.v, item.u, item.mask);
-            }
+            let routed = items.iter().map(|i| (i.v, i.u, i.mask));
+            w.kernel.apply(w.level + 1, routed);
             w.level += 1;
             Some(exchange_frame(shard, id, w))
         }
         ShardFrame::WaveFinish { wave: id } => match wave.take() {
-            Some(w) => Some(wave_result(shard, id, &w)),
+            Some(w) => Some(wave_result(id, w)),
             None => reject("wave_finish outside a wave".to_string()),
         },
         other => reject(format!("unexpected frame from router: {other:?}")),
@@ -200,24 +200,23 @@ fn exchange_frame(shard: &CsrShard, wave: u64, w: &Wave) -> ShardFrame {
 
 /// The wave's owned-range answer: per slot, depths and parents of the
 /// owned vertices, the adjacency entries of the reached ones (the TEPS
-/// numerator's share), and the highest owned depth + 1 as `levels`.
-fn wave_result(shard: &CsrShard, wave: u64, w: &Wave) -> ShardFrame {
-    let (depths, parents) = w.kernel.rows();
-    let slot_edges = depths
-        .iter()
-        .map(|row| {
-            row.iter()
-                .enumerate()
-                .filter(|&(_, &d)| d != u32::MAX)
-                .map(|(local, _)| shard.degree_local(local) as u64)
-                .sum()
-        })
-        .collect();
-    // Unreached vertices (`u32::MAX`) wrap to 0.
-    let levels = depths.iter().flatten().map(|&d| d.wrapping_add(1)).max();
+/// numerator's share), and the highest owned depth + 1 as `levels`. The
+/// last two come from the kernel's tallies: a slot's owned histogram ends
+/// at its deepest owned vertex.
+fn wave_result(wave: u64, w: Wave) -> ShardFrame {
+    let answers = w.kernel.into_answers();
+    let levels = answers.iter().map(|a| a.depth_histogram.len()).max();
+    let slot_edges = answers.iter().map(|a| a.edges).collect();
+    let mut depths = Vec::with_capacity(answers.len());
+    let mut parents = Vec::new();
+    for answer in answers {
+        depths.push(answer.depths.expect("worker slots are map slots"));
+        parents.extend(answer.parents);
+    }
     ShardFrame::WaveResult {
         wave,
-        parents,
+        // A wave records parents for every slot or for none.
+        parents: (!parents.is_empty()).then_some(parents),
         depths,
         slot_edges,
         levels: levels.unwrap_or(0) as u64,

@@ -19,7 +19,7 @@ use multicore_bfs::gen::prelude::*;
 use multicore_bfs::graph::csr::CsrGraph;
 use multicore_bfs::graph::validate::{reachable_edges, sequential_levels};
 use multicore_bfs::machine::model::MachineModel;
-use multicore_bfs::query::{ms_bfs, MsBfsRun, Query, QueryEngine};
+use multicore_bfs::query::{ms_bfs, MsBfsRun, Query, QueryEngine, Slot};
 
 /// Runs `queries` through the engine at each batch size and checks every
 /// outcome's depth array against the sequential reference.
@@ -100,10 +100,10 @@ fn batched_64_wave_examines_8x_fewer_edges_than_64_singletons() {
     let roots = sample_roots(&g, 64, 2026);
     let td = ForcedDirection::TopDown;
     let scanned = |run: MsBfsRun| run.profile.total().edges_scanned;
-    let wave = scanned(ms_bfs(&g, &roots, 2, false, td).finish());
+    let wave = scanned(ms_bfs(&g, &Slot::maps(&roots, false), 2, td).finish());
     let singletons: u64 = roots
         .iter()
-        .map(|&r| scanned(ms_bfs(&g, &[r], 1, false, td).finish()))
+        .map(|&r| scanned(ms_bfs(&g, &Slot::maps(&[r], false), 1, td).finish()))
         .sum();
     let reachable: u64 = roots
         .iter()
@@ -126,14 +126,15 @@ fn auto_wave_goes_bottom_up_without_atomics() {
     // answers the same depths with strictly fewer locked operations.
     let g = RmatBuilder::new(16, 8).seed(16).permute(true).build();
     let roots = sample_roots(&g, 64, 2026);
-    let auto = ms_bfs(&g, &roots, 2, false, ForcedDirection::Auto).finish();
-    let top_down = ms_bfs(&g, &roots, 2, false, ForcedDirection::TopDown).finish();
+    let slots = Slot::maps(&roots, false);
+    let auto = ms_bfs(&g, &slots, 2, ForcedDirection::Auto).finish();
+    let top_down = ms_bfs(&g, &slots, 2, ForcedDirection::TopDown).finish();
     let dirs = auto.profile.direction_string();
     assert!(
         dirs.contains('B'),
         "expected bottom-up levels, got {dirs:?}"
     );
-    assert_eq!(auto.depths, top_down.depths);
+    assert_eq!(auto.slots, top_down.slots);
     let atomics = |run: &MsBfsRun| run.profile.total().atomic_ops;
     assert!(
         atomics(&auto) < atomics(&top_down),

@@ -5,7 +5,9 @@
 //! 1. **End-to-end parity.** Answers delivered over `mcbfs-wire-v1` match
 //!    the offline `QueryEngine` for depths, parents (validated as a BFS
 //!    tree whose implied depths match), and st-connectivity, at wave
-//!    widths {1, 7, 64}.
+//!    widths {1, 7, 64}. Every reply's `edges`, the numerator of the
+//!    served rate, equals the reachable adjacency of its source, from
+//!    singletons and wide waves alike.
 //! 2. **Overload behavior.** Past the admission high-water mark the
 //!    server replies `rejected: overloaded` — every submitted request
 //!    receives exactly one response, and the admitted ones are all
@@ -18,7 +20,9 @@
 
 use multicore_bfs::gen::prelude::*;
 use multicore_bfs::graph::csr::CsrGraph;
-use multicore_bfs::graph::validate::{depths_from_parents, validate_bfs_tree};
+use multicore_bfs::graph::validate::{
+    depths_from_parents, reachable_edges, sequential_levels, validate_bfs_tree,
+};
 use multicore_bfs::query::{Query, QueryEngine, QueryResult};
 use multicore_bfs::serve::wire::{self, QueryReply, RejectReason, Request, Response};
 use multicore_bfs::serve::{serve, ServeOpts, ServerStats, ShutdownHandle};
@@ -199,6 +203,45 @@ fn wire_answers_match_offline_engine_at_all_wave_widths() {
                 }
                 (result, query) => panic!("result {result:?} does not match query {query:?}"),
             }
+        }
+    }
+}
+
+#[test]
+fn every_reply_carries_its_searchs_teps_numerator() {
+    // `edges` is what a served rate sums, so it must be the reachable
+    // adjacency of the query's source whatever answered it: a singleton's
+    // fallback run or a 64-wide wave's tallies, for every query kind.
+    let graph = RmatBuilder::new(12, 8).seed(7).permute(true).build();
+    let queries = mixed_queries(&graph, 64);
+    for (max_batch, widths) in [(1usize, 1u64), (64, 64)] {
+        let opts = ServeOpts {
+            threads: 2,
+            max_batch,
+            // Long enough that the 64 queries seal one full wave.
+            max_wait: Duration::from_secs(2),
+            ..ServeOpts::default()
+        };
+        let (responses, _) = with_server(&graph, opts, |addr| {
+            let mut client = Client::connect(addr);
+            for (tag, query) in queries.iter().enumerate() {
+                client.send(&Request::Query {
+                    tag: tag as u64,
+                    query: *query,
+                    deadline_ms: None,
+                });
+            }
+            client.recv_tagged(queries.len())
+        });
+        for (tag, query) in queries.iter().enumerate() {
+            let reply = reply_of(&responses[&(tag as u64)]);
+            let levels = sequential_levels(&graph, query.source());
+            assert_eq!(reply.wave_queries, widths, "tag={tag}");
+            assert_eq!(
+                reply.edges,
+                reachable_edges(&graph, &levels),
+                "batch={max_batch} tag={tag} {query:?}"
+            );
         }
     }
 }
