@@ -3,7 +3,8 @@
 //! [`ShardedEngine`] is the sharded level loop ([`crate::exchange`]) over
 //! in-process links: each link hands its frames straight to the worker's
 //! own frame handler instead of a socket, and **encodes every exchange
-//! frame through [`crate::swire`]** to count its bytes. That makes its
+//! frame with [`swire::encode`]**, the encoder the live router and workers
+//! write with, to count its bytes. That makes its
 //! per-level frame/byte accounting the model's prediction of the live
 //! cluster's native exchange volume: same queries, same shard count ⇒
 //! the same code moves byte-identical frames ⇒ identical counts (the
@@ -129,7 +130,8 @@ impl ShardedEngine {
 
 /// An in-process link: each frame goes straight to the worker's own frame
 /// handler over a shard held in memory. Only `exchange` and `merged`
-/// frames are encoded, for the ledger's byte count; the O(slots × n)
+/// frames are encoded, for the ledger's byte count (the length of
+/// [`swire::encode`]'s output, as on a live link); the O(slots × n)
 /// `wave_result` never is.
 struct LocalLink<'s> {
     shard: &'s CsrShard,

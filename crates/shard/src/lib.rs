@@ -7,7 +7,8 @@
 //! (`mcbfs_graph::shard::CsrShard`) and run level-synchronous waves of
 //! the one bit-parallel MS-BFS kernel, `mcbfs_query::MsBfs`, over their
 //! owned range, while a **router** ([`router`]) speaks `mcbfs-wire-v1` to clients unchanged and
-//! `mcbfs-swire-v1` ([`swire`]) to its workers.
+//! `mcbfs-swire-v2` ([`swire`]), length-prefixed binary frames, to its
+//! workers.
 //!
 //! One level loop ([`exchange`]) implements the exchange: it scatters
 //! each sealed wave, relays the per-level shard-exchange frames

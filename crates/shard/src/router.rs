@@ -10,53 +10,47 @@
 //! `exchange` frame, merges buckets per destination in shard order, and
 //! delivers one `merged` frame per worker per level — and the per-shard
 //! `wave_result` ranges are stitched into the global answers clients
-//! expect. The per-level frame/byte/item counts accumulate in an
-//! [`ExchangeLog`] whose live byte counts equal the in-process engine's
-//! model-mode prediction, because both run the same loop.
+//! expect. Each link writes [`swire::encode`]'s bytes and cuts the
+//! worker's replies with a [`FrameReader`]. The per-level frame/byte/item
+//! counts accumulate in an [`ExchangeLog`] whose live byte counts equal
+//! the in-process engine's model-mode prediction, because both run the
+//! same loop and measure the same encoder's output.
 
 use crate::exchange::{bad_data, Cluster, ExchangeLog, ShardLink};
-use crate::swire::{self, ShardFrame, ShardMeta};
+use crate::swire::{self, FrameReader, ShardFrame, ShardMeta};
 use mcbfs_query::{Admitted, BatchReport};
 use mcbfs_serve::{ServerStats, WaveExecutor};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
 
 /// One connected shard worker.
 struct TcpLink {
-    reader: BufReader<TcpStream>,
+    reader: FrameReader<BufReader<TcpStream>>,
     writer: TcpStream,
     meta: ShardMeta,
 }
 
 impl ShardLink for TcpLink {
     fn send(&mut self, frame: ShardFrame) -> io::Result<u64> {
-        let line = swire::encode(&frame);
-        self.writer.write_all(line.as_bytes())?;
+        let bytes = swire::encode(&frame);
+        self.writer.write_all(&bytes)?;
         self.writer.flush()?;
-        Ok(line.len() as u64)
+        Ok(bytes.len() as u64)
     }
 
     /// Blocks until the worker's next frame arrives; returns it with its
     /// encoded length (the exchange byte count of the upward link).
     fn recv(&mut self) -> io::Result<(ShardFrame, u64)> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            let read = self.reader.read_line(&mut line)?;
-            if read == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    format!("shard {} closed its connection", self.meta.index),
-                ));
-            }
-            if !line.trim().is_empty() {
-                break;
-            }
-        }
-        let frame = swire::decode(&line)
+        let bytes = self.reader.next_frame()?.ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("shard {} closed its connection", self.meta.index),
+            )
+        })?;
+        let frame = swire::decode(&bytes)
             .map_err(|e| bad_data(format!("shard {}: {e}", self.meta.index)))?;
-        Ok((frame, line.len() as u64))
+        Ok((frame, bytes.len() as u64))
     }
 }
 
@@ -76,7 +70,7 @@ impl Router {
         for addr in addrs {
             let stream = TcpStream::connect(addr)?;
             stream.set_nodelay(true).ok();
-            let reader = BufReader::new(stream.try_clone()?);
+            let reader = FrameReader::new(BufReader::new(stream.try_clone()?));
             let mut link = TcpLink {
                 reader,
                 writer: stream,

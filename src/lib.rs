@@ -31,7 +31,7 @@
 //!   generator behind `mcbfs serve` / `mcbfs loadgen`;
 //! * [`shard`] — sharded multi-worker serving: 1D vertex-range CSR
 //!   shards, per-shard worker processes, the scatter/gather router that
-//!   speaks `mcbfs-wire-v1` to clients and `mcbfs-swire-v1` to workers,
+//!   speaks `mcbfs-wire-v1` to clients and `mcbfs-swire-v2` to workers,
 //!   and the in-process [`shard::ShardedEngine`] whose model mode
 //!   predicts the live cluster's exchange volume byte-exactly;
 //! * [`trace`] — the low-overhead per-thread event recorder behind

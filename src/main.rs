@@ -101,7 +101,7 @@ fn usage(err: &str) -> ! {
          \x20 partition   --graph PATH --shards N [--out PATH]\n\
          \x20             (writes PATH-derived *.shardKofN.csr slice files)\n\
          \x20 shard       --shard PATH.shardKofN.csr [--addr HOST:PORT]\n\
-         \x20             (one shard worker; speaks swire-v1 to its router)\n\
+         \x20             (one shard worker; speaks swire-v2 to its router)\n\
          \x20 router      --workers HOST:PORT,HOST:PORT,... [--addr HOST:PORT]\n\
          \x20             [--max-batch B] [--max-wait-us U] [--queue-cap Q]\n\
          \x20             [--deadline-ms D] [--stats-json FILE]\n\
@@ -923,7 +923,7 @@ fn cmd_partition(opts: &HashMap<String, String>) {
 }
 
 /// `mcbfs shard`: run one shard worker until SIGINT. The worker owns a
-/// vertex range and answers its router over swire-v1; clients never
+/// vertex range and answers its router over swire-v2; clients never
 /// connect here.
 fn cmd_shard(opts: &HashMap<String, String>) {
     use multicore_bfs::serve::{arm_sigint, ShutdownHandle};
@@ -937,7 +937,7 @@ fn cmd_shard(opts: &HashMap<String, String>) {
     let shutdown = ShutdownHandle::new();
     let stats = run_worker(&shard, &addr, &shutdown, |bound| {
         println!(
-            "mcbfs-shard (swire-v1) listening on {bound}: shard {} of {}, \
+            "mcbfs-shard (swire-v2) listening on {bound}: shard {} of {}, \
              owns [{}, {}) of {} vertices, {} local edges ({} cut)",
             shard.index(),
             shard.shards(),
@@ -964,7 +964,7 @@ struct RouterStats {
 }
 
 /// `mcbfs router`: the scatter/gather front — wire-v1 to clients,
-/// swire-v1 to the shard workers listed in `--workers`. SIGINT drains
+/// swire-v2 to the shard workers listed in `--workers`. SIGINT drains
 /// in-flight waves and then reports the merged cluster stats.
 fn cmd_router(opts: &HashMap<String, String>) {
     use multicore_bfs::serve::{arm_sigint, serve_with, ServeOpts, ShutdownHandle};

@@ -8,12 +8,18 @@
 //! byte-equal; parents are validated as a BFS tree whose implied depths
 //! match the depth answer (MS-BFS parent races make the tree itself
 //! legitimately nondeterministic across decompositions).
+//!
+//! The workers' sent filter (each (vertex, slot bit) pair crosses to its
+//! owner at most once per wave) is checked exactly: against a reference
+//! level loop that routes every foreign item unfiltered, depth *and*
+//! parent rows must be byte-equal.
 
 use multicore_bfs::gen::grid::{GridBuilder, Stencil};
 use multicore_bfs::gen::prelude::*;
 use multicore_bfs::graph::csr::CsrGraph;
+use multicore_bfs::graph::shard::CsrShard;
 use multicore_bfs::graph::validate::{depths_from_parents, validate_bfs_tree};
-use multicore_bfs::query::{Query, QueryEngine, QueryResult};
+use multicore_bfs::query::{MsBfs, Query, QueryEngine, QueryResult, Slot};
 use multicore_bfs::shard::ShardedEngine;
 use proptest::prelude::*;
 
@@ -44,6 +50,44 @@ fn queries_from(sources: &[u32]) -> Vec<Query> {
             }
         })
         .collect()
+}
+
+/// The sharded level loop without the sent filter: every shard's scan
+/// routes each foreign `(v, u, mask)` to `v`'s owner, merged per
+/// destination with senders in shard order, as the router merges them.
+/// Returns each source's stitched depth and parent rows.
+fn unfiltered_rows(graph: &CsrGraph, shards: usize, sources: &[u32]) -> Vec<(Vec<u32>, Vec<u32>)> {
+    let cut: Vec<CsrShard> = (0..shards)
+        .map(|i| CsrShard::cut(graph, shards, i))
+        .collect();
+    let slots = Slot::maps(sources, true);
+    let kernels: Vec<MsBfs<CsrShard>> = cut.iter().map(|s| MsBfs::new(s, &slots)).collect();
+    for depth in 1u32.. {
+        let mut routed = vec![Vec::new(); shards];
+        let mut local_next = false;
+        for (shard, kernel) in cut.iter().zip(&kernels) {
+            let counts = kernel.scan(depth, 0, 1, |v, u, mask| {
+                routed[shard.owner_of(v)].push((v, u, mask))
+            });
+            local_next |= counts.parent_writes > 0;
+        }
+        if !local_next && routed.iter().all(Vec::is_empty) {
+            break;
+        }
+        for (kernel, items) in kernels.iter().zip(routed) {
+            kernel.apply(depth, items);
+        }
+    }
+    let n = graph.num_vertices();
+    let mut rows = vec![(vec![u32::MAX; n], vec![u32::MAX; n]); sources.len()];
+    for (shard, kernel) in cut.iter().zip(kernels) {
+        let range = shard.owned_range();
+        for ((depths, parents), answer) in rows.iter_mut().zip(kernel.into_answers()) {
+            depths[range.clone()].copy_from_slice(&answer.depths.expect("a map slot"));
+            parents[range.clone()].copy_from_slice(&answer.parents.expect("a parents slot"));
+        }
+    }
+    rows
 }
 
 proptest! {
@@ -85,6 +129,25 @@ proptest! {
                     ) => prop_assert_eq!(x, y, "{} shards", shards),
                     (x, y) => prop_assert!(false, "kind mismatch: {:?} vs {:?}", x, y),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn sent_filter_keeps_the_unfiltered_depths_and_parents(
+        (graph, sources) in arb_case(),
+    ) {
+        let queries: Vec<Query> = sources.iter().map(|&root| Query::Parents { root }).collect();
+        for shards in [2usize, 4, 7] {
+            let reference = unfiltered_rows(&graph, shards, &sources);
+            let report = ShardedEngine::new(&graph, shards).execute(&queries);
+            prop_assert_eq!(report.waves.len(), 1);
+            for (outcome, (depths, parents)) in report.outcomes.iter().zip(&reference) {
+                let QueryResult::Parents { parents: p, depths: d } = &outcome.result else {
+                    unreachable!()
+                };
+                prop_assert_eq!(d, depths, "{} shards", shards);
+                prop_assert_eq!(p, parents, "{} shards", shards);
             }
         }
     }
