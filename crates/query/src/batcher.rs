@@ -460,7 +460,8 @@ mod tests {
                 parents: None,
             };
             let answers = vec![answer; wave.len()];
-            let (mut outcomes, stats) = crate::engine::wave_outcomes(9, wave, answers, 1, seconds);
+            let (mut outcomes, stats) =
+                crate::engine::wave_outcomes(9, wave, answers, 1, seconds, false);
             for o in &mut outcomes {
                 o.queue_seconds = 0.5;
             }

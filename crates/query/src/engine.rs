@@ -101,8 +101,9 @@ impl Query {
     }
 
     /// The kernel slot answering this query: a point slot for the
-    /// point-to-point kinds, a map slot otherwise.
-    fn slot(&self) -> Slot {
+    /// point-to-point kinds, a map slot otherwise. An in-process wave and
+    /// a shard worker's both build their kernel from these.
+    pub fn slot(&self) -> Slot {
         let source = self.source();
         match self.target() {
             Some(target) => Slot::Point { source, target },
@@ -398,15 +399,9 @@ impl<'g> QueryEngine<'g> {
             };
             (slots, levels, seconds)
         };
-        let (mut outcomes, mut stats) = wave_outcomes(0, wave, answers, levels, seconds);
+        let modelled = matches!(self.mode, ExecMode::Model(_));
+        let (outcomes, mut stats) = wave_outcomes(0, wave, answers, levels, seconds, modelled);
         stats.fallback = wave.len() == 1;
-        for o in &mut outcomes {
-            if let ExecMode::Model(_) = self.mode {
-                o.queue_seconds = 0.0;
-            }
-            o.service_seconds = stats.seconds;
-            o.latency_seconds = o.queue_seconds + stats.seconds;
-        }
         BatchReport {
             outcomes,
             seconds: stats.seconds,
@@ -420,10 +415,12 @@ impl<'g> QueryEngine<'g> {
 /// `s` of `answers` belongs to `wave[s]`, and holds its histogram, its TEPS
 /// numerator, a point query's target depth, and the rows a map query asked
 /// for. Every wave executor assembles its outcomes here — the engine's
-/// kernels and the sharded cluster alike. Timing stays with the caller:
-/// outcomes carry their admission queue time and zero latency and service
-/// time; the [`WaveStats`] record `levels` and `seconds` as given, on
-/// socket 0, not a fallback.
+/// kernels and the sharded cluster alike. Each outcome's service time is
+/// the wave's `seconds`, and its latency that plus its admission queue
+/// time, which is zero when `modelled` (a modelled wave prices only the
+/// modelled schedule, not the wall-clock batcher queue); the
+/// [`WaveStats`] record `levels` and `seconds` as given, on socket 0, not
+/// a fallback.
 ///
 /// # Panics
 /// Panics when a map query's answer lacks a row it asked for.
@@ -433,6 +430,7 @@ pub fn wave_outcomes(
     answers: Vec<SlotAnswer>,
     levels: usize,
     seconds: f64,
+    modelled: bool,
 ) -> (Vec<QueryOutcome>, WaveStats) {
     let outcomes: Vec<QueryOutcome> = wave
         .iter()
@@ -461,14 +459,15 @@ pub fn wave_outcomes(
                     reachable: target_depth.is_some(),
                 },
             };
+            let queue_seconds = if modelled { 0.0 } else { queued.as_secs_f64() };
             QueryOutcome {
                 id,
                 query,
                 result,
                 wave: index,
-                latency_seconds: 0.0,
-                queue_seconds: queued.as_secs_f64(),
-                service_seconds: 0.0,
+                latency_seconds: queue_seconds + seconds,
+                queue_seconds,
+                service_seconds: seconds,
                 edges,
                 depth_histogram,
             }

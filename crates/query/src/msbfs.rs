@@ -57,7 +57,10 @@
 //! `p = 1` case, monomorphised to carry no owner test and no range offset)
 //! in either direction; the shard worker runs it over a [`CsrShard`] on one
 //! thread, top-down only, because a bottom-up level reads the frontier
-//! words of neighbours another shard owns.
+//! words of neighbours another shard owns. A shard's kernel takes the same
+//! slots as an in-process one and answers for its owned range: a point
+//! slot gets its target depth from the target's owner only, and
+//! [`SlotAnswer::merge`] adds the owners' answers into the whole graph's.
 
 use mcbfs_core::algo::hybrid::{ForcedDirection, Switch};
 use mcbfs_core::instrument::Recorder;
@@ -141,7 +144,7 @@ pub enum Slot {
         parents: bool,
     },
     /// A point query: the depth at which the search from `source` reaches
-    /// `target`, an owned vertex.
+    /// `target`. Only the target's owner answers it.
     Point {
         /// Search root.
         source: VertexId,
@@ -151,25 +154,25 @@ pub enum Slot {
 }
 
 impl Slot {
-    /// One map slot per source, all recording parents or none.
-    pub fn maps(sources: &[VertexId], parents: bool) -> Vec<Slot> {
-        sources
-            .iter()
-            .map(|&source| Slot::Map { source, parents })
-            .collect()
-    }
-
     /// The search root.
     pub fn source(&self) -> VertexId {
         match *self {
             Slot::Map { source, .. } | Slot::Point { source, .. } => source,
         }
     }
+
+    /// A point slot's target; `None` for a map slot.
+    pub fn target(&self) -> Option<VertexId> {
+        match *self {
+            Slot::Point { target, .. } => Some(target),
+            Slot::Map { .. } => None,
+        }
+    }
 }
 
 /// One slot's answer over the owned range, read off the kernel's tallies,
 /// plus the rows its [`Slot`] asked for.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SlotAnswer {
     /// Reached owned vertices per depth (`depth_histogram[d]`), up to the
     /// deepest one. Over a whole graph this is the search's histogram.
@@ -178,7 +181,7 @@ pub struct SlotAnswer {
     /// numerator (a shard's share of it).
     pub edges: u64,
     /// A point slot's answer: its target's depth, `None` when unreached.
-    /// `None` for map slots.
+    /// `None` for map slots, and over a range that does not own the target.
     pub target_depth: Option<u32>,
     /// A map slot's depth row (`u32::MAX` unreached). Deterministic across
     /// executors, directions and thread counts.
@@ -187,6 +190,31 @@ pub struct SlotAnswer {
     /// unreached). Each entry is written once, but *which* tree emerges may
     /// vary across native interleavings of top-down claims.
     pub parents: Option<Vec<VertexId>>,
+}
+
+impl SlotAnswer {
+    /// Adds `part`, the same slot's answer over the next owned range, to
+    /// this one: histograms and TEPS numerators sum, the target depth is
+    /// the one owner's, and rows concatenate. Merging the owners' answers
+    /// in range order gives the answer over their union.
+    pub fn merge(&mut self, part: SlotAnswer) {
+        let histogram = &mut self.depth_histogram;
+        histogram.resize(histogram.len().max(part.depth_histogram.len()), 0);
+        for (sum, count) in histogram.iter_mut().zip(part.depth_histogram) {
+            *sum += count;
+        }
+        self.edges += part.edges;
+        self.target_depth = self.target_depth.or(part.target_depth);
+        let rows = [
+            (&mut self.depths, part.depths),
+            (&mut self.parents, part.parents),
+        ];
+        for (row, tail) in rows {
+            if let Some(tail) = tail {
+                row.get_or_insert_with(Vec::new).extend(tail);
+            }
+        }
+    }
 }
 
 /// Result of one multi-source sweep.
@@ -329,12 +357,12 @@ fn zeroed_atomic_grid(len: usize) -> Vec<AtomicU32> {
 impl<'a, A: OwnedAdjacency> MsBfs<'a, A> {
     /// Seeds a wave: search `q` starts at `slots[q]`'s source, with depth 0
     /// and itself as parent. Sources outside the owned range are another
-    /// owner's seeds and leave this range's frontier empty.
+    /// owner's seeds and leave this range's frontier empty, and a point
+    /// slot whose target another owner holds gets no answer here.
     ///
     /// # Panics
     /// Panics when `slots` is empty or wider than [`MAX_SOURCES`], or when
-    /// an owned source or a point slot's target lies outside the owned
-    /// range.
+    /// an owned source or target lies outside the owned range.
     pub fn new(adj: &'a A, slots: &[Slot]) -> Self {
         let owned = adj.owned_range();
         let len = owned.len();
@@ -348,15 +376,10 @@ impl<'a, A: OwnedAdjacency> MsBfs<'a, A> {
         let points = slots
             .iter()
             .enumerate()
-            .filter_map(|(q, slot)| match *slot {
-                Slot::Point { target, .. } => {
-                    assert!(
-                        owned.contains(&(target as usize)),
-                        "target {target} out of range"
-                    );
-                    Some((q, target as usize - owned.start))
-                }
-                Slot::Map { .. } => None,
+            .filter_map(|(q, slot)| {
+                let target = slot.target().filter(|&t| adj.owns(t))? as usize;
+                assert!(owned.contains(&target), "target {target} out of range");
+                Some((q, target - owned.start))
             })
             .collect();
         let grid = |rows: u64| zeroed_atomic_grid(rows.count_ones() as usize * len);
@@ -921,6 +944,12 @@ mod tests {
         ForcedDirection::Alternate,
     ];
 
+    /// One map slot per source, all recording parents or none.
+    fn maps(sources: &[VertexId], parents: bool) -> Vec<Slot> {
+        let map = |&source| Slot::Map { source, parents };
+        sources.iter().map(map).collect()
+    }
+
     /// Per slot, the depth rows of an all-map wave.
     fn depths(run: &MsBfsRun) -> Vec<Vec<u32>> {
         let row = |a: &SlotAnswer| a.depths.clone().expect("map slot");
@@ -934,7 +963,7 @@ mod tests {
     }
 
     fn check_against_sequential(g: &CsrGraph, sources: &[VertexId], threads: usize) {
-        let slots = Slot::maps(sources, true);
+        let slots = maps(sources, true);
         for policy in POLICIES {
             let run = ms_bfs(g, &slots, threads, policy).finish();
             let depths = depths(&run);
@@ -983,7 +1012,7 @@ mod tests {
     fn deterministic_executor_matches_native_depths() {
         let g = RmatBuilder::new(8, 8).seed(3).build();
         let sources: Vec<VertexId> = vec![0, 5, 100, 200];
-        let (trees, rows) = (Slot::maps(&sources, true), Slot::maps(&sources, false));
+        let (trees, rows) = (maps(&sources, true), maps(&sources, false));
         for policy in POLICIES {
             // One thread: one claim order, so the same tree, the same
             // counts and the same directions.
@@ -1032,7 +1061,7 @@ mod tests {
     #[test]
     fn bottom_up_levels_are_atomic_free_and_pick_the_same_parents_at_any_thread_count() {
         let g = RmatBuilder::new(10, 8).seed(6).build();
-        let slots = Slot::maps(&(0..40).map(|i| i * 25).collect::<Vec<_>>(), true);
+        let slots = maps(&(0..40).map(|i| i * 25).collect::<Vec<_>>(), true);
         let one = ms_bfs(&g, &slots, 1, ForcedDirection::BottomUp).finish();
         assert!(one.profile.direction_string().chars().all(|c| c == 'B'));
         assert_eq!(one.profile.total().atomic_ops, 0);
@@ -1051,7 +1080,7 @@ mod tests {
     #[test]
     fn auto_switches_both_ways_and_alternate_strictly_alternates() {
         let g = RmatBuilder::new(12, 8).seed(5).build();
-        let slots = Slot::maps(&(0..64).map(|i| i * 61).collect::<Vec<_>>(), false);
+        let slots = maps(&(0..64).map(|i| i * 61).collect::<Vec<_>>(), false);
         let auto = ms_bfs_deterministic(&g, &slots, 2, ForcedDirection::Auto).finish();
         let dirs = auto.profile.direction_string();
         assert!(dirs.starts_with('T') && dirs.contains("TB"), "got {dirs:?}");
@@ -1078,7 +1107,7 @@ mod tests {
         let edges: Vec<(u32, u32)> = (0..10).map(|i| (i, (i + 1) % 10)).collect();
         let g = CsrGraph::from_edges_symmetric(10, &edges);
         let s1 = CsrShard::cut(&g, 2, 1); // owns 5..10
-        let wave = MsBfs::new(&s1, &Slot::maps(&[0], false));
+        let wave = MsBfs::new(&s1, &maps(&[0], false));
         // Source 0 is shard 0's; shard 1 starts with an empty frontier.
         let mut foreign = 0;
         let c = wave.scan(1, 0, 1, |_, _, _| foreign += 1);
@@ -1097,7 +1126,7 @@ mod tests {
     fn profile_counts_are_plausible() {
         let g = UniformBuilder::new(500, 8).seed(1).build();
         for policy in POLICIES {
-            let run = ms_bfs(&g, &Slot::maps(&[0, 1, 2], false), 2, policy).finish();
+            let run = ms_bfs(&g, &maps(&[0, 1, 2], false), 2, policy).finish();
             let t = run.profile.total();
             assert!(t.edges_scanned > 0);
             assert_eq!(run.profile.edges_traversed, t.edges_scanned);
@@ -1172,7 +1201,7 @@ mod tests {
     #[should_panic(expected = "wave width")]
     fn oversized_wave_panics() {
         let g = CsrGraph::from_edges(2, &[(0, 1)]);
-        let slots = Slot::maps(&[0; 65], false);
+        let slots = maps(&[0; 65], false);
         ms_bfs(&g, &slots, 1, ForcedDirection::Auto).finish();
     }
 }

@@ -111,6 +111,14 @@ fn execute_wave<E: WaveExecutor>(shared: &Shared<E>, wave: Vec<Admitted>) {
             QueryResult::StCon { distance } => (*distance, None, None, None),
             QueryResult::Reachable { reachable } => (None, Some(*reachable), None, None),
         };
+        // Count before replying, as the other replies do, so a client that
+        // reads its answer and asks for `stats` sees it served.
+        shared.hub.served.fetch_add(1, Ordering::Relaxed);
+        shared
+            .hub
+            .served_edges
+            .fetch_add(outcome.edges, Ordering::Relaxed);
+        shared.hub.record_latency_ms(latency_ms);
         write_frame(
             &entry.writer,
             &Response::Ok(QueryReply {
@@ -127,11 +135,5 @@ fn execute_wave<E: WaveExecutor>(shared: &Shared<E>, wave: Vec<Admitted>) {
                 parents,
             }),
         );
-        shared.hub.served.fetch_add(1, Ordering::Relaxed);
-        shared
-            .hub
-            .served_edges
-            .fetch_add(outcome.edges, Ordering::Relaxed);
-        shared.hub.record_latency_ms(latency_ms);
     }
 }

@@ -177,19 +177,14 @@ pub struct QueryReply {
     pub parents: Option<Vec<u32>>,
 }
 
-/// A frame object whose first field is the protocol version `"v"`,
-/// followed by `fields` in order. Shared with the shard protocol, which
-/// stamps its own version.
-pub fn versioned(version: u64, fields: Vec<(&str, Value)>) -> Value {
+/// A frame object whose first field is the protocol version `"v"`
+/// ([`WIRE_VERSION`]), followed by `fields` in order.
+fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(
-        std::iter::once(("v".to_string(), Value::U64(version)))
+        std::iter::once(("v".to_string(), Value::U64(WIRE_VERSION)))
             .chain(fields.into_iter().map(|(k, v)| (k.to_string(), v)))
             .collect(),
     )
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    versioned(WIRE_VERSION, fields)
 }
 
 /// A required field of a frame object.
@@ -369,8 +364,7 @@ impl Deserialize for Response {
     }
 }
 
-/// Encodes one frame as a JSON line (newline included). The shard
-/// protocol encodes through it too.
+/// Encodes one frame as a JSON line (newline included).
 pub fn encode<T: Serialize>(frame: &T) -> String {
     let mut line = serde_json::to_string(frame).expect("frames always serialize");
     line.push('\n');

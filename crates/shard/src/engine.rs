@@ -131,8 +131,7 @@ impl ShardedEngine {
 /// An in-process link: each frame goes straight to the worker's own frame
 /// handler over a shard held in memory. Only `exchange` and `merged`
 /// frames are encoded, for the ledger's byte count (the length of
-/// [`swire::encode`]'s output, as on a live link); the O(slots × n)
-/// `wave_result` never is.
+/// [`swire::encode`]'s output, as on a live link); the others never are.
 struct LocalLink<'s> {
     shard: &'s CsrShard,
     wave: Option<Wave<'s>>,
@@ -310,6 +309,64 @@ mod tests {
         let largest = report.outcomes.iter().map(|o| o.latency_seconds);
         assert_eq!(report.seconds, largest.fold(0.0, f64::max));
         assert!(done[0] < done[2]);
+    }
+
+    /// A [`LocalLink`] that records the encoded length of every
+    /// `wave_result` it receives, with the longest histogram in it.
+    struct Measured<'s>(LocalLink<'s>, Vec<(usize, usize)>);
+
+    impl ShardLink for Measured<'_> {
+        fn send(&mut self, frame: ShardFrame) -> io::Result<u64> {
+            self.0.send(frame)
+        }
+
+        fn recv(&mut self) -> io::Result<(ShardFrame, u64)> {
+            let (frame, len) = self.0.recv()?;
+            if let ShardFrame::WaveResult { answers, .. } = &frame {
+                let levels = answers.iter().map(|a| a.depth_histogram.len()).max();
+                self.1
+                    .push((swire::encode(&frame).len(), levels.unwrap_or(0)));
+            }
+            Ok((frame, len))
+        }
+    }
+
+    #[test]
+    fn a_point_wave_result_has_no_term_in_n() {
+        // Source 0 and target 1 lie in shard 0 at both sizes.
+        let query = Admitted {
+            id: 0,
+            query: Query::StCon { s: 0, t: 1 },
+            queued: std::time::Duration::ZERO,
+        };
+        let shapes: Vec<Vec<(usize, usize)>> = [8, 11]
+            .into_iter()
+            .map(|scale| {
+                let g = RmatBuilder::new(scale, 8).seed(7).build();
+                let engine = ShardedEngine::new(&g, 2);
+                let mut links: Vec<Measured> = engine
+                    .shards
+                    .iter()
+                    .map(|shard| {
+                        let link = LocalLink {
+                            shard,
+                            wave: None,
+                            reply: None,
+                        };
+                        Measured(link, Vec::new())
+                    })
+                    .collect();
+                let cluster = &engine.cluster;
+                cluster.execute_wave(&mut links, &[query], None).unwrap();
+                links.into_iter().flat_map(|link| link.1).collect()
+            })
+            .collect();
+        // Per shard: 18 bytes of frame, 15 + 8 per level for the answer,
+        // and 4 for the target depth at its owner, shard 0.
+        for shard_lens in &shapes {
+            let fixed: Vec<usize> = shard_lens.iter().map(|&(len, l)| len - 8 * l).collect();
+            assert_eq!(fixed, [18 + 15 + 4, 18 + 15], "{shapes:?}");
+        }
     }
 
     #[test]

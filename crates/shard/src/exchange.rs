@@ -8,30 +8,31 @@
 //! frame out per shard (buckets merged per destination, senders in shard
 //! order, sent even when empty because it releases the shard into its
 //! next level); `wave_finish` to every shard before any `wave_result` is
-//! read. The per-shard owned ranges are then stitched into global arrays,
-//! each query's answer is read off them (its TEPS numerator is the sum of
-//! the shards' tallied shares), and [`mcbfs_query::wave_outcomes`] turns
-//! the answers into outcomes exactly as it does for the single-process
-//! engine. The live [`crate::Router`] runs
+//! read. `wave_start` carries each query's [`Slot`], from the same
+//! `Query::slot` the single-process engine builds its kernel from, and
+//! each `wave_result` the shard kernel's [`SlotAnswer`]s over its owned
+//! range. The loop merges every slot's answers in shard order
+//! ([`SlotAnswer::merge`]: histograms and TEPS numerators sum, the target
+//! depth is its owner's, map rows concatenate), and
+//! [`mcbfs_query::wave_outcomes`] turns the answers into outcomes exactly
+//! as it does for the single-process engine. The live [`crate::Router`] runs
 //! this loop over TCP links to worker processes and the in-process
 //! [`crate::ShardedEngine`] over local links into the worker's own frame
 //! handler, so both move byte-identical frames and keep the same
 //! per-level [`ExchangeLog`].
 //!
 //! Frames from a link are checked before use: a bucket addressed to a
-//! shard that does not exist, or a `wave_result` shaped unlike the wave,
-//! fails the wave with [`io::ErrorKind::InvalidData`].
+//! shard that does not exist, or a `wave_result` shaped unlike what its
+//! slots ask of that shard, fails the wave with
+//! [`io::ErrorKind::InvalidData`].
 //!
 //! Instrumentation: each blocking read of a shard's next frame is a
 //! [`EventKind::ShardWait`] span (arg = level), and each level's
 //! communication a [`EventKind::ShardExchange`] span (arg = bytes moved).
 
 use crate::swire::ShardFrame;
-use mcbfs_graph::validate::depth_histogram;
 use mcbfs_machine::model::MachineModel;
-use mcbfs_query::{
-    wave_outcomes, Admitted, BatchReport, Query, QueryOutcome, SlotAnswer, WaveStats,
-};
+use mcbfs_query::{wave_outcomes, Admitted, BatchReport, Slot, SlotAnswer};
 use mcbfs_trace::{EventKind, SpanTimer};
 use std::io;
 use std::ops::Range;
@@ -134,34 +135,13 @@ impl Cluster {
             return Ok(BatchReport::default());
         }
         let wave_id = self.waves.fetch_add(1, Ordering::Relaxed);
-        let (mut outcomes, stats) = self.run_wave(links, wave, wave_id, model)?;
-        outcomes.sort_by_key(|o| o.id);
-        Ok(BatchReport {
-            outcomes,
-            seconds: stats.seconds,
-            waves: vec![stats],
-            ..BatchReport::default()
-        })
-    }
-
-    fn run_wave<L: ShardLink>(
-        &self,
-        links: &mut [L],
-        wave: &[Admitted],
-        wave_id: u64,
-        model: Option<&MachineModel>,
-    ) -> io::Result<(Vec<QueryOutcome>, WaveStats)> {
         let start = Instant::now();
-        let sources: Vec<u32> = wave.iter().map(|a| a.query.source()).collect();
-        let record_parents = wave
-            .iter()
-            .any(|a| matches!(a.query, Query::Parents { .. }));
+        let slots: Vec<Slot> = wave.iter().map(|a| a.query.slot()).collect();
         let shards = links.len();
         for link in links.iter_mut() {
             link.send(ShardFrame::WaveStart {
                 wave: wave_id,
-                sources: sources.clone(),
-                record_parents,
+                slots: slots.clone(),
             })?;
         }
         let mut modeled = 0.0f64;
@@ -243,24 +223,16 @@ impl Cluster {
                 break;
             }
         }
-        // Gather and stitch the owned ranges.
-        let n = self.n as usize;
-        let slots = sources.len();
-        let mut depths = vec![vec![u32::MAX; n]; slots];
-        let mut parents = record_parents.then(|| vec![vec![u32::MAX; n]; slots]);
-        let mut slot_edges = vec![0u64; slots];
-        let mut levels = 0u64;
         for link in links.iter_mut() {
             link.send(ShardFrame::WaveFinish { wave: wave_id })?;
         }
+        // Merge the owned ranges' answers, in shard (so range) order.
+        let mut answers = vec![SlotAnswer::default(); slots.len()];
         for (index, (link, range)) in links.iter_mut().zip(&self.owned).enumerate() {
             let (frame, _) = link.recv()?;
             let ShardFrame::WaveResult {
                 wave,
-                depths: own_depths,
-                parents: own_parents,
-                slot_edges: own_edges,
-                levels: own_levels,
+                answers: parts,
             } = frame
             else {
                 return Err(bad_data(format!("shard {index}: expected wave_result")));
@@ -270,25 +242,16 @@ impl Cluster {
                     "shard {index}: wave_result for wave {wave}, expected {wave_id}"
                 )));
             }
-            let shaped = |rows: &Vec<Vec<u32>>| {
-                rows.len() == slots && rows.iter().all(|row| row.len() == range.len())
-            };
-            if !shaped(&own_depths)
-                || own_edges.len() != slots
-                || own_parents.as_ref().map_or(record_parents, |p| !shaped(p))
-            {
+            let shaped = |(slot, part): (&Slot, &SlotAnswer)| answers_for(slot, part, range);
+            if parts.len() != slots.len() || !slots.iter().zip(&parts).all(shaped) {
                 return Err(bad_data(format!(
-                    "shard {index}: wave_result is not {slots} slots over {} owned vertices",
-                    range.len()
+                    "shard {index}: wave_result does not answer the wave's {} slots over \
+                     owned vertices {range:?}",
+                    slots.len()
                 )));
             }
-            levels = levels.max(own_levels);
-            for slot in 0..slots {
-                depths[slot][range.clone()].copy_from_slice(&own_depths[slot]);
-                slot_edges[slot] += own_edges[slot];
-                if let (Some(all), Some(own)) = (&mut parents, &own_parents) {
-                    all[slot][range.clone()].copy_from_slice(&own[slot]);
-                }
+            for (answer, part) in answers.iter_mut().zip(parts) {
+                answer.merge(part);
             }
         }
         self.exchange
@@ -300,54 +263,39 @@ impl Cluster {
             Some(_) => modeled,
             None => start.elapsed().as_secs_f64(),
         };
-        let mut parents = parents.map(Vec::into_iter);
-        let answers = wave
+        // The wave's levels: its deepest search's histogram.
+        let levels = answers
             .iter()
-            .zip(depths)
-            .zip(slot_edges)
-            .map(|((a, depths), edges)| {
-                let parents = parents.as_mut().and_then(Iterator::next);
-                answer_from_rows(a.query, depths, parents, edges)
-            })
-            .collect();
+            .map(|a| a.depth_histogram.len())
+            .max()
+            .unwrap_or(0);
+        let index = wave_id as usize;
         let (mut outcomes, stats) =
-            wave_outcomes(wave_id as usize, wave, answers, levels as usize, seconds);
-        for o in &mut outcomes {
-            // A modelled wave prices only the modelled schedule, not the
-            // wall-clock batcher queue time.
-            if model.is_some() {
-                o.queue_seconds = 0.0;
-            }
-            o.service_seconds = seconds;
-            o.latency_seconds = o.queue_seconds + seconds;
-        }
-        Ok((outcomes, stats))
+            wave_outcomes(index, wave, answers, levels, seconds, model.is_some());
+        outcomes.sort_by_key(|o| o.id);
+        Ok(BatchReport {
+            outcomes,
+            seconds,
+            waves: vec![stats],
+            ..BatchReport::default()
+        })
     }
 }
 
-/// The answer to `query` from its search's stitched depth row and, when
-/// the wave recorded them, its parent row: the histogram and a point
-/// query's target depth read off `depths`, which a map query keeps.
-/// `edges` is the TEPS numerator the workers tallied.
-fn answer_from_rows(
-    query: Query,
-    depths: Vec<u32>,
-    parents: Option<Vec<u32>>,
-    edges: u64,
-) -> SlotAnswer {
-    let depth_histogram = depth_histogram(&depths);
-    let target_depth = query
-        .target()
-        .map(|t| depths[t as usize])
-        .filter(|&d| d != u32::MAX);
-    let map = query.target().is_none();
-    SlotAnswer {
-        depth_histogram,
-        edges,
-        target_depth,
-        depths: map.then_some(depths),
-        parents: parents.filter(|_| matches!(query, Query::Parents { .. })),
-    }
+/// True when `part` holds what `slot` asks of the shard owning `range`:
+/// a depth row over the range for a map slot, a parent row too when it
+/// records parents, and a target depth only from the target's owner.
+fn answers_for(slot: &Slot, part: &SlotAnswer, range: &Range<usize>) -> bool {
+    let (map, tree, owns_target) = match *slot {
+        Slot::Map { parents, .. } => (true, parents, false),
+        Slot::Point { target, .. } => (false, false, range.contains(&(target as usize))),
+    };
+    let row = |asked: bool, row: &Option<Vec<u32>>| {
+        row.as_ref().map(Vec::len) == asked.then_some(range.len())
+    };
+    row(map, &part.depths)
+        && row(tree, &part.parents)
+        && (owns_target || part.target_depth.is_none())
 }
 
 pub(crate) fn bad_data(msg: String) -> io::Error {
@@ -358,6 +306,7 @@ pub(crate) fn bad_data(msg: String) -> io::Error {
 mod tests {
     use super::*;
     use crate::swire::{Bucket, ExchangeItem};
+    use mcbfs_query::{Query, QueryResult};
     use std::collections::VecDeque;
     use std::time::Duration;
 
@@ -378,16 +327,16 @@ mod tests {
 
     const DISTANCES: Query = Query::Distances { root: 0 };
 
-    /// One `query` from vertex 0 over a single shard owning 0..3, answered
-    /// by `script`.
-    fn drive(query: Query, script: Vec<ShardFrame>) -> io::Result<BatchReport> {
+    /// One `query` from vertex 0 over two shards owning 0..3 and 3..5,
+    /// answered by `scripts`.
+    fn drive(query: Query, scripts: [Vec<ShardFrame>; 2]) -> io::Result<BatchReport> {
         let wave = [Admitted {
             id: 0,
             query,
             queued: Duration::ZERO,
         }];
-        let owned = std::iter::once(0..3).collect();
-        Cluster::new(3, 0, owned).execute_wave(&mut [Scripted(script.into())], &wave, None)
+        let mut links = scripts.map(|script| Scripted(script.into()));
+        Cluster::new(5, 0, vec![0..3, 3..5]).execute_wave(&mut links, &wave, None)
     }
 
     /// A level-0 exchange frame: no discoveries (the wave ends), or one
@@ -413,61 +362,90 @@ mod tests {
         }
     }
 
-    fn result(depths: Vec<Vec<u32>>, slot_edges: Vec<u64>) -> ShardFrame {
-        ShardFrame::WaveResult {
-            wave: 0,
-            depths,
+    /// One shard's answer to its single slot.
+    fn part(histogram: &[u64], target_depth: Option<u32>, depths: Option<&[u32]>) -> SlotAnswer {
+        SlotAnswer {
+            depth_histogram: histogram.to_vec(),
+            edges: histogram.iter().sum(),
+            target_depth,
+            depths: depths.map(<[u32]>::to_vec),
             parents: None,
-            slot_edges,
-            levels: 1,
         }
     }
 
+    /// A shard's script: the wave ends at level 0 and it answers `answers`.
+    fn script(answers: Vec<SlotAnswer>) -> Vec<ShardFrame> {
+        vec![exchange(None), ShardFrame::WaveResult { wave: 0, answers }]
+    }
+
     #[test]
-    fn well_formed_frames_are_stitched() {
+    fn well_formed_answers_are_merged_in_shard_order() {
         let report = drive(
             DISTANCES,
-            vec![exchange(None), result(vec![vec![0, u32::MAX, 1]], vec![4])],
+            [
+                script(vec![part(&[1, 0, 1], None, Some(&[0, u32::MAX, 2]))]),
+                script(vec![part(&[0, 2, 0, 1], None, Some(&[1, 3]))]),
+            ],
         )
         .expect("well-formed wave");
         let outcome = &report.outcomes[0];
-        assert_eq!(outcome.result.depths(), Some(&[0, u32::MAX, 1][..]));
-        assert_eq!(outcome.edges, 4);
+        assert_eq!(outcome.result.depths(), Some(&[0, u32::MAX, 2, 1, 3][..]));
+        assert_eq!(outcome.depth_histogram, [1, 2, 1, 1]);
+        assert_eq!(outcome.edges, 5);
+        assert_eq!(report.waves[0].levels, 4);
+        // A point query's depth is its target's owner's.
+        let stcon = Query::StCon { s: 0, t: 4 };
+        let report = drive(
+            stcon,
+            [
+                script(vec![part(&[1], None, None)]),
+                script(vec![part(&[0, 0, 1], Some(2), None)]),
+            ],
+        )
+        .expect("well-formed wave");
+        let outcome = &report.outcomes[0];
+        assert_eq!(outcome.result, QueryResult::StCon { distance: Some(2) });
+        assert_eq!(outcome.depth_histogram, [1, 0, 1]);
     }
 
     #[test]
     fn malformed_worker_frames_are_invalid_data() {
         let parents = Query::Parents { root: 0 };
+        let stcon = Query::StCon { s: 0, t: 4 };
+        let fine = |depths: &[u32]| script(vec![part(&[1], None, Some(depths))]);
+        let point = |target_depth| script(vec![part(&[1], target_depth, None)]);
         let scripts = [
             // Buckets addressed past the last shard.
-            (DISTANCES, vec![exchange(Some(1))]),
-            (DISTANCES, vec![exchange(Some(u64::MAX))]),
-            // Results with the wrong slot count or per-slot length.
-            (DISTANCES, vec![exchange(None), result(vec![], vec![4])]),
+            (DISTANCES, [vec![exchange(Some(2))], vec![exchange(None)]]),
             (
                 DISTANCES,
-                vec![exchange(None), result(vec![vec![0], vec![0]], vec![4, 4])],
+                [vec![exchange(Some(u64::MAX))], vec![exchange(None)]],
             ),
+            // Results with the wrong slot count or row length.
+            (DISTANCES, [script(vec![]), fine(&[0, 1])]),
             (
                 DISTANCES,
-                vec![exchange(None), result(vec![vec![0, 1]], vec![4])],
+                [
+                    script(vec![part(&[1], None, Some(&[0, 1, 2])); 2]),
+                    fine(&[0, 1]),
+                ],
             ),
-            (
-                DISTANCES,
-                vec![exchange(None), result(vec![vec![0, 1, 2]], vec![])],
-            ),
-            // A parents wave answered without parents.
-            (
-                parents,
-                vec![exchange(None), result(vec![vec![0, 1, 2]], vec![4])],
-            ),
+            (DISTANCES, [fine(&[0, 1, 2]), fine(&[0, 1, 2])]),
+            // A map query answered without its row.
+            (DISTANCES, [fine(&[0, 1, 2]), point(None)]),
+            // A parents query answered without parents.
+            (parents, [fine(&[0, 1, 2]), fine(&[0, 1])]),
+            // A point query answered with a row, or with a target depth
+            // from a shard that does not own the target.
+            (stcon, [fine(&[0, 1, 2]), point(Some(1))]),
+            (stcon, [point(Some(1)), point(Some(1))]),
         ];
-        for (query, script) in scripts {
-            let err = drive(query, script.clone()).expect_err("malformed frames fail the wave");
+        for (query, [a, b]) in scripts {
+            let err = drive(query, [a.clone(), b.clone()]).expect_err("malformed frames fail");
             assert_eq!(
                 err.kind(),
                 io::ErrorKind::InvalidData,
-                "{query:?} {script:?}"
+                "{query:?} {a:?} {b:?}"
             );
         }
     }

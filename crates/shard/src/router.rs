@@ -9,7 +9,7 @@
 //! to each other; the router gathers every worker's destination-bucketed
 //! `exchange` frame, merges buckets per destination in shard order, and
 //! delivers one `merged` frame per worker per level — and the per-shard
-//! `wave_result` ranges are stitched into the global answers clients
+//! `wave_result` answers are merged slot by slot into the answers clients
 //! expect. Each link writes [`swire::encode`]'s bytes and cuts the
 //! worker's replies with a [`FrameReader`]. The per-level frame/byte/item
 //! counts accumulate in an [`ExchangeLog`] whose live byte counts equal

@@ -1,4 +1,4 @@
-//! `mcbfs-swire-v2`: the router ↔ shard-worker protocol.
+//! `mcbfs-swire-v3`: the router ↔ shard-worker protocol.
 //!
 //! Every frame is a `u32` little-endian payload length followed by the
 //! payload, and every payload opens with two bytes: the protocol version
@@ -18,6 +18,11 @@
 //! because the empty frame is what releases a worker into its next
 //! level.
 //!
+//! The wave frames carry the query crate's own types: `wave_start` one
+//! [`Slot`] per query, and `wave_result` the worker kernel's
+//! [`SlotAnswer`]s over its owned range, as `MsBfs::into_answers` returns
+//! them, so only map slots ship rows.
+//!
 //! # Layout
 //!
 //! All integers are little-endian; a `bool` is one byte, 0 or 1; a list is
@@ -27,13 +32,21 @@
 //! |---|---|---|
 //! | 1 | `hello` | JSON object `{}` |
 //! | 2 | `meta` | JSON object of the [`ShardMeta`] fields |
-//! | 3 | `wave_start` | `wave: u64`, `record_parents: bool`, `sources: [u32]` |
+//! | 3 | `wave_start` | `wave: u64`, `slots: [slot]` |
 //! | 4 | `exchange` | `wave: u64`, `level: u64`, `local_next: bool`, `edges_scanned: u64`, buckets: `[dst: u64, items: [item]]` |
 //! | 5 | `merged` | `wave: u64`, `level: u64`, `items: [item]` |
 //! | 6 | `wave_finish` | `wave: u64` |
-//! | 7 | `wave_result` | `wave: u64`, `levels: u64`, `slot_edges: [u64]`, `depths: [[u32]]`, `has_parents: bool`, then `parents: [[u32]]` when set |
+//! | 7 | `wave_result` | `wave: u64`, `answers: [answer]` |
 //! | 8 | `stats` | JSON object `{}` |
 //! | 9 | `stats_reply` | JSON object of the `ServerStats` fields |
+//!
+//! A slot is a kind byte (0 map, 1 map with parents, 2 point), then
+//! `source: u32`, then `target: u32` for a point. An answer is
+//! `depth_histogram: [u64]`, `edges: u64`, then three options, each a
+//! `bool` followed by its value when set: `target_depth: u32`,
+//! `depths: [u32]`, `parents: [u32]`. So a point slot's answer is
+//! `15 + 8 × levels` bytes, 4 more from the target's owner, whatever the
+//! graph's size, and a `wave_result` is 18 bytes plus its answers.
 //!
 //! An item is 16 bytes: `v: u32`, `u: u32`, `mask: u64`. So the bytes of
 //! an `exchange` or `merged` frame beyond its items are fixed: 35 plus 12
@@ -47,12 +60,13 @@
 //! bytes left in the frame before anything is allocated for it, and a
 //! frame must be consumed exactly.
 
+use mcbfs_query::{Slot, SlotAnswer};
 use mcbfs_serve::ServerStats;
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read};
 
 /// Protocol version stamped on (and required of) every frame.
-pub const SWIRE_VERSION: u64 = 2;
+pub const SWIRE_VERSION: u64 = 3;
 
 /// Bytes of a frame's length prefix.
 const PREFIX: usize = 4;
@@ -70,6 +84,11 @@ const WAVE_FINISH: u8 = 6;
 const WAVE_RESULT: u8 = 7;
 const STATS: u8 = 8;
 const STATS_REPLY: u8 = 9;
+
+/// Slot kind bytes of a `wave_start` slot.
+const SLOT_MAP: u8 = 0;
+const SLOT_TREE: u8 = 1;
+const SLOT_POINT: u8 = 2;
 
 /// Why an inbound frame failed to decode (mirrors the client protocol's
 /// split: version mismatches are structured, everything else is opaque).
@@ -154,14 +173,12 @@ pub enum ShardFrame {
     Hello,
     /// Worker → router: shard identity and shape.
     Meta(ShardMeta),
-    /// Router → worker: start a wave with these slot sources.
+    /// Router → worker: start a wave of these slots.
     WaveStart {
         /// Router-assigned wave id, echoed on every wave frame.
         wave: u64,
-        /// Global source vertex per wave slot.
-        sources: Vec<u32>,
-        /// Record parent attributions (any slot wants a BFS tree).
-        record_parents: bool,
+        /// What each query of the wave asks, in wave order (global ids).
+        slots: Vec<Slot>,
     },
     /// Worker → router: the shard-exchange frame — one level's cross-shard
     /// discoveries, bucketed by owning shard (non-empty buckets only, in
@@ -198,19 +215,12 @@ pub enum ShardFrame {
         /// Wave id.
         wave: u64,
     },
-    /// Worker → router: per-slot results over the owned vertex range.
+    /// Worker → router: per-slot answers over the owned vertex range.
     WaveResult {
         /// Wave id.
         wave: u64,
-        /// Per slot: hop depths of the owned range (`u32::MAX` unreached).
-        depths: Vec<Vec<u32>>,
-        /// Per slot: parent attributions, when requested.
-        parents: Option<Vec<Vec<u32>>>,
-        /// Per slot: TEPS numerator share (adjacency entries of reached
-        /// owned vertices).
-        slot_edges: Vec<u64>,
-        /// BFS levels the wave executed.
-        levels: u64,
+        /// Per slot, in wave order: the worker kernel's answer.
+        answers: Vec<SlotAnswer>,
     },
     /// Router → worker: snapshot your statistics.
     Stats,
@@ -242,6 +252,22 @@ impl Writer {
         self.u32(u32::try_from(len).expect("a swire list holds fewer than 2^32 elements"));
     }
 
+    /// A list: its count, then each element as `write` writes it.
+    fn list<T>(&mut self, xs: &[T], write: impl Fn(&mut Self, &T)) {
+        self.count(xs.len());
+        for x in xs {
+            write(self, x);
+        }
+    }
+
+    /// An option: a flag, then the value as `write` writes it when set.
+    fn option<T>(&mut self, x: Option<T>, write: impl FnOnce(&mut Self, T)) {
+        self.bool(x.is_some());
+        if let Some(x) = x {
+            write(self, x);
+        }
+    }
+
     fn u32s(&mut self, xs: &[u32]) {
         self.count(xs.len());
         self.0.reserve(xs.len() * 4);
@@ -250,11 +276,24 @@ impl Writer {
         }
     }
 
-    fn rows(&mut self, rows: &[Vec<u32>]) {
-        self.count(rows.len());
-        for row in rows {
-            self.u32s(row);
+    fn slot(&mut self, slot: &Slot) {
+        self.0.push(match *slot {
+            Slot::Map { parents: false, .. } => SLOT_MAP,
+            Slot::Map { parents: true, .. } => SLOT_TREE,
+            Slot::Point { .. } => SLOT_POINT,
+        });
+        self.u32(slot.source());
+        if let Some(target) = slot.target() {
+            self.u32(target);
         }
+    }
+
+    fn answer(&mut self, answer: &SlotAnswer) {
+        self.list(&answer.depth_histogram, |w, &count| w.u64(count));
+        self.u64(answer.edges);
+        self.option(answer.target_depth, Self::u32);
+        self.option(answer.depths.as_deref(), Self::u32s);
+        self.option(answer.parents.as_deref(), Self::u32s);
     }
 
     fn items(&mut self, items: &[ExchangeItem]) {
@@ -292,15 +331,10 @@ pub fn encode(frame: &ShardFrame) -> Vec<u8> {
             w.0.push(META);
             w.json(meta);
         }
-        ShardFrame::WaveStart {
-            wave,
-            sources,
-            record_parents,
-        } => {
+        ShardFrame::WaveStart { wave, slots } => {
             w.0.push(WAVE_START);
             w.u64(*wave);
-            w.bool(*record_parents);
-            w.u32s(sources);
+            w.list(slots, Writer::slot);
         }
         ShardFrame::Exchange {
             wave,
@@ -314,11 +348,10 @@ pub fn encode(frame: &ShardFrame) -> Vec<u8> {
             w.u64(*level);
             w.bool(*local_next);
             w.u64(*edges_scanned);
-            w.count(buckets.len());
-            for bucket in buckets {
+            w.list(buckets, |w, bucket| {
                 w.u64(bucket.dst);
                 w.items(&bucket.items);
-            }
+            });
         }
         ShardFrame::Merged { wave, level, items } => {
             w.0.push(MERGED);
@@ -330,25 +363,10 @@ pub fn encode(frame: &ShardFrame) -> Vec<u8> {
             w.0.push(WAVE_FINISH);
             w.u64(*wave);
         }
-        ShardFrame::WaveResult {
-            wave,
-            depths,
-            parents,
-            slot_edges,
-            levels,
-        } => {
+        ShardFrame::WaveResult { wave, answers } => {
             w.0.push(WAVE_RESULT);
             w.u64(*wave);
-            w.u64(*levels);
-            w.count(slot_edges.len());
-            for &e in slot_edges {
-                w.u64(e);
-            }
-            w.rows(depths);
-            w.bool(parents.is_some());
-            if let Some(parents) = parents {
-                w.rows(parents);
-            }
+            w.list(answers, Writer::answer);
         }
         ShardFrame::Stats => {
             w.0.push(STATS);
@@ -434,6 +452,16 @@ impl<'a> Body<'a> {
         Ok(n)
     }
 
+    /// A list whose elements take at least `size` bytes each, each read
+    /// by `read`.
+    fn list<T>(
+        &mut self,
+        size: usize,
+        read: impl Fn(&mut Self) -> Result<T, SwireError>,
+    ) -> Result<Vec<T>, SwireError> {
+        (0..self.count(size)?).map(|_| read(self)).collect()
+    }
+
     fn u32s(&mut self) -> Result<Vec<u32>, SwireError> {
         let n = self.count(4)?;
         let raw = self.take(n * 4)?;
@@ -443,9 +471,43 @@ impl<'a> Body<'a> {
             .collect())
     }
 
-    fn rows(&mut self) -> Result<Vec<Vec<u32>>, SwireError> {
-        let n = self.count(4)?;
-        (0..n).map(|_| self.u32s()).collect()
+    /// An option: a flag, then the value `read` reads when it is set.
+    fn option<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, SwireError>,
+    ) -> Result<Option<T>, SwireError> {
+        if self.bool()? {
+            read(self).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    fn slot(&mut self) -> Result<Slot, SwireError> {
+        let kind = self.take(1)?[0];
+        let source = self.u32()?;
+        match kind {
+            SLOT_MAP | SLOT_TREE => Ok(Slot::Map {
+                source,
+                parents: kind == SLOT_TREE,
+            }),
+            SLOT_POINT => Ok(Slot::Point {
+                source,
+                target: self.u32()?,
+            }),
+            kind => Err(malformed(format!("unknown slot kind {kind}"))),
+        }
+    }
+
+    fn answer(&mut self) -> Result<SlotAnswer, SwireError> {
+        Ok(SlotAnswer {
+            // An entry is a u64.
+            depth_histogram: self.list(8, Self::u64)?,
+            edges: self.u64()?,
+            target_depth: self.option(Self::u32)?,
+            depths: self.option(Self::u32s)?,
+            parents: self.option(Self::u32s)?,
+        })
     }
 
     fn items(&mut self) -> Result<Vec<ExchangeItem>, SwireError> {
@@ -499,21 +561,19 @@ pub fn decode(bytes: &[u8]) -> Result<ShardFrame, SwireError> {
         META => ShardFrame::Meta(b.json()?),
         WAVE_START => ShardFrame::WaveStart {
             wave: b.u64()?,
-            record_parents: b.bool()?,
-            sources: b.u32s()?,
+            // A slot takes at least its kind and source.
+            slots: b.list(5, Body::slot)?,
         },
         EXCHANGE => {
             let (wave, level, local_next, edges_scanned) =
                 (b.u64()?, b.u64()?, b.bool()?, b.u64()?);
             // A bucket takes at least its destination and item count.
-            let buckets = (0..b.count(12)?)
-                .map(|_| {
-                    Ok(Bucket {
-                        dst: b.u64()?,
-                        items: b.items()?,
-                    })
+            let buckets = b.list(12, |b| {
+                Ok(Bucket {
+                    dst: b.u64()?,
+                    items: b.items()?,
                 })
-                .collect::<Result<_, SwireError>>()?;
+            })?;
             ShardFrame::Exchange {
                 wave,
                 level,
@@ -528,21 +588,12 @@ pub fn decode(bytes: &[u8]) -> Result<ShardFrame, SwireError> {
             items: b.items()?,
         },
         WAVE_FINISH => ShardFrame::WaveFinish { wave: b.u64()? },
-        WAVE_RESULT => {
-            let (wave, levels) = (b.u64()?, b.u64()?);
-            let slot_edges = (0..b.count(8)?)
-                .map(|_| b.u64())
-                .collect::<Result<_, _>>()?;
-            let depths = b.rows()?;
-            let parents = if b.bool()? { Some(b.rows()?) } else { None };
-            ShardFrame::WaveResult {
-                wave,
-                depths,
-                parents,
-                slot_edges,
-                levels,
-            }
-        }
+        WAVE_RESULT => ShardFrame::WaveResult {
+            wave: b.u64()?,
+            // An answer takes at least its histogram count, its edges and
+            // three option flags.
+            answers: b.list(15, Body::answer)?,
+        },
         STATS => b.json::<serde::Value>().map(|_| ShardFrame::Stats)?,
         STATS_REPLY => ShardFrame::StatsReply { stats: b.json()? },
         _ => unreachable!("header() admits known kinds only"),
@@ -619,8 +670,11 @@ mod tests {
     #[test]
     fn version_gate_rejects_other_versions() {
         let mut frame = encode(&ShardFrame::Hello);
-        frame[4] = 1;
-        assert_eq!(decode(&frame).unwrap_err(), SwireError::Version { got: 1 });
+        for old in [1, 2] {
+            frame[4] = old;
+            let got = u64::from(old);
+            assert_eq!(decode(&frame).unwrap_err(), SwireError::Version { got });
+        }
         // A swire-v1 JSON line fails on its header, before its "payload".
         let line = b"{\"v\":1,\"cmd\":\"hello\"}\n";
         assert!(matches!(
@@ -634,6 +688,26 @@ mod tests {
         assert!(matches!(
             decode(&unknown).unwrap_err(),
             SwireError::Malformed(_)
+        ));
+    }
+
+    #[test]
+    fn an_unknown_slot_kind_is_malformed() {
+        let start = ShardFrame::WaveStart {
+            wave: 1,
+            slots: vec![Slot::Point {
+                source: 3,
+                target: 4,
+            }],
+        };
+        let mut frame = encode(&start);
+        // The header, the wave id and the slot count come first.
+        let kind = HEADER + 8 + 4;
+        assert_eq!(frame[kind], SLOT_POINT);
+        frame[kind] = 3;
+        assert!(matches!(
+            decode(&frame).unwrap_err(),
+            SwireError::Malformed(e) if e.contains("slot kind")
         ));
     }
 

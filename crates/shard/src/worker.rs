@@ -5,7 +5,10 @@
 //! frame-driven state machine over `mcbfs_query::MsBfs` on its owned rows:
 //! `hello` → `meta`, `wave_start` → scan → `exchange` up, `merged` →
 //! apply, next level, scan → `exchange` up,
-//! `wave_finish` → `wave_result`, `stats` → `stats_reply`. The worker
+//! `wave_finish` → `wave_result`, `stats` → `stats_reply`. The kernel is
+//! built from the `wave_start`'s slots, as an in-process wave's is, and
+//! `wave_result` is its answers as they are: rows for map slots only, and
+//! a point slot's target depth only from the target's owner. The worker
 //! never initiates: every frame it sends answers a router frame, which
 //! keeps the protocol lock-step and deadlock-free over a single duplex
 //! stream. Frames arrive through [`swire::FrameReader`] and leave through
@@ -23,7 +26,7 @@
 
 use crate::swire::{self, Bucket, ExchangeItem, FrameReader, ShardFrame, ShardMeta};
 use mcbfs_graph::shard::CsrShard;
-use mcbfs_query::{MsBfs, Slot};
+use mcbfs_query::MsBfs;
 use mcbfs_serve::{accept_loop, ServerStats, ShutdownHandle};
 use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -155,21 +158,18 @@ pub(crate) fn handle_frame<'s>(
             local_edges: shard.local_edges() as u64,
             cut_edges: shard.cut_edges() as u64,
         })),
-        ShardFrame::WaveStart {
-            wave: id,
-            sources,
-            record_parents,
-        } => {
+        ShardFrame::WaveStart { wave: id, slots } => {
             let n = shard.num_vertices();
-            if !(1..=64).contains(&sources.len()) || sources.iter().any(|&s| s as usize >= n) {
+            let vertices = slots.iter().flat_map(|&s| [Some(s.source()), s.target()]);
+            if !(1..=64).contains(&slots.len()) || vertices.flatten().any(|v| v as usize >= n) {
                 return reject(format!(
-                    "wave_start needs 1..=64 sources in 0..{n}, got {} sources",
-                    sources.len()
+                    "wave_start needs 1..=64 slots with sources and targets in 0..{n}, \
+                     got {} slots",
+                    slots.len()
                 ));
             }
-            // The router stitches every slot's owned rows: all map slots.
             let w = wave.insert(Wave {
-                kernel: MsBfs::new(shard, &Slot::maps(&sources, record_parents)),
+                kernel: MsBfs::new(shard, &slots),
                 level: 0,
                 sent: vec![0; n],
             });
@@ -194,7 +194,10 @@ pub(crate) fn handle_frame<'s>(
             Some(exchange_frame(shard, id, w))
         }
         ShardFrame::WaveFinish { wave: id } => match wave.take() {
-            Some(w) => Some(wave_result(id, w)),
+            Some(w) => Some(ShardFrame::WaveResult {
+                wave: id,
+                answers: w.kernel.into_answers(),
+            }),
             None => reject("wave_finish outside a wave".to_string()),
         },
         other => reject(format!("unexpected frame from router: {other:?}")),
@@ -237,35 +240,11 @@ fn exchange_frame(shard: &CsrShard, wave: u64, w: &mut Wave) -> ShardFrame {
     }
 }
 
-/// The wave's owned-range answer: per slot, depths and parents of the
-/// owned vertices, the adjacency entries of the reached ones (the TEPS
-/// numerator's share), and the highest owned depth + 1 as `levels`. The
-/// last two come from the kernel's tallies: a slot's owned histogram ends
-/// at its deepest owned vertex.
-fn wave_result(wave: u64, w: Wave) -> ShardFrame {
-    let answers = w.kernel.into_answers();
-    let levels = answers.iter().map(|a| a.depth_histogram.len()).max();
-    let slot_edges = answers.iter().map(|a| a.edges).collect();
-    let mut depths = Vec::with_capacity(answers.len());
-    let mut parents = Vec::new();
-    for answer in answers {
-        depths.push(answer.depths.expect("worker slots are map slots"));
-        parents.extend(answer.parents);
-    }
-    ShardFrame::WaveResult {
-        wave,
-        // A wave records parents for every slot or for none.
-        parents: (!parents.is_empty()).then_some(parents),
-        depths,
-        slot_edges,
-        levels: levels.unwrap_or(0) as u64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mcbfs_graph::csr::CsrGraph;
+    use mcbfs_query::Slot;
     use std::net::Shutdown;
     use std::sync::mpsc;
 
@@ -303,8 +282,13 @@ mod tests {
     fn wave_start(sources: Vec<u32>) -> ShardFrame {
         ShardFrame::WaveStart {
             wave: 0,
-            sources,
-            record_parents: true,
+            slots: sources
+                .into_iter()
+                .map(|source| Slot::Map {
+                    source,
+                    parents: true,
+                })
+                .collect(),
         }
     }
 
@@ -336,6 +320,21 @@ mod tests {
                 let replies = send_frames(addr, &[wave_start(bad)]);
                 assert!(replies.is_empty(), "{replies:?}");
             }
+            // A point slot whose target, or whose source, is past n.
+            let point = |source, target| ShardFrame::WaveStart {
+                wave: 0,
+                slots: vec![Slot::Point { source, target }],
+            };
+            for bad in [point(4, 8), point(8, 4), point(0, u32::MAX)] {
+                let replies = send_frames(addr, &[bad]);
+                assert!(replies.is_empty(), "{replies:?}");
+            }
+            // A slot kind byte no swire v3 slot has.
+            let mut unknown = swire::encode(&point(4, 5));
+            let kind = unknown.len() - 9;
+            unknown[kind] = 7;
+            let replies = send_bytes(addr, &unknown);
+            assert!(replies.is_empty(), "{replies:?}");
             // A merged item for vertex 0, which shard 1 does not own.
             let stray = ShardFrame::Merged {
                 wave: 0,

@@ -8,6 +8,7 @@
 //! mutant's own bytes do not back: a counting allocator records the
 //! largest single allocation each mutant causes on this thread.
 
+use mcbfs_query::{Slot, SlotAnswer};
 use mcbfs_serve::ServerStats;
 use mcbfs_shard::swire::{
     decode, encode, Bucket, ExchangeItem, FrameReader, ShardFrame, ShardMeta,
@@ -85,7 +86,9 @@ impl Rng {
     }
 }
 
-/// One valid frame of every kind, `wave_result` with and without parents.
+/// One valid frame of every kind: a `wave_start` of every slot kind, and
+/// `wave_result`s of map slots with and without parents and of point
+/// slots from the target's owner and from another shard.
 fn samples() -> Vec<ShardFrame> {
     let item = |v, u, mask| ExchangeItem { v, u, mask };
     vec![
@@ -101,8 +104,20 @@ fn samples() -> Vec<ShardFrame> {
         }),
         ShardFrame::WaveStart {
             wave: 9,
-            sources: vec![0, 17, 1023, 2047],
-            record_parents: true,
+            slots: vec![
+                Slot::Map {
+                    source: 0,
+                    parents: true,
+                },
+                Slot::Map {
+                    source: 17,
+                    parents: false,
+                },
+                Slot::Point {
+                    source: 1023,
+                    target: 2047,
+                },
+            ],
         },
         ShardFrame::Exchange {
             wave: 9,
@@ -128,17 +143,20 @@ fn samples() -> Vec<ShardFrame> {
         ShardFrame::WaveFinish { wave: 9 },
         ShardFrame::WaveResult {
             wave: 9,
-            depths: vec![vec![0, 1, u32::MAX, 2], vec![3, 2, 1, 0]],
-            parents: Some(vec![vec![0, 0, u32::MAX, 1], vec![1, 2, 3, 3]]),
-            slot_edges: vec![40, 41],
-            levels: 4,
+            answers: vec![
+                answer(&[1, 2, 0, 1], None, Some(vec![0, 1, u32::MAX, 2])),
+                SlotAnswer {
+                    parents: Some(vec![1, 2, 3, 3]),
+                    ..answer(&[0, 1, 1, 1, 1], None, Some(vec![3, 2, 1, 0]))
+                },
+            ],
         },
         ShardFrame::WaveResult {
             wave: 10,
-            depths: vec![vec![5, 6, 7]],
-            parents: None,
-            slot_edges: vec![12],
-            levels: 8,
+            answers: vec![
+                answer(&[1, 3, 9, 2], Some(2), None),
+                answer(&[0, 4, 7], None, None),
+            ],
         },
         ShardFrame::Stats,
         ShardFrame::StatsReply {
@@ -151,6 +169,17 @@ fn samples() -> Vec<ShardFrame> {
             },
         },
     ]
+}
+
+/// A slot's answer: its histogram, an edge count, and what it carries.
+fn answer(histogram: &[u64], target_depth: Option<u32>, depths: Option<Vec<u32>>) -> SlotAnswer {
+    SlotAnswer {
+        depth_histogram: histogram.to_vec(),
+        edges: 40,
+        target_depth,
+        depths,
+        parents: None,
+    }
 }
 
 /// Every mutant of `valid` this fuzz tries.

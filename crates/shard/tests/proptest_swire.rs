@@ -3,10 +3,11 @@
 //! Every BFS level on every shard ships an `exchange` and a `merged`
 //! frame, and a frame's encoded length doubles as the cost-model input,
 //! so `decode(encode(f)) == f` must hold for arbitrary bucket shapes, slot
-//! masks, level stamps and result rows, and every encoding must obey the
+//! masks, level stamps, slots and slot answers, and every encoding must obey the
 //! framing law: its `u32` little-endian prefix equals the length of the
 //! payload that follows.
 
+use mcbfs_query::{Slot, SlotAnswer};
 use mcbfs_serve::ServerStats;
 use mcbfs_shard::swire::{decode, encode, Bucket, ExchangeItem, ShardFrame, ShardMeta};
 use proptest::prelude::*;
@@ -20,29 +21,47 @@ fn arb_bucket() -> impl Strategy<Value = Bucket> {
         .prop_map(|(dst, items)| Bucket { dst, items })
 }
 
-/// `slots` rows of `len` vertex ids each.
-fn arb_rows(slots: usize, len: usize) -> impl Strategy<Value = Vec<Vec<u32>>> {
-    proptest::collection::vec(proptest::collection::vec(any::<u32>(), len), slots)
+fn arb_slot() -> impl Strategy<Value = Slot> {
+    (any::<u32>(), any::<u32>(), 0u8..3).prop_map(|(source, target, kind)| match kind {
+        2 => Slot::Point { source, target },
+        _ => Slot::Map {
+            source,
+            parents: kind == 1,
+        },
+    })
+}
+
+/// An answer of a map slot (rows of `len`, parents or not) or a point
+/// slot (a target depth or none), as an owner or not: each of the three
+/// options is set when its flag is.
+fn arb_answer(len: usize) -> impl Strategy<Value = SlotAnswer> {
+    let row = || proptest::collection::vec(any::<u32>(), len);
+    (
+        proptest::collection::vec(any::<u64>(), 0..12),
+        any::<u64>(),
+        any::<u32>(),
+        row(),
+        row(),
+        0u8..8,
+    )
+        .prop_map(
+            |(depth_histogram, edges, target_depth, depths, parents, set)| SlotAnswer {
+                depth_histogram,
+                edges,
+                target_depth: (set & 1 != 0).then_some(target_depth),
+                depths: (set & 2 != 0).then_some(depths),
+                parents: (set & 4 != 0).then_some(parents),
+            },
+        )
 }
 
 fn arb_wave_result() -> impl Strategy<Value = ShardFrame> {
-    (1usize..9, 0usize..40, any::<bool>()).prop_flat_map(|(slots, len, with_parents)| {
+    (0usize..40).prop_flat_map(|len| {
         (
             any::<u64>(),
-            arb_rows(slots, len),
-            arb_rows(slots, len),
-            proptest::collection::vec(any::<u64>(), slots),
-            0u64..64,
+            proptest::collection::vec(arb_answer(len), 0..9),
         )
-            .prop_map(move |(wave, depths, parents, slot_edges, levels)| {
-                ShardFrame::WaveResult {
-                    wave,
-                    depths,
-                    parents: with_parents.then_some(parents),
-                    slot_edges,
-                    levels,
-                }
-            })
+            .prop_map(|(wave, answers)| ShardFrame::WaveResult { wave, answers })
     })
 }
 
@@ -69,16 +88,8 @@ fn arb_control() -> impl Strategy<Value = ShardFrame> {
             },
         },
     );
-    let wave_start = (
-        any::<u64>(),
-        proptest::collection::vec(any::<u32>(), 0..65),
-        any::<bool>(),
-    )
-        .prop_map(|(wave, sources, record_parents)| ShardFrame::WaveStart {
-            wave,
-            sources,
-            record_parents,
-        });
+    let wave_start = (any::<u64>(), proptest::collection::vec(arb_slot(), 0..65))
+        .prop_map(|(wave, slots)| ShardFrame::WaveStart { wave, slots });
     prop_oneof![
         Just(ShardFrame::Hello),
         Just(ShardFrame::Stats),

@@ -21,6 +21,15 @@ use multicore_bfs::graph::validate::{reachable_edges, sequential_levels};
 use multicore_bfs::machine::model::MachineModel;
 use multicore_bfs::query::{ms_bfs, MsBfsRun, Query, QueryEngine, Slot};
 
+/// One map slot per source, without parents.
+fn maps(sources: &[u32]) -> Vec<Slot> {
+    let map = |&source| Slot::Map {
+        source,
+        parents: false,
+    };
+    sources.iter().map(map).collect()
+}
+
 /// Runs `queries` through the engine at each batch size and checks every
 /// outcome's depth array against the sequential reference.
 fn assert_depth_parity(g: &CsrGraph, label: &str, mode: ExecMode) {
@@ -100,10 +109,10 @@ fn batched_64_wave_examines_8x_fewer_edges_than_64_singletons() {
     let roots = sample_roots(&g, 64, 2026);
     let td = ForcedDirection::TopDown;
     let scanned = |run: MsBfsRun| run.profile.total().edges_scanned;
-    let wave = scanned(ms_bfs(&g, &Slot::maps(&roots, false), 2, td).finish());
+    let wave = scanned(ms_bfs(&g, &maps(&roots), 2, td).finish());
     let singletons: u64 = roots
         .iter()
-        .map(|&r| scanned(ms_bfs(&g, &Slot::maps(&[r], false), 1, td).finish()))
+        .map(|&r| scanned(ms_bfs(&g, &maps(&[r]), 1, td).finish()))
         .sum();
     let reachable: u64 = roots
         .iter()
@@ -126,7 +135,7 @@ fn auto_wave_goes_bottom_up_without_atomics() {
     // answers the same depths with strictly fewer locked operations.
     let g = RmatBuilder::new(16, 8).seed(16).permute(true).build();
     let roots = sample_roots(&g, 64, 2026);
-    let slots = Slot::maps(&roots, false);
+    let slots = maps(&roots);
     let auto = ms_bfs(&g, &slots, 2, ForcedDirection::Auto).finish();
     let top_down = ms_bfs(&g, &slots, 2, ForcedDirection::TopDown).finish();
     let dirs = auto.profile.direction_string();

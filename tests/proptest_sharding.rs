@@ -4,10 +4,13 @@
 //! scale-free R-MAT graphs and bounded-degree grids.
 //!
 //! "Identically" follows the repo's serving-parity convention: depths,
-//! edge counts, st-connectivity distances and reachability verdicts are
-//! byte-equal; parents are validated as a BFS tree whose implied depths
-//! match the depth answer (MS-BFS parent races make the tree itself
-//! legitimately nondeterministic across decompositions).
+//! depth histograms, edge counts, st-connectivity distances and
+//! reachability verdicts are byte-equal; parents are validated as a BFS
+//! tree whose implied depths match the depth answer (MS-BFS parent races
+//! make the tree itself legitimately nondeterministic across
+//! decompositions). Point-only waves, the whole of a point-query
+//! cluster's traffic, are checked on their own too: as one wave and as
+//! singletons, with a target equal to its source and an unreached target.
 //!
 //! The workers' sent filter (each (vertex, slot bit) pair crosses to its
 //! owner at most once per wave) is checked exactly: against a reference
@@ -18,7 +21,7 @@ use multicore_bfs::gen::grid::{GridBuilder, Stencil};
 use multicore_bfs::gen::prelude::*;
 use multicore_bfs::graph::csr::CsrGraph;
 use multicore_bfs::graph::shard::CsrShard;
-use multicore_bfs::graph::validate::{depths_from_parents, validate_bfs_tree};
+use multicore_bfs::graph::validate::{depths_from_parents, sequential_levels, validate_bfs_tree};
 use multicore_bfs::query::{MsBfs, Query, QueryEngine, QueryResult, Slot};
 use multicore_bfs::shard::ShardedEngine;
 use proptest::prelude::*;
@@ -52,6 +55,32 @@ fn queries_from(sources: &[u32]) -> Vec<Query> {
         .collect()
 }
 
+/// Point queries only: per source, an st-connectivity and a reachability
+/// query to the next source, one to itself, and one to a vertex the
+/// first source does not reach, when there is one.
+fn point_queries(graph: &CsrGraph, sources: &[u32]) -> Vec<Query> {
+    let unreached = sequential_levels(graph, sources[0])
+        .iter()
+        .position(|&d| d == u32::MAX);
+    let mut queries: Vec<Query> = sources
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &s)| {
+            let t = sources[(i + 1) % sources.len()];
+            [
+                Query::StCon { s, t },
+                Query::Reachable { from: s, to: t },
+                Query::StCon { s, t: s },
+            ]
+        })
+        .collect();
+    queries.extend(unreached.map(|t| Query::Reachable {
+        from: sources[0],
+        to: t as u32,
+    }));
+    queries
+}
+
 /// The sharded level loop without the sent filter: every shard's scan
 /// routes each foreign `(v, u, mask)` to `v`'s owner, merged per
 /// destination with senders in shard order, as the router merges them.
@@ -60,7 +89,11 @@ fn unfiltered_rows(graph: &CsrGraph, shards: usize, sources: &[u32]) -> Vec<(Vec
     let cut: Vec<CsrShard> = (0..shards)
         .map(|i| CsrShard::cut(graph, shards, i))
         .collect();
-    let slots = Slot::maps(sources, true);
+    let tree = |&source| Slot::Map {
+        source,
+        parents: true,
+    };
+    let slots: Vec<Slot> = sources.iter().map(tree).collect();
     let kernels: Vec<MsBfs<CsrShard>> = cut.iter().map(|s| MsBfs::new(s, &slots)).collect();
     for depth in 1u32.. {
         let mut routed = vec![Vec::new(); shards];
@@ -105,6 +138,7 @@ proptest! {
             for (a, b) in single.outcomes.iter().zip(&report.outcomes) {
                 prop_assert_eq!(a.id, b.id, "{} shards", shards);
                 prop_assert_eq!(a.edges, b.edges, "{} shards", shards);
+                prop_assert_eq!(&a.depth_histogram, &b.depth_histogram, "{} shards", shards);
                 match (&a.result, &b.result) {
                     (
                         QueryResult::Parents { depths: da, .. },
@@ -128,6 +162,27 @@ proptest! {
                         QueryResult::Reachable { reachable: y },
                     ) => prop_assert_eq!(x, y, "{} shards", shards),
                     (x, y) => prop_assert!(false, "kind mismatch: {:?} vs {:?}", x, y),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn point_only_waves_match_single_process_at_every_shard_count(
+        (graph, sources) in arb_case(),
+    ) {
+        let queries = point_queries(&graph, &sources);
+        let single = QueryEngine::new(&graph).execute(&queries);
+        for shards in [1usize, 2, 4, 7] {
+            for max_batch in [64, 1] {
+                let engine = ShardedEngine::new(&graph, shards).max_batch(max_batch);
+                let report = engine.execute(&queries);
+                prop_assert_eq!(report.outcomes.len(), single.outcomes.len());
+                for (a, b) in single.outcomes.iter().zip(&report.outcomes) {
+                    let case = format!("{shards} shards, batch {max_batch}, {:?}", a.query);
+                    prop_assert_eq!(&a.result, &b.result, "{}", case);
+                    prop_assert_eq!(a.edges, b.edges, "{}", case);
+                    prop_assert_eq!(&a.depth_histogram, &b.depth_histogram, "{}", case);
                 }
             }
         }
