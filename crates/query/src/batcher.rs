@@ -2,24 +2,32 @@
 //!
 //! The serving loop's contract is the classic batching trade-off — wait a
 //! little to fill a wide wave (throughput), but never hold a query longer
-//! than `max_wait` (latency). Pending queries live in a
-//! [`ContinuousQueue`] — the bounded ring variant of the fetch-add frontier
-//! array the BFS levels use — so submission from concurrent producers is
-//! one bounded ticket reservation, sealing a wave is one chunked pop, and
-//! the ticket **is** the submission index: waves preserve strict FIFO
-//! ticket order by construction, across any producer interleaving.
+//! than `max_wait` (latency). All admission state sits under one `Mutex`:
+//! the parked queries in ticket order, the next ticket and the closed
+//! flag. A submission takes the lock once, so its ticket is its place in
+//! the queue and waves preserve strict FIFO ticket order across any
+//! producer interleaving. The lock is held for one push or one seal, never
+//! across a wave. Admission sees a few thousand queries a second at most,
+//! far from the per-edge rates where the paper's lock-free queues pay.
 //!
-//! Built for continuous serving: the ring is bounded, [`QueryBatcher::try_submit`]
-//! reports `Overloaded` instead of growing without limit (the server's load
-//! shedding), every pending query carries its submission timestamp (so the
-//! scheduler can close waves on an age deadline and report queue time
-//! separately from service time), and [`QueryBatcher::close`] drains-then-stops
-//! for graceful shutdown.
+//! Each parked query carries a caller payload `T` (`()` offline, the
+//! connection to answer on in the server) and its submission `Instant`,
+//! the one clock behind its queue time and its served latency.
+//!
+//! The consumer blocks in [`QueryBatcher::wait_wave`] on a `Condvar` until
+//! a wave is due — a full `max_batch`, or the oldest query aged
+//! `max_wait`, whichever comes first — and sleeps exactly until that
+//! deadline. Producers wake it only on the two transitions it can be
+//! waiting for: empty to non-empty, and reaching `max_batch`. The queue is
+//! bounded ([`QueryBatcher::try_submit`] reports `Overloaded` instead of
+//! growing, the server's load shedding), and [`QueryBatcher::close`]
+//! drains-then-stops for graceful shutdown.
 
 use crate::engine::{BatchReport, Query};
 use crate::msbfs::MAX_SOURCES;
-use mcbfs_sync::workq::{ContinuousQueue, PushError};
 use mcbfs_trace::{EventKind, RunMeta, TraceEvent};
+use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Admission policy.
@@ -51,15 +59,6 @@ pub enum AdmitError {
     Closed,
 }
 
-/// One queued query. `Copy + Default` so it can ride the
-/// `sync::workq::ContinuousQueue` admission ring.
-#[derive(Clone, Copy, Debug, Default)]
-struct Pending {
-    query: Query,
-    /// Submission time, nanoseconds since the batcher's epoch.
-    submit_ns: u64,
-}
-
 /// One query sealed into a wave, with its admission metadata.
 #[derive(Clone, Copy, Debug)]
 pub struct Admitted {
@@ -71,16 +70,35 @@ pub struct Admitted {
     pub queued: Duration,
 }
 
-/// Collects concurrently-submitted queries and seals them into waves of at
-/// most `max_batch`, in strict submission (ticket) order.
-pub struct QueryBatcher {
-    queue: ContinuousQueue<Pending>,
-    opts: BatcherOpts,
-    /// Clock origin for the per-query submission timestamps.
-    epoch: Instant,
+/// One parked query and what its submitter parked with it.
+#[derive(Debug)]
+pub struct Parked<T> {
+    /// Ticket and query; `queued` is set when the wave is sealed.
+    pub admitted: Admitted,
+    /// Submission time.
+    pub submitted: Instant,
+    /// The submitter's payload.
+    pub payload: T,
 }
 
-impl QueryBatcher {
+/// Everything admission shares, under one lock.
+struct Queue<T> {
+    parked: VecDeque<Parked<T>>,
+    next_ticket: u64,
+    closed: bool,
+}
+
+/// Collects concurrently-submitted queries and seals them into waves of at
+/// most `max_batch`, in strict submission (ticket) order.
+pub struct QueryBatcher<T = ()> {
+    opts: BatcherOpts,
+    capacity: usize,
+    queue: Mutex<Queue<T>>,
+    /// Wakes the consumer blocked in [`QueryBatcher::wait_wave`].
+    wake: Condvar,
+}
+
+impl<T> QueryBatcher<T> {
     /// A batcher whose pending depth is bounded by `capacity` (the
     /// admission-control high-water mark; submissions beyond it report
     /// [`AdmitError::Overloaded`]).
@@ -90,9 +108,14 @@ impl QueryBatcher {
             ..opts
         };
         Self {
-            queue: ContinuousQueue::with_capacity(capacity.max(1)),
             opts,
-            epoch: Instant::now(),
+            capacity: capacity.max(1),
+            queue: Mutex::new(Queue {
+                parked: VecDeque::new(),
+                next_ticket: 0,
+                closed: false,
+            }),
+            wake: Condvar::new(),
         }
     }
 
@@ -101,118 +124,149 @@ impl QueryBatcher {
         self.opts
     }
 
-    /// Submits one query, returning its admission ticket (sequential from
-    /// 0 — also its index in the submission order), or the reason it was
-    /// rejected. Rejection is a normal serving outcome (shed or draining),
-    /// never a panic.
-    pub fn try_submit(&self, query: Query) -> Result<u64, AdmitError> {
-        let pending = Pending {
-            query,
-            submit_ns: self.epoch.elapsed().as_nanos() as u64,
-        };
-        self.queue.try_push(pending).map_err(|e| match e {
-            PushError::Full => AdmitError::Overloaded,
-            PushError::Closed => AdmitError::Closed,
-        })
+    fn lock(&self) -> MutexGuard<'_, Queue<T>> {
+        self.queue.lock().expect("batcher lock")
     }
 
-    /// Submits one query, panicking on rejection — for offline batch
-    /// callers that sized the batcher to their query set and never close
-    /// it mid-run.
-    pub fn submit(&self, query: Query) -> u64 {
-        self.try_submit(query)
+    /// Parks one query with `payload`, returning its admission ticket
+    /// (sequential from 0 — also its index in the submission order), or
+    /// the reason it was rejected. Rejection is a normal serving outcome
+    /// (shed or draining), never a panic.
+    pub fn try_submit(&self, query: Query, payload: T) -> Result<u64, AdmitError> {
+        let mut queue = self.lock();
+        if queue.closed {
+            return Err(AdmitError::Closed);
+        }
+        if queue.parked.len() >= self.capacity {
+            return Err(AdmitError::Overloaded);
+        }
+        let id = queue.next_ticket;
+        queue.next_ticket += 1;
+        queue.parked.push_back(Parked {
+            admitted: Admitted {
+                id,
+                query,
+                queued: Duration::ZERO,
+            },
+            submitted: Instant::now(),
+            payload,
+        });
+        // A waiting consumer waits either for a first query, to learn its
+        // deadline, or for a full wave.
+        let pending = queue.parked.len();
+        drop(queue);
+        if pending == 1 || pending == self.opts.max_batch {
+            self.wake.notify_one();
+        }
+        Ok(id)
+    }
+
+    /// [`QueryBatcher::try_submit`], panicking on rejection — for offline
+    /// batch callers that sized the batcher to their query set and never
+    /// close it mid-run.
+    pub fn submit(&self, query: Query, payload: T) -> u64 {
+        self.try_submit(query, payload)
             .expect("batcher sized for the submission set and not closed")
     }
 
     /// Queries submitted but not yet sealed into a wave.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.lock().parked.len()
     }
 
     /// Total queries ever admitted (the next ticket to be issued).
     pub fn submitted(&self) -> u64 {
-        self.queue.tickets_issued()
-    }
-
-    /// Age of the oldest still-pending query, or `None` when drained.
-    pub fn oldest_age(&self) -> Option<Duration> {
-        let (_, front) = self.queue.peek()?;
-        Some(
-            self.epoch
-                .elapsed()
-                .saturating_sub(Duration::from_nanos(front.submit_ns)),
-        )
-    }
-
-    /// True when the policy says a wave should be sealed now: a full batch
-    /// is pending, or a partial one has aged past `max_wait` (the
-    /// continuous-batching close condition — whichever fires first).
-    pub fn ready(&self) -> bool {
-        let pending = self.pending();
-        if pending >= self.opts.max_batch {
-            return true;
-        }
-        pending > 0
-            && self
-                .oldest_age()
-                .is_some_and(|age| age >= self.opts.max_wait)
+        self.lock().next_ticket
     }
 
     /// Seals and returns the next wave (up to `max_batch` queries in
-    /// strict ticket order), or `None` when nothing is pending. Records a
-    /// [`EventKind::BatchAdmit`] span covering the oldest query's wait when
-    /// a trace session is active.
-    pub fn take_wave(&self) -> Option<Vec<Admitted>> {
-        let mut chunk: Vec<(u64, Pending)> = Vec::with_capacity(self.opts.max_batch);
-        if self.queue.pop_chunk(&mut chunk, self.opts.max_batch) == 0 {
+    /// strict ticket order) whatever its age, or `None` when nothing is
+    /// pending.
+    pub fn take_wave(&self) -> Option<Vec<Parked<T>>> {
+        let wave = self.seal(&mut self.lock());
+        wave.inspect(|wave| trace_admit(wave))
+    }
+
+    /// Blocks until a wave is due and returns it: `max_batch` queries are
+    /// pending, or the oldest has waited `max_wait`. After
+    /// [`QueryBatcher::close`] it hands back what remains without waiting,
+    /// then returns `None`.
+    pub fn wait_wave(&self) -> Option<Vec<Parked<T>>> {
+        let mut queue = self.lock();
+        let wave = loop {
+            let Some(oldest) = queue.parked.front() else {
+                if queue.closed {
+                    return None;
+                }
+                queue = self.wake.wait(queue).expect("batcher lock");
+                continue;
+            };
+            let age = oldest.submitted.elapsed();
+            if queue.closed
+                || queue.parked.len() >= self.opts.max_batch
+                || age >= self.opts.max_wait
+            {
+                break self.seal(&mut queue);
+            }
+            queue = self
+                .wake
+                .wait_timeout(queue, self.opts.max_wait - age)
+                .expect("batcher lock")
+                .0;
+        };
+        drop(queue);
+        wave.inspect(|wave| trace_admit(wave))
+    }
+
+    /// Takes the next wave off the queue, stamping each query's queue time.
+    fn seal(&self, queue: &mut Queue<T>) -> Option<Vec<Parked<T>>> {
+        let take = queue.parked.len().min(self.opts.max_batch);
+        if take == 0 {
             return None;
         }
-        let sealed_ns = self.epoch.elapsed().as_nanos() as u64;
-        let wave: Vec<Admitted> = chunk
-            .into_iter()
-            .map(|(id, p)| Admitted {
-                id,
-                query: p.query,
-                queued: Duration::from_nanos(sealed_ns.saturating_sub(p.submit_ns)),
-            })
-            .collect();
-        if mcbfs_trace::enabled() {
-            // Backdate the span to the first admission so the trace shows
-            // the true batching delay, not just the seal call.
-            let now = mcbfs_trace::now_ns();
-            let dur = wave[0].queued.as_nanos() as u64;
-            mcbfs_trace::inject(
-                0,
-                vec![TraceEvent {
-                    start_ns: now.saturating_sub(dur),
-                    dur_ns: dur,
-                    kind: EventKind::BatchAdmit,
-                    arg: wave.len() as u64,
-                }],
-            );
-        }
-        Some(wave)
+        let sealed = Instant::now();
+        let wave = queue.parked.drain(..take).map(|mut parked| {
+            parked.admitted.queued = sealed.duration_since(parked.submitted);
+            parked
+        });
+        Some(wave.collect())
     }
 
     /// Seals everything pending into consecutive waves (a flush — ignores
     /// `max_wait`).
-    pub fn drain(&self) -> Vec<Vec<Admitted>> {
-        let mut waves = Vec::new();
-        while let Some(wave) = self.take_wave() {
-            waves.push(wave);
-        }
-        waves
+    pub fn drain(&self) -> Vec<Vec<Parked<T>>> {
+        std::iter::from_fn(|| self.take_wave()).collect()
     }
 
-    /// Stops admitting; pending queries remain sealable. The shutdown
-    /// handshake is close → drain → exit.
+    /// Stops admitting and wakes the consumer; pending queries remain
+    /// sealable. The shutdown handshake is close → drain → exit.
     pub fn close(&self) {
-        self.queue.close();
+        self.lock().closed = true;
+        self.wake.notify_all();
     }
 
     /// `true` once [`QueryBatcher::close`] has been called.
     pub fn is_closed(&self) -> bool {
-        self.queue.is_closed()
+        self.lock().closed
+    }
+}
+
+/// Records a [`EventKind::BatchAdmit`] span covering the oldest query's
+/// wait when a trace session is active, backdated to its submission so
+/// the trace shows the true batching delay, not just the seal call.
+fn trace_admit<T>(wave: &[Parked<T>]) {
+    if mcbfs_trace::enabled() {
+        let now = mcbfs_trace::now_ns();
+        let dur = wave[0].admitted.queued.as_nanos() as u64;
+        mcbfs_trace::inject(
+            0,
+            vec![TraceEvent {
+                start_ns: now.saturating_sub(dur),
+                dur_ns: dur,
+                kind: EventKind::BatchAdmit,
+                arg: wave.len() as u64,
+            }],
+        );
     }
 }
 
@@ -239,9 +293,13 @@ pub fn run_batch(
         queries.len().max(1),
     );
     for &q in queries {
-        batcher.submit(q);
+        batcher.submit(q, ());
     }
-    let waves = batcher.drain();
+    let waves: Vec<Vec<Admitted>> = batcher
+        .drain()
+        .into_iter()
+        .map(|wave| wave.into_iter().map(|p| p.admitted).collect())
+        .collect();
     let dispatchers = dispatchers.clamp(1, waves.len().max(1));
     let dispatch = |d: usize| -> Vec<BatchReport> {
         let mut clock = 0.0f64;
@@ -312,13 +370,25 @@ pub fn run_traced(meta: Option<RunMeta>, serve: impl FnOnce() -> BatchReport) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     fn q(root: u32) -> Query {
         Query::Distances { root }
     }
 
-    fn ids(waves: &[Vec<Admitted>]) -> Vec<u64> {
-        waves.iter().flatten().map(|a| a.id).collect()
+    fn ids(waves: &[Vec<Parked<()>>]) -> Vec<u64> {
+        waves.iter().flatten().map(|p| p.admitted.id).collect()
+    }
+
+    /// A batcher whose partial waves never age out during a test.
+    fn patient(max_batch: usize) -> QueryBatcher {
+        QueryBatcher::new(
+            BatcherOpts {
+                max_batch,
+                max_wait: Duration::from_secs(60),
+            },
+            16,
+        )
     }
 
     #[test]
@@ -331,9 +401,8 @@ mod tests {
             10,
         );
         for i in 0..7 {
-            assert_eq!(b.submit(q(i)), i as u64);
+            assert_eq!(b.submit(q(i), ()), i as u64);
         }
-        assert!(b.ready(), "full batch pending");
         let waves = b.drain();
         assert_eq!(waves.len(), 3);
         assert_eq!(waves[0].len(), 3);
@@ -345,25 +414,73 @@ mod tests {
 
     #[test]
     fn partial_wave_ready_only_after_max_wait() {
+        // A lone query is sealed by its age alone, and not before it.
+        let max_wait = Duration::from_millis(2);
         let b = QueryBatcher::new(
             BatcherOpts {
                 max_batch: 8,
-                max_wait: Duration::from_millis(1),
+                max_wait,
             },
             4,
         );
-        assert!(!b.ready(), "empty batcher never ready");
-        b.submit(q(0));
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(b.ready(), "aged partial wave is ready");
-        let wave = b.take_wave().unwrap();
+        b.submit(q(0), ());
+        let wave = b.wait_wave().unwrap();
         assert_eq!(wave.len(), 1);
         assert!(
-            wave[0].queued >= Duration::from_millis(2),
-            "queued {:?} under the sleep",
-            wave[0].queued
+            wave[0].admitted.queued >= max_wait,
+            "sealed after {:?}, under max_wait",
+            wave[0].admitted.queued
         );
-        assert!(!b.ready());
+        assert_eq!(b.pending(), 0);
+    }
+
+    #[test]
+    fn full_wave_wakes_the_waiting_consumer_at_once() {
+        let b = patient(4);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| tx.send(b.wait_wave()).unwrap());
+            s.spawn(|| {
+                for i in 0..4 {
+                    b.submit(q(i), ());
+                }
+            });
+            let got = rx.recv_timeout(Duration::from_secs(10));
+            b.close();
+            let wave = got.expect("a full wave does not wait for max_wait");
+            assert_eq!(ids(&[wave.unwrap()]), [0, 1, 2, 3]);
+        });
+    }
+
+    #[test]
+    fn close_wakes_a_consumer_blocked_on_an_empty_batcher() {
+        let b = patient(4);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| tx.send(b.wait_wave().is_none()).unwrap());
+            b.close();
+            assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(true));
+        });
+    }
+
+    #[test]
+    fn partial_wave_is_not_sealed_before_max_wait() {
+        let b = &patient(4);
+        b.submit(q(7), ());
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                while let Some(wave) = b.wait_wave() {
+                    tx.send(wave.len()).unwrap();
+                }
+            });
+            let early = rx.recv_timeout(Duration::from_millis(200));
+            // Close hands the partial wave back at once, then ends the loop.
+            b.close();
+            assert!(early.is_err(), "a partial wave sealed before max_wait");
+            assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(1));
+        });
+        assert_eq!(rx.recv(), Err(mpsc::RecvError), "None after the drain");
     }
 
     #[test]
@@ -377,7 +494,7 @@ mod tests {
         );
         assert_eq!(b.opts().max_batch, MAX_SOURCES);
         for i in 0..80 {
-            b.submit(q(i));
+            b.submit(q(i), ());
         }
         let waves = b.drain();
         assert_eq!(waves[0].len(), MAX_SOURCES);
@@ -387,23 +504,23 @@ mod tests {
     #[test]
     fn bounded_admission_sheds_then_recovers() {
         let b = QueryBatcher::new(BatcherOpts::default(), 2);
-        assert_eq!(b.try_submit(q(0)), Ok(0));
-        assert_eq!(b.try_submit(q(1)), Ok(1));
-        assert_eq!(b.try_submit(q(2)), Err(AdmitError::Overloaded));
+        assert_eq!(b.try_submit(q(0), ()), Ok(0));
+        assert_eq!(b.try_submit(q(1), ()), Ok(1));
+        assert_eq!(b.try_submit(q(2), ()), Err(AdmitError::Overloaded));
         let wave = b.take_wave().unwrap();
         assert_eq!(wave.len(), 2);
         // Depth freed: admission resumes with the next dense ticket.
-        assert_eq!(b.try_submit(q(3)), Ok(2));
+        assert_eq!(b.try_submit(q(3), ()), Ok(2));
         assert_eq!(b.submitted(), 3);
     }
 
     #[test]
     fn close_drains_then_rejects() {
         let b = QueryBatcher::new(BatcherOpts::default(), 8);
-        b.submit(q(0));
+        b.submit(q(0), ());
         b.close();
         assert!(b.is_closed());
-        assert_eq!(b.try_submit(q(1)), Err(AdmitError::Closed));
+        assert_eq!(b.try_submit(q(1), ()), Err(AdmitError::Closed));
         assert_eq!(b.take_wave().unwrap().len(), 1);
         assert!(b.take_wave().is_none());
     }
@@ -413,15 +530,15 @@ mod tests {
         // Regression: the previous SharedQueue-backed batcher lost queries
         // submitted after a drain had overshot the dequeue cursor.
         let b = QueryBatcher::new(BatcherOpts::default(), 8);
-        b.submit(q(0));
+        b.submit(q(0), ());
         assert_eq!(b.drain().len(), 1);
         assert!(b.take_wave().is_none());
-        b.submit(q(1));
+        b.submit(q(1), ());
         let waves = b.drain();
         assert_eq!(waves.len(), 1);
-        assert_eq!(waves[0][0].id, 1);
+        assert_eq!(waves[0][0].admitted.id, 1);
         assert_eq!(
-            waves[0][0].query,
+            waves[0][0].admitted.query,
             Query::Distances { root: 1 },
             "post-drain submission must not be lost"
         );
@@ -435,7 +552,7 @@ mod tests {
                 let b = &b;
                 s.spawn(move || {
                     for i in 0..100 {
-                        b.submit(q(t * 100 + i));
+                        b.submit(q(t * 100 + i), ());
                     }
                 });
             }

@@ -31,8 +31,8 @@ use mcbfs_graph::csr::{CsrGraph, VertexId};
 use mcbfs_graph::validate::{depth_in_tree, depths_from_parents};
 use mcbfs_trace::{EventKind, SpanTimer, Trace};
 
-/// One admitted query. `Copy + Default` so it can ride the
-/// `sync::workq::ContinuousQueue` admission ring.
+/// One admitted query. `Default` because callers derive `Default` over
+/// records that hold one (the benchmark's client outcome does).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Query {
     /// Full BFS tree from `root` (parents + depths).

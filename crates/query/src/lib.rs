@@ -25,7 +25,7 @@ pub mod kernel;
 pub mod msbfs;
 pub mod stats;
 
-pub use batcher::{run_batch, run_traced, AdmitError, Admitted, BatcherOpts, QueryBatcher};
+pub use batcher::{run_batch, run_traced, AdmitError, Admitted, BatcherOpts, Parked, QueryBatcher};
 pub use engine::{
     wave_outcomes, BatchReport, Query, QueryEngine, QueryOutcome, QueryResult, WaveStats,
 };

@@ -1,12 +1,14 @@
 //! The scheduler thread: deadline-aware continuous batching.
 //!
 //! One thread owns wave sealing and execution. Its loop is the
-//! inference-serving close rule applied to graph queries: a wave is sealed
-//! the moment the batcher reports *ready* — a full `max_batch` pending,
-//! **or** the oldest pending query aged past `max_wait`, whichever fires
-//! first — so light load pays at most `max_wait` of batching delay while
-//! heavy load fills 64-wide waves back to back (continuous batching, no
-//! fixed epochs).
+//! inference-serving close rule applied to graph queries: it blocks in
+//! `QueryBatcher::wait_wave` until a wave is due — a full `max_batch`
+//! pending, **or** the oldest parked query aged `max_wait`, whichever
+//! comes first — so light load pays at most `max_wait` of batching delay
+//! while heavy load fills 64-wide waves back to back (continuous
+//! batching, no fixed epochs). The wait is a condition variable with a
+//! timeout at the oldest query's deadline, not a polling sleep: an idle
+//! server does not wake, and a partial wave is sealed at its deadline.
 //!
 //! Deadlines are enforced twice per query: at seal (a query already past
 //! its deadline is answered `timeout` without burning kernel time on it)
@@ -15,55 +17,40 @@
 //! presented as fresh). Both paths record an
 //! [`EventKind::DeadlineMiss`] instant.
 //!
-//! On drain: the server flips the draining flag, the scheduler closes the
-//! batcher (new submissions are rejected as `draining`), then seals and
-//! executes every remaining wave before exiting — admitted queries are
-//! always answered, even across shutdown.
+//! On drain: the server closes the batcher (new submissions are rejected
+//! as `draining`), which wakes the scheduler; `wait_wave` then hands back
+//! every remaining wave without waiting, and the loop ends when it
+//! returns `None` — admitted queries are always answered, even across
+//! shutdown.
 
-use crate::server::{write_frame, PendingEntry, Shared, WaveExecutor};
+use crate::server::{write_frame, ReplyTo, Shared, WaveExecutor};
 use crate::wire::{QueryReply, Response};
-use mcbfs_query::{Admitted, QueryResult};
+use mcbfs_query::{Admitted, Parked, QueryResult};
 use mcbfs_trace::EventKind;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
 
 /// Runs the sealing loop until drained. Spawned by `server::serve`.
 pub(crate) fn run<E: WaveExecutor>(shared: &Shared<E>) {
-    // Poll at a fraction of the age deadline so a partial wave is sealed
-    // within ~max_wait of its oldest query, without busy-spinning.
-    let nap = (shared.max_wait / 4).clamp(Duration::from_micros(100), Duration::from_millis(1));
-    loop {
-        if shared.batcher.ready() {
-            if let Some(wave) = shared.batcher.take_wave() {
-                execute_wave(shared, wave);
-            }
-            continue;
-        }
-        if shared.draining() {
-            shared.batcher.close();
-            while let Some(wave) = shared.batcher.take_wave() {
-                execute_wave(shared, wave);
-            }
-            return;
-        }
-        std::thread::sleep(nap);
+    while let Some(wave) = shared.batcher.wait_wave() {
+        execute_wave(shared, wave);
     }
 }
 
-fn deadline_missed(entry: &PendingEntry) -> bool {
-    entry
+fn deadline_missed(parked: &Parked<ReplyTo>) -> bool {
+    parked
+        .payload
         .deadline
-        .is_some_and(|d| entry.submitted.elapsed() > d)
+        .is_some_and(|d| parked.submitted.elapsed() > d)
 }
 
-fn reply_timeout<E: WaveExecutor>(shared: &Shared<E>, entry: &PendingEntry) {
-    let waited = entry.submitted.elapsed();
+fn reply_timeout<E: WaveExecutor>(shared: &Shared<E>, parked: &Parked<ReplyTo>) {
+    let waited = parked.submitted.elapsed();
     shared.hub.timeouts.fetch_add(1, Ordering::Relaxed);
     mcbfs_trace::instant(EventKind::DeadlineMiss, waited.as_micros() as u64);
     write_frame(
-        &entry.writer,
+        &parked.payload.writer,
         &Response::Timeout {
-            tag: entry.tag,
+            tag: parked.payload.tag,
             waited_ms: waited.as_secs_f64() * 1e3,
         },
     );
@@ -72,37 +59,28 @@ fn reply_timeout<E: WaveExecutor>(shared: &Shared<E>, entry: &PendingEntry) {
 /// Executes one sealed wave and routes every answer. Queries whose
 /// deadline already passed are timed out up front and excluded from the
 /// kernel run.
-fn execute_wave<E: WaveExecutor>(shared: &Shared<E>, wave: Vec<Admitted>) {
+fn execute_wave<E: WaveExecutor>(shared: &Shared<E>, wave: Vec<Parked<ReplyTo>>) {
     shared.hub.waves.fetch_add(1, Ordering::Relaxed);
-    let entries: Vec<Option<PendingEntry>> = {
-        let mut pending = shared.pending.lock().expect("pending map lock");
-        wave.iter().map(|a| pending.remove(&a.id)).collect()
-    };
-    let mut live: Vec<Admitted> = Vec::with_capacity(wave.len());
-    let mut live_entries: Vec<PendingEntry> = Vec::with_capacity(wave.len());
-    for (admitted, entry) in wave.into_iter().zip(entries) {
-        // Admission parks the entry under the same lock that issued the
-        // ticket, so it is always present; a serving loop still must not
-        // panic on an impossible state.
-        let Some(entry) = entry else { continue };
-        if deadline_missed(&entry) {
-            reply_timeout(shared, &entry);
+    let mut live: Vec<Parked<ReplyTo>> = Vec::with_capacity(wave.len());
+    for parked in wave {
+        if deadline_missed(&parked) {
+            reply_timeout(shared, &parked);
         } else {
-            live.push(admitted);
-            live_entries.push(entry);
+            live.push(parked);
         }
     }
     if live.is_empty() {
         return;
     }
-    let report = shared.executor.execute_wave(&live);
+    let queries: Vec<Admitted> = live.iter().map(|p| p.admitted).collect();
+    let report = shared.executor.execute_wave(&queries);
     let wave_queries = live.len() as u64;
-    for (outcome, entry) in report.outcomes.iter().zip(&live_entries) {
-        if deadline_missed(entry) {
-            reply_timeout(shared, entry);
+    for (outcome, parked) in report.outcomes.iter().zip(&live) {
+        if deadline_missed(parked) {
+            reply_timeout(shared, parked);
             continue;
         }
-        let latency_ms = entry.submitted.elapsed().as_secs_f64() * 1e3;
+        let latency_ms = parked.submitted.elapsed().as_secs_f64() * 1e3;
         let (distance, reachable, depths, parents) = match &outcome.result {
             QueryResult::Parents { parents, depths } => {
                 (None, None, Some(depths.clone()), Some(parents.clone()))
@@ -120,9 +98,9 @@ fn execute_wave<E: WaveExecutor>(shared: &Shared<E>, wave: Vec<Admitted>) {
             .fetch_add(outcome.edges, Ordering::Relaxed);
         shared.hub.record_latency_ms(latency_ms);
         write_frame(
-            &entry.writer,
+            &parked.payload.writer,
             &Response::Ok(QueryReply {
-                tag: entry.tag,
+                tag: parked.payload.tag,
                 kind: outcome.query.kind_name().to_string(),
                 wave_queries,
                 queue_ms: outcome.queue_seconds * 1e3,

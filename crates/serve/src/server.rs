@@ -9,15 +9,17 @@
 //! mid-frame.
 //!
 //! Admission is the reader-side path: a query frame is validated, then
-//! `try_submit` either yields a ticket (the request is parked in the
-//! pending map until its wave completes) or reports `Overloaded`/`Closed`,
-//! which the reader answers immediately with a structured `rejected`
-//! frame — the bounded queue sheds by replying, never by dropping.
+//! `try_submit` either parks it in the batcher together with its reply
+//! handle, tag and deadline, where it stays until its wave completes, or
+//! reports `Overloaded`/`Closed`, which the reader answers immediately
+//! with a structured `rejected` frame — the bounded queue sheds by
+//! replying, never by dropping. The batcher's lock is the only admission
+//! lock: a parked query and its reply handle are one queue entry.
 //!
 //! Shutdown is drain-then-exit: a [`ShutdownHandle`] request (or SIGINT
-//! via [`arm_sigint`]) flips the draining flag; readers stop admitting,
-//! the scheduler closes the batcher, executes every still-pending wave,
-//! answers them, and only then does [`serve`] return.
+//! via [`arm_sigint`]) ends the accept loop, which closes the batcher;
+//! readers stop admitting, the scheduler executes every still-parked
+//! wave, answers them, and only then does [`serve`] return.
 
 use crate::scheduler;
 use crate::shed::{ServerStats, StatsHub};
@@ -25,13 +27,12 @@ use crate::wire::{self, RejectReason, Request, Response};
 use mcbfs_graph::csr::CsrGraph;
 use mcbfs_query::{AdmitError, Admitted, BatchReport, BatcherOpts, QueryBatcher, QueryEngine};
 use mcbfs_trace::EventKind;
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -118,15 +119,14 @@ impl ShutdownHandle {
 /// reader and the scheduler answer concurrently.
 pub(crate) type ConnWriter = Arc<Mutex<TcpStream>>;
 
-/// A query parked between admission and its wave completing.
-pub(crate) struct PendingEntry {
+/// What the server parks with each admitted query: how to answer it.
+pub(crate) struct ReplyTo {
     /// Client tag to echo.
     pub tag: u64,
     /// Where the answer goes.
     pub writer: ConnWriter,
-    /// Admission time (the latency clock).
-    pub submitted: Instant,
-    /// Effective deadline (request's own, or the server default).
+    /// Effective deadline (request's own, or the server default), counted
+    /// from the query's submission.
     pub deadline: Option<Duration>,
 }
 
@@ -157,24 +157,14 @@ impl WaveExecutor for QueryEngine<'_> {
 /// State shared by the accept loop, readers, and the scheduler.
 pub(crate) struct Shared<E: WaveExecutor> {
     pub executor: E,
-    pub batcher: QueryBatcher,
-    pub pending: Mutex<HashMap<u64, PendingEntry>>,
+    pub batcher: QueryBatcher<ReplyTo>,
     pub hub: StatsHub,
-    pub draining: AtomicBool,
-    pub max_wait: Duration,
     pub vertices: u32,
 }
 
 impl<E: WaveExecutor> Shared<E> {
-    pub fn draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
-    }
-
     pub fn stats(&self) -> ServerStats {
-        let local = self.hub.snapshot(
-            self.batcher.submitted(),
-            self.pending.lock().expect("pending map lock").len() as u64,
-        );
+        let local = self.hub.snapshot(self.batcher.submitted());
         self.executor
             .merged_stats(local, &self.hub.latency_window())
     }
@@ -239,10 +229,7 @@ pub fn serve_with<E: WaveExecutor, F: FnOnce(SocketAddr)>(
             },
             opts.queue_cap,
         ),
-        pending: Mutex::new(HashMap::new()),
         hub: StatsHub::new(vertices, edges),
-        draining: AtomicBool::new(false),
-        max_wait: opts.max_wait,
         vertices: vertices as u32,
     };
     let default_deadline = opts.default_deadline;
@@ -255,8 +242,8 @@ pub fn serve_with<E: WaveExecutor, F: FnOnce(SocketAddr)>(
             scope.spawn(|| run_connection(stream, &shared, default_deadline));
         });
         // Drain-then-exit: stop admitting, let the scheduler flush every
-        // in-flight wave, then wait for readers to notice and finish.
-        shared.draining.store(true, Ordering::Release);
+        // parked wave, then wait for readers to notice and finish.
+        shared.batcher.close();
         let _ = sched.join();
     });
     Ok(shared.stats())
@@ -308,7 +295,7 @@ fn run_connection<E: WaveExecutor>(
     };
     read_lines(
         stream,
-        || shared.draining(),
+        || shared.batcher.is_closed(),
         |line| {
             handle_frame(line, &writer, shared, default_deadline);
             true
@@ -415,33 +402,19 @@ fn handle_frame<E: WaveExecutor>(
             let deadline = deadline_ms
                 .map(|ms| Duration::from_secs_f64(ms.max(0.0) / 1e3))
                 .or(default_deadline);
-            // Submission and parking are atomic under the pending-map
-            // lock: the scheduler routes a ticket only after taking this
-            // lock itself, so it can never observe a submitted-but-not-
-            // parked query.
-            let mut pending = shared.pending.lock().expect("pending map lock");
-            match shared.batcher.try_submit(query) {
-                Ok(ticket) => {
-                    pending.insert(
-                        ticket,
-                        PendingEntry {
-                            tag,
-                            writer: Arc::clone(writer),
-                            submitted: Instant::now(),
-                            deadline,
-                        },
-                    );
-                }
-                Err(err) => {
-                    drop(pending);
-                    shared.hub.shed.fetch_add(1, Ordering::Relaxed);
-                    mcbfs_trace::instant(EventKind::QueryShed, shared.batcher.pending() as u64);
-                    let reason = match err {
-                        AdmitError::Overloaded => RejectReason::Overloaded,
-                        AdmitError::Closed => RejectReason::Draining,
-                    };
-                    write_frame(writer, &Response::Rejected { tag, reason });
-                }
+            let reply_to = ReplyTo {
+                tag,
+                writer: Arc::clone(writer),
+                deadline,
+            };
+            if let Err(err) = shared.batcher.try_submit(query, reply_to) {
+                shared.hub.shed.fetch_add(1, Ordering::Relaxed);
+                mcbfs_trace::instant(EventKind::QueryShed, shared.batcher.pending() as u64);
+                let reason = match err {
+                    AdmitError::Overloaded => RejectReason::Overloaded,
+                    AdmitError::Closed => RejectReason::Draining,
+                };
+                write_frame(writer, &Response::Rejected { tag, reason });
             }
         }
     }

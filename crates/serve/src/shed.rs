@@ -1,13 +1,15 @@
 //! Admission accounting and the `stats` snapshot.
 //!
-//! The shedding *decision* is the batcher's bounded ring
+//! The shedding *decision* is the batcher's bounded queue
 //! (`query::QueryBatcher::try_submit` returns `Overloaded` past the
-//! high-water mark); this module is the policy around it — every request
-//! ends in exactly one counter (`served`, `shed`, `timeouts`, or
-//! `errors`), so `served + shed + timeouts + errors == admitted + shed +
-//! errors` is checkable from the outside and nothing is ever dropped
-//! silently. A bounded reservoir of recent served latencies feeds the
-//! live quantiles in [`ServerStats`].
+//! high-water mark, under the batcher's one lock); this module is the
+//! policy around it — every request ends in exactly one counter
+//! (`served`, `shed`, `timeouts`, or `errors`), so `served + shed +
+//! timeouts + errors == admitted + shed + errors` is checkable from the
+//! outside and nothing is ever dropped silently. What is admitted but not
+//! yet counted, parked or inside a running wave, is `in_flight`. A bounded
+//! reservoir of recent served latencies feeds the live quantiles in
+//! [`ServerStats`].
 
 use mcbfs_query::nearest_rank_quantile;
 use serde::{Deserialize, Serialize};
@@ -44,7 +46,8 @@ pub struct ServerStats {
     pub errors: u64,
     /// Inbound lines that failed to parse as `mcbfs-wire-v1` frames.
     pub protocol_errors: u64,
-    /// Queries admitted but not yet answered.
+    /// Queries admitted but not yet answered (`admitted − served −
+    /// timeouts`): parked in the batcher or inside a running wave.
     pub in_flight: u64,
     /// Waves executed.
     pub waves: u64,
@@ -178,27 +181,31 @@ impl StatsHub {
     }
 
     /// Snapshots everything into a wire-serializable [`ServerStats`].
-    /// `admitted`/`in_flight` come from the batcher (it owns those
-    /// counters).
-    pub fn snapshot(&self, admitted: u64, in_flight: u64) -> ServerStats {
+    /// `admitted` comes from the batcher, which issues the tickets; what of
+    /// it is not yet served or timed out is `in_flight`.
+    pub fn snapshot(&self, admitted: u64) -> ServerStats {
         let lat: Vec<f64> = {
             let w = self.latencies_ms.lock().expect("latency window lock");
             w.iter().copied().collect()
         };
         let uptime = self.started.elapsed().as_secs_f64();
         let served_edges = self.served_edges.load(Ordering::Relaxed);
+        let served = self.served.load(Ordering::Relaxed);
+        let timeouts = self.timeouts.load(Ordering::Relaxed);
         ServerStats {
             vertices: self.vertices,
             edges: self.edges,
             uptime_seconds: uptime,
             connections: self.connections.load(Ordering::Relaxed),
             admitted,
-            served: self.served.load(Ordering::Relaxed),
+            served,
             shed: self.shed.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
+            timeouts,
             errors: self.errors.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            in_flight,
+            // Queries admitted after `admitted` was read may already be
+            // counted here.
+            in_flight: admitted.saturating_sub(served + timeouts),
             waves: self.waves.load(Ordering::Relaxed),
             served_edges,
             aggregate_teps: if uptime > 0.0 {
@@ -226,11 +233,12 @@ mod tests {
         for ms in [1.0, 2.0, 3.0] {
             hub.record_latency_ms(ms);
         }
-        let s = hub.snapshot(4, 0);
+        let s = hub.snapshot(4);
         assert_eq!(s.vertices, 100);
         assert_eq!(s.admitted, 4);
         assert_eq!(s.served, 3);
         assert_eq!(s.shed, 1);
+        assert_eq!(s.in_flight, 1, "admitted, neither served nor timed out");
         assert_eq!(s.p50_latency_ms, 2.0);
         assert_eq!(s.p999_latency_ms, 3.0);
         assert!(s.aggregate_teps > 0.0);
@@ -291,7 +299,7 @@ mod tests {
         // Two processes with very different traffic: the exact merged
         // p50 over the union differs from any average of per-process
         // quantiles — the reason workers ship raw windows.
-        let zero = ServerStats::merge(&[StatsHub::new(0, 0).snapshot(0, 0)], &[vec![]]);
+        let zero = ServerStats::merge(&[StatsHub::new(0, 0).snapshot(0)], &[vec![]]);
         let a: Vec<f64> = (0..99).map(|i| 1.0 + i as f64 * 0.001).collect();
         let b = vec![100.0];
         let merged = ServerStats::merge(&[zero.clone(), zero.clone()], &[a.clone(), b.clone()]);
@@ -305,7 +313,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one latency window per process")]
     fn merge_requires_window_per_process() {
-        let s = StatsHub::new(0, 0).snapshot(0, 0);
+        let s = StatsHub::new(0, 0).snapshot(0);
         let _ = ServerStats::merge(&[s], &[]);
     }
 

@@ -24,9 +24,10 @@
 //!
 //! * a barrier for the `Synchronize` steps of Algorithms 2 and 3
 //!   ([`barrier::SpinBarrier`]);
-//! * shared work queues with atomic chunked dequeue and reserved batch
-//!   enqueue — the `LockedDequeue` / `LockedEnqueue` primitives of the
-//!   pseudo-code ([`workq::SharedQueue`]);
+//! * two work queues for the `LockedDequeue` / `LockedEnqueue` primitives
+//!   of the pseudo-code: Algorithm 1's lock-per-operation baseline
+//!   ([`workq::LockedQueue`]) and the frontier array with atomic chunked
+//!   dequeue and reserved batch enqueue ([`workq::SharedQueue`]);
 //! * a fork-join region standing in for the paper's pthread worker team
 //!   ([`pool::scoped_run`]; threads are not pinned).
 //!

@@ -1,7 +1,6 @@
 //! Work queues for the level-synchronous BFS frontier.
 //!
-//! Three designs, matching the paper's progression and the serving layer
-//! built on top of it:
+//! Two designs, matching the paper's progression:
 //!
 //! * [`LockedQueue`] — the naive shared queue of Algorithm 1, where every
 //!   `LockedEnqueue`/`LockedDequeue` takes a lock. Kept as the baseline the
@@ -11,18 +10,9 @@
 //!   with a barrier between levels, so each operation reduces to one
 //!   `fetch_add` reservation on a cursor plus unsynchronized slot writes,
 //!   and dequeues hand out whole **chunks** to amortize the atomic.
-//! * [`ContinuousQueue`] — the serving-mode sibling of `SharedQueue`: the
-//!   same reserve-then-write idiom bent into a bounded ring so producers
-//!   and the consumer overlap indefinitely (no level barrier, no reset).
-//!   Slots are published through an in-order commit cursor, so the single
-//!   consumer always observes strict ticket (FIFO) order; `try_push`
-//!   rejects instead of blocking when the ring is full, which is the
-//!   admission-control primitive the query server's load shedding builds
-//!   on, and a close flag lets a shutdown drain the queue without racing
-//!   late producers.
 
 use crate::ticket::TicketLock;
-use core::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicUsize, Ordering};
 use crossbeam::utils::CachePadded;
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -229,192 +219,6 @@ impl<T: Copy + Default> SharedQueue<T> {
     }
 }
 
-/// Why a producer's `try_push` did not enqueue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PushError {
-    /// The ring holds `capacity` uncommitted-or-unconsumed elements; the
-    /// caller should shed the item (admission control), not spin.
-    Full,
-    /// [`ContinuousQueue::close`] was called; no further elements are
-    /// admitted, but already-committed ones remain drainable.
-    Closed,
-}
-
-/// A bounded multi-producer / single-consumer ring with strict FIFO
-/// tickets, built for continuous serving (no phases, no reset).
-///
-/// Producers reserve a **ticket** with a bounded CAS on the tail cursor —
-/// the reservation fails with [`PushError::Full`] instead of overwriting or
-/// blocking — write their slot, then publish it by advancing the commit
-/// cursor *in ticket order* (a short spin while earlier tickets finish
-/// their writes). The consumer therefore always sees a contiguous,
-/// FIFO-ordered committed prefix: ticket `k` is dequeued `k`-th, which is
-/// the property the query batcher's submission-order contract rests on.
-///
-/// The consumer side is **single-threaded by contract** (one scheduler
-/// thread); `pop_chunk`/`peek` are not safe to call concurrently with each
-/// other from multiple threads, though they are always memory-safe against
-/// producers.
-///
-/// # Examples
-///
-/// ```
-/// use mcbfs_sync::workq::{ContinuousQueue, PushError};
-///
-/// let q: ContinuousQueue<u32> = ContinuousQueue::with_capacity(2);
-/// assert_eq!(q.try_push(7), Ok(0));
-/// assert_eq!(q.try_push(8), Ok(1));
-/// assert_eq!(q.try_push(9), Err(PushError::Full));
-/// let mut out = Vec::new();
-/// assert_eq!(q.pop_chunk(&mut out, 8), 2);
-/// assert_eq!(out, vec![(0, 7), (1, 8)]);
-/// assert_eq!(q.try_push(9), Ok(2)); // tickets keep counting
-/// q.close();
-/// assert_eq!(q.try_push(10), Err(PushError::Closed));
-/// assert_eq!(q.peek(), Some((2, 9))); // committed items stay drainable
-/// ```
-pub struct ContinuousQueue<T> {
-    slots: Box<[UnsafeCell<T>]>,
-    /// Next ticket to consume.
-    head: CachePadded<AtomicUsize>,
-    /// Tickets `[head, committed)` are written and published.
-    committed: CachePadded<AtomicUsize>,
-    /// Next ticket to reserve.
-    tail: CachePadded<AtomicUsize>,
-    closed: AtomicBool,
-}
-
-// SAFETY: slot access is mediated by the cursors — producers own the slot
-// of their reserved ticket until they advance `committed`, and the single
-// consumer only reads tickets below `committed`.
-unsafe impl<T: Send + Copy> Send for ContinuousQueue<T> {}
-unsafe impl<T: Send + Copy> Sync for ContinuousQueue<T> {}
-
-impl<T: Copy + Default> ContinuousQueue<T> {
-    /// A ring holding at most `capacity` in-flight elements (clamped to
-    /// ≥ 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let slots: Box<[UnsafeCell<T>]> = (0..capacity.max(1))
-            .map(|_| UnsafeCell::new(T::default()))
-            .collect();
-        Self {
-            slots,
-            head: CachePadded::new(AtomicUsize::new(0)),
-            committed: CachePadded::new(AtomicUsize::new(0)),
-            tail: CachePadded::new(AtomicUsize::new(0)),
-            closed: AtomicBool::new(false),
-        }
-    }
-
-    /// Maximum number of in-flight (pushed, not yet popped) elements.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Attempts to enqueue `value`, returning its ticket (the global
-    /// submission index, dense from 0) or the reason it was rejected.
-    /// Never blocks beyond the in-order commit handoff.
-    pub fn try_push(&self, value: T) -> Result<u64, PushError> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(PushError::Closed);
-        }
-        // Reserve a ticket, bounded by the ring: the full check and the
-        // reservation are one CAS, so capacity can never be oversubscribed
-        // (head only moves forward, which only creates room).
-        let mut ticket = self.tail.load(Ordering::Relaxed);
-        loop {
-            let head = self.head.load(Ordering::Acquire);
-            if head > ticket {
-                // Stale snapshot: other producers already advanced the tail
-                // past our ticket and the consumer drained it. Refresh.
-                ticket = self.tail.load(Ordering::Relaxed);
-                continue;
-            }
-            if ticket - head >= self.slots.len() {
-                return Err(PushError::Full);
-            }
-            match self.tail.compare_exchange_weak(
-                ticket,
-                ticket + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(now) => ticket = now,
-            }
-        }
-        // SAFETY: ticket is ours alone until we advance `committed` past
-        // it, and the full check above proved slot `ticket % cap` has been
-        // consumed (head > ticket - cap).
-        unsafe { *self.slots[ticket % self.slots.len()].get() = value };
-        // Publish in ticket order: wait for ticket - 1 to commit first.
-        // The wait is bounded by the slot-write time of earlier producers.
-        while self.committed.load(Ordering::Acquire) != ticket {
-            core::hint::spin_loop();
-        }
-        self.committed.store(ticket + 1, Ordering::Release);
-        Ok(ticket as u64)
-    }
-
-    /// Copies up to `max` committed elements (FIFO, tagged with their
-    /// tickets) into `out` and consumes them. Returns the number taken.
-    /// Single consumer only.
-    pub fn pop_chunk(&self, out: &mut Vec<(u64, T)>, max: usize) -> usize {
-        let head = self.head.load(Ordering::Relaxed);
-        let committed = self.committed.load(Ordering::Acquire);
-        let n = (committed - head).min(max);
-        for ticket in head..head + n {
-            // SAFETY: tickets below `committed` are fully written, and as
-            // the only consumer nothing else advances `head` under us; a
-            // producer can only reuse the slot after head moves past it.
-            let v = unsafe { *self.slots[ticket % self.slots.len()].get() };
-            out.push((ticket as u64, v));
-        }
-        self.head.store(head + n, Ordering::Release);
-        n
-    }
-
-    /// The front element and its ticket, without consuming it. Single
-    /// consumer only.
-    pub fn peek(&self) -> Option<(u64, T)> {
-        let head = self.head.load(Ordering::Relaxed);
-        if self.committed.load(Ordering::Acquire) == head {
-            return None;
-        }
-        // SAFETY: as in `pop_chunk`.
-        let v = unsafe { *self.slots[head % self.slots.len()].get() };
-        Some((head as u64, v))
-    }
-
-    /// Committed elements awaiting the consumer. Racy by nature (producers
-    /// and the consumer move concurrently) — a load-time snapshot.
-    pub fn len(&self) -> usize {
-        let committed = self.committed.load(Ordering::Acquire);
-        committed.saturating_sub(self.head.load(Ordering::Acquire))
-    }
-
-    /// `true` when no committed element is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total tickets ever issued (the next push's ticket).
-    pub fn tickets_issued(&self) -> u64 {
-        self.tail.load(Ordering::Acquire) as u64
-    }
-
-    /// Stops admitting new elements; pending ones remain drainable. Part of
-    /// the shutdown handshake: close, then drain until [`Self::is_empty`].
-    pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-    }
-
-    /// `true` once [`Self::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,102 +300,6 @@ mod tests {
     fn overflow_panics() {
         let q: SharedQueue<u32> = SharedQueue::with_capacity(2);
         q.push_batch(&[1, 2, 3]);
-    }
-
-    #[test]
-    fn continuous_queue_fifo_tickets_and_ring_reuse() {
-        let q: ContinuousQueue<u32> = ContinuousQueue::with_capacity(4);
-        let mut out = Vec::new();
-        // Three laps around a capacity-4 ring: tickets stay dense and FIFO.
-        for lap in 0..3u32 {
-            for i in 0..4u32 {
-                assert_eq!(q.try_push(lap * 10 + i), Ok((lap * 4 + i) as u64));
-            }
-            assert_eq!(q.try_push(99), Err(PushError::Full));
-            out.clear();
-            assert_eq!(q.pop_chunk(&mut out, 2), 2);
-            assert_eq!(q.pop_chunk(&mut out, 8), 2);
-            let expect: Vec<(u64, u32)> = (0..4u32)
-                .map(|i| ((lap * 4 + i) as u64, lap * 10 + i))
-                .collect();
-            assert_eq!(out, expect);
-        }
-        assert!(q.is_empty());
-        assert_eq!(q.tickets_issued(), 12);
-    }
-
-    #[test]
-    fn continuous_queue_close_drains_but_rejects() {
-        let q: ContinuousQueue<u8> = ContinuousQueue::with_capacity(8);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert!(!q.is_closed());
-        q.close();
-        assert!(q.is_closed());
-        assert_eq!(q.try_push(3), Err(PushError::Closed));
-        assert_eq!(q.peek(), Some((0, 1)));
-        let mut out = Vec::new();
-        assert_eq!(q.pop_chunk(&mut out, 10), 2);
-        assert_eq!(out, vec![(0, 1), (1, 2)]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn continuous_queue_concurrent_producers_stay_fifo_by_ticket() {
-        const PRODUCERS: usize = 4;
-        const PER: usize = 10_000;
-        let q: Arc<ContinuousQueue<u64>> = Arc::new(ContinuousQueue::with_capacity(64));
-        let drained = Arc::new(TicketLock::new(Vec::<(u64, u64)>::new()));
-        std::thread::scope(|s| {
-            for t in 0..PRODUCERS as u64 {
-                let q = Arc::clone(&q);
-                s.spawn(move || {
-                    for i in 0..PER as u64 {
-                        // Bounded ring: spin on Full like a producer that
-                        // got past admission control but found a burst.
-                        loop {
-                            match q.try_push(t * PER as u64 + i) {
-                                Ok(_) => break,
-                                Err(PushError::Full) => std::hint::spin_loop(),
-                                Err(PushError::Closed) => panic!("never closed"),
-                            }
-                        }
-                    }
-                });
-            }
-            // Single consumer drains concurrently.
-            let q = Arc::clone(&q);
-            let drained = Arc::clone(&drained);
-            s.spawn(move || {
-                let mut got = Vec::new();
-                while got.len() < PRODUCERS * PER {
-                    q.pop_chunk(&mut got, 128);
-                }
-                *drained.lock() = got;
-            });
-        });
-        let got = drained.lock().clone();
-        assert_eq!(got.len(), PRODUCERS * PER);
-        // Tickets come out dense and strictly increasing (FIFO), and no
-        // value is lost or duplicated.
-        for (i, &(ticket, _)) in got.iter().enumerate() {
-            assert_eq!(ticket, i as u64);
-        }
-        let mut values: Vec<u64> = got.iter().map(|&(_, v)| v).collect();
-        values.sort_unstable();
-        assert_eq!(values, (0..(PRODUCERS * PER) as u64).collect::<Vec<_>>());
-        // Per-producer submission order is preserved through the tickets.
-        for t in 0..PRODUCERS as u64 {
-            let mine: Vec<u64> = got
-                .iter()
-                .map(|&(_, v)| v)
-                .filter(|&v| v / PER as u64 == t)
-                .collect();
-            assert!(
-                mine.windows(2).all(|w| w[0] < w[1]),
-                "producer {t} reordered"
-            );
-        }
     }
 
     #[test]

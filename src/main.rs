@@ -768,20 +768,48 @@ fn cmd_stcon(opts: &HashMap<String, String>) {
     }
 }
 
+/// The serving front's flags, shared by `serve` and `router`: `--addr
+/// --max-batch --max-wait-us --queue-cap --deadline-ms`, each defaulting
+/// to `ServeOpts::default()`.
+fn serve_opts(opts: &HashMap<String, String>) -> multicore_bfs::serve::ServeOpts {
+    use std::time::Duration;
+    let defaults = multicore_bfs::serve::ServeOpts::default();
+    let max_wait_us = defaults.max_wait.as_micros() as u64;
+    let deadline_s: f64 = get(opts, "deadline-ms", -1.0f64) / 1e3;
+    multicore_bfs::serve::ServeOpts {
+        addr: get(opts, "addr", defaults.addr.clone()),
+        max_batch: get(opts, "max-batch", defaults.max_batch),
+        max_wait: Duration::from_micros(get(opts, "max-wait-us", max_wait_us)),
+        queue_cap: get(opts, "queue-cap", defaults.queue_cap),
+        default_deadline: (deadline_s > 0.0).then(|| Duration::from_secs_f64(deadline_s)),
+        ..defaults
+    }
+}
+
+/// Prints the accounting line a drained `serve` or `router` ends with.
+fn print_drained(stats: &multicore_bfs::serve::ServerStats) {
+    println!(
+        "drained and stopped after {:.1}s: {} admitted, {} served, {} shed, \
+         {} timeouts, {} errors, {} protocol errors, {} waves, p99 {:.3} ms",
+        stats.uptime_seconds,
+        stats.admitted,
+        stats.served,
+        stats.shed,
+        stats.timeouts,
+        stats.errors,
+        stats.protocol_errors,
+        stats.waves,
+        stats.p99_latency_ms
+    );
+}
+
 /// `mcbfs serve`: run the wire-v1 query server until SIGINT, then drain.
 fn cmd_serve(opts: &HashMap<String, String>) {
     use multicore_bfs::serve::{arm_sigint, serve, ServeOpts, ShutdownHandle};
     let graph = load_graph(opts);
-    let deadline_s: f64 = get(opts, "deadline-ms", -1.0f64) / 1e3;
     let serve_opts = ServeOpts {
-        addr: get(opts, "addr", "127.0.0.1:7411".to_string()),
         threads: get(opts, "threads", 0usize),
-        max_batch: get(opts, "max-batch", 64usize),
-        max_wait: std::time::Duration::from_micros(get(opts, "max-wait-us", 2_000u64)),
-        queue_cap: get(opts, "queue-cap", 256usize),
-        default_deadline: (deadline_s > 0.0)
-            .then(|| std::time::Duration::from_secs_f64(deadline_s)),
-        ..ServeOpts::default()
+        ..serve_opts(opts)
     };
     arm_sigint();
     let shutdown = ShutdownHandle::new();
@@ -797,19 +825,7 @@ fn cmd_serve(opts: &HashMap<String, String>) {
         );
     })
     .unwrap_or_else(|e| usage(&format!("serve failed: {e}")));
-    println!(
-        "drained and stopped after {:.1}s: {} admitted, {} served, {} shed, \
-         {} timeouts, {} errors, {} protocol errors, {} waves, p99 {:.3} ms",
-        stats.uptime_seconds,
-        stats.admitted,
-        stats.served,
-        stats.shed,
-        stats.timeouts,
-        stats.errors,
-        stats.protocol_errors,
-        stats.waves,
-        stats.p99_latency_ms
-    );
+    print_drained(&stats);
     if let Some(path) = opts.get("stats-json") {
         let json = serde_json::to_string_pretty(&stats).expect("serialize stats");
         write_text_file(path, &json);
@@ -967,7 +983,7 @@ struct RouterStats {
 /// swire-v3 to the shard workers listed in `--workers`. SIGINT drains
 /// in-flight waves and then reports the merged cluster stats.
 fn cmd_router(opts: &HashMap<String, String>) {
-    use multicore_bfs::serve::{arm_sigint, serve_with, ServeOpts, ShutdownHandle};
+    use multicore_bfs::serve::{arm_sigint, serve_with, ShutdownHandle};
     use multicore_bfs::shard::Router;
     let workers: Vec<String> = require(opts, "workers")
         .split(',')
@@ -979,16 +995,7 @@ fn cmd_router(opts: &HashMap<String, String>) {
     }
     let router = Router::connect(&workers)
         .unwrap_or_else(|e| usage(&format!("cannot connect to shard workers: {e}")));
-    let deadline_s: f64 = get(opts, "deadline-ms", -1.0f64) / 1e3;
-    let serve_opts = ServeOpts {
-        addr: get(opts, "addr", "127.0.0.1:7411".to_string()),
-        max_batch: get(opts, "max-batch", 64usize),
-        max_wait: std::time::Duration::from_micros(get(opts, "max-wait-us", 2_000u64)),
-        queue_cap: get(opts, "queue-cap", 256usize),
-        default_deadline: (deadline_s > 0.0)
-            .then(|| std::time::Duration::from_secs_f64(deadline_s)),
-        ..ServeOpts::default()
-    };
+    let serve_opts = serve_opts(opts);
     arm_sigint();
     let shutdown = ShutdownHandle::new();
     let (vertices, edges, shards) = (
@@ -1005,19 +1012,7 @@ fn cmd_router(opts: &HashMap<String, String>) {
     })
     .unwrap_or_else(|e| usage(&format!("router failed: {e}")));
     let exchange = router.exchange_log();
-    println!(
-        "drained and stopped after {:.1}s: {} admitted, {} served, {} shed, \
-         {} timeouts, {} errors, {} protocol errors, {} waves, p99 {:.3} ms",
-        stats.uptime_seconds,
-        stats.admitted,
-        stats.served,
-        stats.shed,
-        stats.timeouts,
-        stats.errors,
-        stats.protocol_errors,
-        stats.waves,
-        stats.p99_latency_ms
-    );
+    print_drained(&stats);
     println!(
         "  exchange: {} frames, {} bytes, {} items over {} level rounds",
         exchange.total_frames(),

@@ -178,7 +178,7 @@ fn batcher_waves_preserve_strict_fifo_ticket_order() {
                     // query is checkable after the interleaving.
                     let root = producer * 1_000 + i;
                     let ticket = batcher
-                        .try_submit(Query::Distances { root })
+                        .try_submit(Query::Distances { root }, ())
                         .expect("sized for the submission set");
                     assert!(ticket < 384);
                 }
@@ -190,7 +190,8 @@ fn batcher_waves_preserve_strict_fifo_ticket_order() {
     let mut roots_seen = Vec::new();
     while let Some(wave) = batcher.take_wave() {
         assert!(wave.len() <= 7, "wave wider than max_batch");
-        for admitted in wave {
+        for parked in wave {
+            let admitted = parked.admitted;
             assert_eq!(
                 admitted.id, next_ticket,
                 "waves must replay tickets densely, in submission order"

@@ -454,3 +454,83 @@ fn shutdown_drains_in_flight_queries_before_returning() {
     assert_eq!(stats.served, in_flight as u64, "drain served every query");
     assert_eq!(stats.in_flight, 0, "nothing left parked after the drain");
 }
+
+#[test]
+fn stats_count_a_running_waves_queries_in_flight() {
+    use multicore_bfs::query::{Admitted, BatchReport};
+    use multicore_bfs::serve::{serve_with, WaveExecutor};
+    use std::sync::{mpsc, Mutex};
+
+    /// Holds each wave inside `execute_wave` until the test releases it.
+    struct Held<'g> {
+        engine: QueryEngine<'g>,
+        entered: Mutex<mpsc::Sender<()>>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+    impl WaveExecutor for Held<'_> {
+        fn execute_wave(&self, wave: &[Admitted]) -> BatchReport {
+            self.entered.lock().unwrap().send(()).unwrap();
+            let _ = self.release.lock().unwrap().recv();
+            self.engine.execute_wave(wave)
+        }
+    }
+
+    let graph = RmatBuilder::new(8, 8).seed(6).build();
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let held = Held {
+        engine: QueryEngine::new(&graph).threads(1),
+        entered: Mutex::new(entered_tx),
+        release: Mutex::new(release_rx),
+    };
+    // Three queries fill one wave; a partial one would wait a minute.
+    let opts = ServeOpts {
+        addr: "127.0.0.1:0".to_string(),
+        max_batch: 3,
+        max_wait: Duration::from_secs(60),
+        ..ServeOpts::default()
+    };
+    let shutdown = ShutdownHandle::new();
+    let (ready, addr) = mpsc::channel();
+    let (mid_wave, answers, finl) = std::thread::scope(|scope| {
+        let (n, m) = (graph.num_vertices() as u64, graph.num_edges() as u64);
+        let (opts, shutdown) = (&opts, &shutdown);
+        let server = scope.spawn(move || {
+            serve_with(held, n, m, opts, shutdown, |a| ready.send(a).unwrap())
+                .expect("server binds an ephemeral port")
+        });
+        let mut client = Client::connect(addr.recv().expect("server reports readiness"));
+        for tag in 0..3 {
+            client.send(&Request::Query {
+                tag,
+                query: Query::Distances { root: tag as u32 },
+                deadline_ms: None,
+            });
+        }
+        // The reader answers `stats` inline while the wave is held.
+        let mid_wave = entered.recv_timeout(Duration::from_secs(10)).map(|()| {
+            client.send(&Request::Stats { tag: 9 });
+            client.recv()
+        });
+        release.send(()).unwrap();
+        let answers = client.recv_tagged(3);
+        shutdown.request();
+        (
+            mid_wave,
+            answers,
+            server.join().expect("server thread exits"),
+        )
+    });
+    let stats = match mid_wave.expect("the full wave reaches the executor") {
+        Response::Stats { tag: 9, stats } => stats,
+        other => panic!("expected stats, got {other:?}"),
+    };
+    assert_eq!(stats.in_flight, 3, "a running wave's queries are in flight");
+    assert_eq!(
+        stats.admitted,
+        stats.served + stats.timeouts + stats.in_flight,
+        "{stats:?}"
+    );
+    assert!(answers.values().all(|r| matches!(r, Response::Ok(_))));
+    assert_eq!((finl.served, finl.in_flight), (3, 0));
+}
